@@ -12,7 +12,6 @@ repeated-split evaluation protocol.
 from .conformal import (
     ConformalBand,
     DataSplit,
-    Interval,
     cqr_asym_calibrate,
     cqr_calibrate,
     local_conformal_calibrate,
@@ -70,7 +69,6 @@ __all__ = [
     "RegularizerSpec",
     "ConformalBand",
     "DataSplit",
-    "Interval",
     "split_conformal_calibrate",
     "local_conformal_calibrate",
     "cqr_calibrate",

@@ -22,6 +22,7 @@ from .datagen import SYNTHETIC_KINDS, SyntheticSpec, generate, load_csv
 from .harness import (
     ENGINES,
     METHODS,
+    PAIR_ENGINES,
     ExperimentConfig,
     ForestConfig,
     MlpConfig,
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--alpha", type=float, default=_UNSET)
     audit.add_argument("--n-cal", type=int, default=_UNSET)
     audit.add_argument("--n-test", type=int, default=_UNSET)
-    audit.add_argument("--engine", default=_UNSET, choices=("linear-q", "qrf", "mlp", "oracle"))
+    audit.add_argument("--engine", default=_UNSET, choices=PAIR_ENGINES)
     audit.add_argument("--kind", default=_UNSET, choices=SYNTHETIC_KINDS)
     _add_common(audit)
     return parser

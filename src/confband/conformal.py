@@ -20,7 +20,6 @@ The four score choices:
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .regressors.base import (
 
 __all__ = [
     "DataSplit",
-    "Interval",
     "ConformalBand",
     "split_conformal_calibrate",
     "local_conformal_calibrate",
@@ -83,20 +81,6 @@ class DataSplit:
         return DataSplit(order[:cut], order[cut:])
 
 
-class Interval(NamedTuple):
-    """A closed prediction interval; endpoints may be infinite."""
-
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, y: float) -> bool:
-        return self.lo <= y <= self.hi
-
-
 def _inflated_correction(scores: np.ndarray, alpha: float) -> float:
     return SortedSample(scores).inflated_quantile(alpha)
 
@@ -139,10 +123,6 @@ class ConformalBand:
             c_lo, c_hi = self.correction
             return _uncross(q_lo - c_lo, q_hi + c_hi)
         raise ValueError(f"unknown method tag {self.method!r}")
-
-    def intervals(self, X) -> list[Interval]:
-        lo, hi = self.predict_interval(X)
-        return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
 def _checked_pair(pair: QuantileRegressor, X) -> tuple[np.ndarray, np.ndarray]:

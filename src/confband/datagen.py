@@ -189,55 +189,6 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
     return Dataset(X=x[:, None], y=y, feature_names=("x",)), oracle
 
 
-class OracleMeanRegressor(MeanRegressor):
-    """Point predictor that returns the exact conditional mean."""
-
-    def __init__(self, oracle: OracleQuantiles):
-        self.oracle = oracle
-
-    def fit(self, X, y) -> "OracleMeanRegressor":
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        return self.oracle.mean(as_matrix(X)[:, 0])
-
-
-class OracleQuantileRegressor(QuantileRegressor):
-    """Quantile pair that returns the exact conditional quantiles."""
-
-    def __init__(self, oracle: OracleQuantiles):
-        self.oracle = oracle
-        self._levels: tuple[float, float] | None = None
-
-    def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "OracleQuantileRegressor":
-        check_level(alpha_lo)
-        check_level(alpha_hi)
-        self._levels = (alpha_lo, alpha_hi)
-        return self
-
-    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._levels is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
-        x = as_matrix(X)[:, 0]
-        return (
-            self.oracle.quantile(x, self._levels[0]),
-            self.oracle.quantile(x, self._levels[1]),
-        )
-
-
-class OracleDispersionRegressor(DispersionRegressor):
-    """Dispersion estimate equal to the exact conditional mean absolute deviation."""
-
-    def __init__(self, oracle: OracleQuantiles):
-        self.oracle = oracle
-
-    def fit(self, X, residuals) -> "OracleDispersionRegressor":
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        return self.oracle.mean_abs_deviation(as_matrix(X)[:, 0])
-
-
 def load_csv(path: str, target_column: str) -> Dataset:
     """Read a numeric CSV with a header row into a dataset.
 
@@ -350,3 +301,65 @@ def standardize_invert(params: StandardizationParams, X_std, y_std=None):
         return X
     y_std = as_vector(y_std, X_std.shape[0])
     return X, y_std * params.response_scale
+
+
+class _OracleReadout:
+    """Reads the oracle at the feature of X's single column.
+
+    With ``params`` the oracle is composed with that standardization: X is
+    in standardized feature units and predictions come back in standardized
+    response units. Without it both stay in raw units.
+    """
+
+    def __init__(self, oracle: OracleQuantiles, params: StandardizationParams | None = None):
+        self.oracle = oracle
+        self.params = params
+
+    def _raw_x(self, X) -> np.ndarray:
+        if self.params is None:
+            return as_matrix(X)[:, 0]
+        return standardize_invert(self.params, X)[:, 0]
+
+    def _units(self, y: np.ndarray) -> np.ndarray:
+        return y if self.params is None else y / self.params.response_scale
+
+
+class OracleMeanRegressor(_OracleReadout, MeanRegressor):
+    """Point predictor that returns the exact conditional mean."""
+
+    def fit(self, X, y) -> "OracleMeanRegressor":
+        return self
+
+    def predict(self, X) -> np.ndarray:
+        return self._units(self.oracle.mean(self._raw_x(X)))
+
+
+class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
+    """Quantile pair that returns the exact conditional quantiles."""
+
+    _levels: tuple[float, float] | None = None
+
+    def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "OracleQuantileRegressor":
+        check_level(alpha_lo)
+        check_level(alpha_hi)
+        self._levels = (alpha_lo, alpha_hi)
+        return self
+
+    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
+        if self._levels is None:
+            raise RuntimeError("fit() must be called before predict_pair()")
+        x = self._raw_x(X)
+        return (
+            self._units(self.oracle.quantile(x, self._levels[0])),
+            self._units(self.oracle.quantile(x, self._levels[1])),
+        )
+
+
+class OracleDispersionRegressor(_OracleReadout, DispersionRegressor):
+    """Dispersion estimate equal to the exact conditional mean absolute deviation."""
+
+    def fit(self, X, residuals) -> "OracleDispersionRegressor":
+        return self
+
+    def predict(self, X) -> np.ndarray:
+        return self._units(self.oracle.mean_abs_deviation(self._raw_x(X)))

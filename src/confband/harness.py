@@ -3,11 +3,13 @@
 Each repetition draws a fresh test split, halves the remaining rows into
 proper-training and calibration sets, standardizes using proper-training
 statistics only, fits the requested engine, calibrates, and scores
-coverage and average interval length on the test rows. Summaries average
-over repetitions. Interval lengths are reported in standardized response
-units unless configured otherwise.
+coverage and average interval length on the test rows. A repetition adds
+the rows of all its methods or, when any method fails, none. Summaries
+average over repetitions. Interval lengths are reported in standardized
+response units unless configured otherwise.
 
-Engines are referred to by name:
+Engines are referred to by name; the table ``_ENGINES`` says how each one
+fills the three model roles:
 
 - "ridge": closed-form ridge with cross-validated penalty (point predictor
   only; pair methods reject it)
@@ -18,13 +20,15 @@ Engines are referred to by name:
 
 Dispersion estimates for the locally adaptive method come from k-nearest
 neighbor averaging of absolute residuals for the ridge and linear engines,
-and from the engine's own mean regressor (clamped at zero) for the mlp and
-qrf engines.
+from a fresh copy of the engine's own mean regressor (clamped at zero) for
+the mlp and qrf engines, and from the exact conditional mean absolute
+deviation for the oracle.
 """
 
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +51,6 @@ from .datagen import (
     generate,
     standardize_apply,
     standardize_fit,
-    standardize_invert,
 )
 from .quantiles import check_level
 from .regressors import (
@@ -69,6 +72,7 @@ from .regressors import (
 __all__ = [
     "METHODS",
     "ENGINES",
+    "PAIR_ENGINES",
     "QUANTILE_TUNING_GRID",
     "ExperimentConfig",
     "RepetitionResult",
@@ -87,8 +91,64 @@ __all__ = [
 ]
 
 METHODS = ("split", "local", "cqr", "cqr-asym")
-ENGINES = ("ridge", "mlp", "qrf", "linear-q", "oracle")
+_PAIR_METHODS = ("cqr", "cqr-asym")
 QUANTILE_TUNING_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
+
+
+@dataclass(frozen=True)
+class _Engine:
+    """How one engine builds an unfitted model for each role.
+
+    A factory takes the ``_EngineBundle`` being filled and a zero-argument
+    seed source. Only models that take a seed draw one, so whether unused
+    seeds are drawn too is up to the caller's seed source.
+    """
+
+    mean: Callable
+    dispersion: Callable
+    pair: Callable | None = None  # None: no quantile pair, so no pair methods
+    tune_levels: bool = True  # whether quantile-level tuning applies
+
+
+def _ridge_mean(b, seed):
+    return RidgeRegressor(cross_validate_l2(b.X1, b.y1, n_folds=b.cfg.cv_folds, rng=b.rng))
+
+
+def _knn_dispersion(b, seed):
+    return KnnDispersion(k=min(b.cfg.knn_k, b.X1.shape[0]))
+
+
+def _clamped_mean_dispersion(b, seed):
+    return NonNegativeDispersion(b.engine.mean(b, seed))
+
+
+_ENGINES = {
+    "ridge": _Engine(mean=_ridge_mean, dispersion=_knn_dispersion),
+    "mlp": _Engine(
+        mean=lambda b, seed: MlpMeanRegressor(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
+        dispersion=_clamped_mean_dispersion,
+        pair=lambda b, seed: MlpQuantilePair(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
+    ),
+    "qrf": _Engine(
+        mean=lambda b, seed: ForestMeanRegressor(replace(b.cfg.forest, seed=seed())),
+        dispersion=_clamped_mean_dispersion,
+        pair=lambda b, seed: QuantileForestRegressor(replace(b.cfg.forest, seed=seed())),
+    ),
+    "linear-q": _Engine(
+        mean=lambda b, seed: LinearMedianRegressor(b.cfg.linear_epochs),
+        dispersion=_knn_dispersion,
+        pair=lambda b, seed: LinearQuantilePair(b.cfg.linear_epochs),
+    ),
+    "oracle": _Engine(
+        mean=lambda b, seed: OracleMeanRegressor(b.oracle, b.params),
+        dispersion=lambda b, seed: OracleDispersionRegressor(b.oracle, b.params),
+        pair=lambda b, seed: OracleQuantileRegressor(b.oracle, b.params),
+        tune_levels=False,
+    ),
+}
+ENGINES = tuple(_ENGINES)
+# engines that can fill the pair methods and the coverage audit
+PAIR_ENGINES = tuple(name for name, engine in _ENGINES.items() if engine.pair is not None)
 
 CSV_HEADER = (
     "method,avg_length,sd_length,avg_coverage,sd_coverage,"
@@ -154,6 +214,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        if _ENGINES[self.engine].pair is None:
+            for m in self.methods:
+                if m in _PAIR_METHODS:
+                    raise ValueError(
+                        f"engine {self.engine!r} cannot produce quantile pairs for "
+                        f"method {m!r}; use one of {PAIR_ENGINES}"
+                    )
         if self.n_repetitions < 1:
             raise ValueError(f"n_repetitions must be >= 1, got {self.n_repetitions}")
         for name, frac in (
@@ -343,7 +410,7 @@ def repetition_split(n: int, cfg: ExperimentConfig, rng) -> tuple[np.ndarray, np
 
 
 class _EngineBundle:
-    """Lazily fits the engines one repetition needs on its proper-training rows.
+    """Lazily fits one engine's models on one set of training rows.
 
     Models are cached so methods sharing a fitted predictor (split and
     local share the point predictor; cqr and cqr-asym share the quantile
@@ -358,9 +425,10 @@ class _EngineBundle:
         y1: np.ndarray,
         rng,
         oracle: OracleQuantiles | None,
-        params: StandardizationParams,
+        params: StandardizationParams | None,
     ):
         self.cfg = cfg
+        self.engine = _ENGINES[cfg.engine]
         self.X1 = X1
         self.y1 = y1
         self.rng = rng
@@ -370,82 +438,42 @@ class _EngineBundle:
         self._dispersion = None
         self._pair: CrossingFixPair | None = None
         self.alpha_nominal: float | None = None
-        if cfg.engine == "oracle" and oracle is None:
-            raise ValueError("engine 'oracle' requires synthetic data")
 
-    def _draw_seed(self) -> int:
+    def draw_seed(self) -> int:
         return int(self.rng.integers(2**63))
 
     def mean_model(self):
         if self._mean is None:
-            cfg = self.cfg
-            if cfg.engine == "ridge":
-                l2 = cross_validate_l2(self.X1, self.y1, n_folds=cfg.cv_folds, rng=self.rng)
-                model = RidgeRegressor(l2).fit(self.X1, self.y1)
-            elif cfg.engine == "mlp":
-                mlp_cfg = replace(cfg.mlp, seed=self._draw_seed())
-                model = MlpMeanRegressor(mlp_cfg, cfg.cv_folds).fit(self.X1, self.y1)
-            elif cfg.engine == "qrf":
-                forest_cfg = replace(cfg.forest, seed=self._draw_seed())
-                model = ForestMeanRegressor(forest_cfg).fit(self.X1, self.y1)
-            elif cfg.engine == "linear-q":
-                model = LinearMedianRegressor(cfg.linear_epochs).fit(self.X1, self.y1)
-            else:
-                model = _StandardizedOracleMean(self.oracle, self.params)
-            self._mean = model
+            self._mean = self.engine.mean(self, self.draw_seed).fit(self.X1, self.y1)
         return self._mean
 
     def dispersion_model(self):
         if self._dispersion is None:
-            cfg = self.cfg
-            if cfg.engine == "oracle":
-                self._dispersion = _StandardizedOracleDispersion(self.oracle, self.params)
-                return self._dispersion
             residuals = np.abs(self.y1 - self.mean_model().predict(self.X1))
-            if cfg.engine in ("ridge", "linear-q"):
-                model = KnnDispersion(k=min(cfg.knn_k, self.X1.shape[0]))
-            elif cfg.engine == "mlp":
-                mlp_cfg = replace(cfg.mlp, seed=self._draw_seed())
-                model = NonNegativeDispersion(MlpMeanRegressor(mlp_cfg, cfg.cv_folds))
-            else:
-                forest_cfg = replace(cfg.forest, seed=self._draw_seed())
-                model = NonNegativeDispersion(ForestMeanRegressor(forest_cfg))
+            model = self.engine.dispersion(self, self.draw_seed)
             self._dispersion = model.fit(self.X1, residuals)
         return self._dispersion
-
-    def _fresh_pair(self, seed: int) -> QuantileRegressor:
-        cfg = self.cfg
-        if cfg.engine == "qrf":
-            return QuantileForestRegressor(replace(cfg.forest, seed=seed))
-        if cfg.engine == "mlp":
-            return MlpQuantilePair(replace(cfg.mlp, seed=seed), cfg.cv_folds)
-        if cfg.engine == "linear-q":
-            return LinearQuantilePair(cfg.linear_epochs)
-        if cfg.engine == "oracle":
-            return _StandardizedOracleQuantiles(self.oracle, self.params)
-        raise ValueError(
-            f"engine {cfg.engine!r} cannot produce quantile pairs; "
-            "use qrf, mlp, linear-q, or oracle"
-        )
 
     def quantile_model(self) -> CrossingFixPair:
         """Fitted pair behind a crossing fix, at tuned or default levels."""
         if self._pair is None:
             cfg = self.cfg
-            if cfg.tune_quantiles and cfg.engine != "oracle":
-                tuning_seed = self._draw_seed()
+            if cfg.tune_quantiles and self.engine.tune_levels:
+                tuning_seed = self.draw_seed()
                 levels = tune_quantile_levels(
-                    lambda: self._fresh_pair(tuning_seed),
+                    lambda: self.engine.pair(self, lambda: tuning_seed),
                     self.X1,
                     self.y1,
                     cfg.alpha,
                     cfg.cv_folds,
-                    np.random.default_rng(self._draw_seed()),
+                    np.random.default_rng(self.draw_seed()),
                 )
                 self.alpha_nominal = round(2.0 * levels[0], 12)
             else:
                 levels = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
-            pair = CrossingFixPair(self._fresh_pair(self._draw_seed()))
+            # drawn even when the engine's pair takes no seed: reports depend on the draw order
+            seed = self.draw_seed()
+            pair = CrossingFixPair(self.engine.pair(self, lambda: seed))
             pair.fit(self.X1, self.y1, *levels)
             self._pair = pair
         return self._pair
@@ -453,44 +481,6 @@ class _EngineBundle:
     def counting_view(self) -> CrossingFixPair:
         """A fresh crossing counter over the already fitted pair."""
         return CrossingFixPair(self.quantile_model().inner)
-
-
-class _StandardizedOracleMean(OracleMeanRegressor):
-    """Oracle conditional mean composed with the repetition's standardization."""
-
-    def __init__(self, oracle: OracleQuantiles, params: StandardizationParams):
-        super().__init__(oracle)
-        self.params = params
-
-    def predict(self, X) -> np.ndarray:
-        x_raw = standardize_invert(self.params, X)[:, 0]
-        return self.oracle.mean(x_raw) / self.params.response_scale
-
-
-class _StandardizedOracleDispersion(OracleDispersionRegressor):
-    def __init__(self, oracle: OracleQuantiles, params: StandardizationParams):
-        super().__init__(oracle)
-        self.params = params
-
-    def predict(self, X) -> np.ndarray:
-        x_raw = standardize_invert(self.params, X)[:, 0]
-        return self.oracle.mean_abs_deviation(x_raw) / self.params.response_scale
-
-
-class _StandardizedOracleQuantiles(OracleQuantileRegressor):
-    def __init__(self, oracle: OracleQuantiles, params: StandardizationParams):
-        super().__init__(oracle)
-        self.params = params
-
-    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._levels is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
-        x_raw = standardize_invert(self.params, X)[:, 0]
-        scale = self.params.response_scale
-        return (
-            self.oracle.quantile(x_raw, self._levels[0]) / scale,
-            self.oracle.quantile(x_raw, self._levels[1]) / scale,
-        )
 
 
 def fit_and_calibrate(
@@ -538,6 +528,49 @@ def _evaluate(band: ConformalBand, X_test, y_test, length_scale: float):
     )
 
 
+def _run_repetition(
+    cfg: ExperimentConfig,
+    dataset: Dataset,
+    oracle: OracleQuantiles | None,
+    rep: int,
+    seed_seq: np.random.SeedSequence,
+) -> tuple[list[RepetitionResult], list[ConformalBand], StandardizationParams]:
+    """Split, standardize, fit, calibrate and score every method once.
+
+    Returns the per-method rows, the calibrated bands in the same order and
+    the repetition's standardization. A failure in any method raises, so a
+    repetition contributes all of its rows or none.
+    """
+    rng = np.random.default_rng(seed_seq)
+    test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, rng)
+    params = standardize_fit(dataset.X[i1], dataset.y[i1])
+    X1, y1 = standardize_apply(params, dataset.X[i1], dataset.y[i1])
+    X2, y2 = standardize_apply(params, dataset.X[i2], dataset.y[i2])
+    Xt, yt = standardize_apply(params, dataset.X[test_idx], dataset.y[test_idx])
+    length_scale = params.response_scale if cfg.report_original_units else 1.0
+    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params)
+    rows, bands = [], []
+    for method in cfg.methods:
+        t0 = time.perf_counter()
+        band, counter = fit_and_calibrate(method, bundle, X2, y2, cfg)
+        coverage, avg_len, miss_lo, miss_hi = _evaluate(band, Xt, yt, length_scale)
+        rows.append(
+            RepetitionResult(
+                method=method,
+                repetition=rep,
+                coverage=coverage,
+                avg_length=avg_len,
+                tail_lo_miss=miss_lo,
+                tail_hi_miss=miss_hi,
+                n_crossings_fixed=counter.n_fixed if counter is not None else 0,
+                alpha_nominal=bundle.alpha_nominal if counter is not None else None,
+                wall_time_s=time.perf_counter() - t0,
+            )
+        )
+        bands.append(band)
+    return rows, bands, params
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     dataset: Dataset,
@@ -546,46 +579,25 @@ def run_experiment(
     """Run the repeated-split protocol and aggregate per-method metrics.
 
     ``oracle`` enables the "oracle" engine on synthetic data. Engine
-    failures abort their repetition and are recorded in the report's
-    ``failures`` list rather than silently skipped.
+    failures abort their repetition, which then adds no rows, and are
+    recorded in the report's ``failures`` list rather than silently skipped.
     """
     n = dataset.n_rows
     if n < 40:
         raise ValueError(f"need at least 40 rows for the split protocol, got {n}")
+    if cfg.engine == "oracle" and oracle is None:
+        raise ValueError("engine 'oracle' requires synthetic data")
 
     rows: list[RepetitionResult] = []
     failures: list[dict] = []
     rep_seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.n_repetitions)
     for rep, seq in enumerate(rep_seqs):
-        rng = np.random.default_rng(seq)
-        test_idx, i1, i2 = repetition_split(n, cfg, rng)
         try:
-            params = standardize_fit(dataset.X[i1], dataset.y[i1])
-            X1, y1 = standardize_apply(params, dataset.X[i1], dataset.y[i1])
-            X2, y2 = standardize_apply(params, dataset.X[i2], dataset.y[i2])
-            Xt, yt = standardize_apply(params, dataset.X[test_idx], dataset.y[test_idx])
-            length_scale = params.response_scale if cfg.report_original_units else 1.0
-            bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params)
-            for method in cfg.methods:
-                t0 = time.perf_counter()
-                band, counter = fit_and_calibrate(method, bundle, X2, y2, cfg)
-                coverage, avg_len, miss_lo, miss_hi = _evaluate(band, Xt, yt, length_scale)
-                rows.append(
-                    RepetitionResult(
-                        method=method,
-                        repetition=rep,
-                        coverage=coverage,
-                        avg_length=avg_len,
-                        tail_lo_miss=miss_lo,
-                        tail_hi_miss=miss_hi,
-                        n_crossings_fixed=counter.n_fixed if counter is not None else 0,
-                        alpha_nominal=bundle.alpha_nominal if counter is not None else None,
-                        wall_time_s=time.perf_counter() - t0,
-                    )
-                )
+            rep_rows, _, _ = _run_repetition(cfg, dataset, oracle, rep, seq)
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             failures.append({"repetition": rep, "error": str(exc)})
             continue
+        rows.extend(rep_rows)
 
     if not rows:
         raise RuntimeError(
@@ -717,32 +729,13 @@ def band_comparison_demo(
         forest=ForestConfig(n_trees=n_trees),
     )
     dataset, oracle = generate(SyntheticSpec(kind=kind, n=n, seed=seed))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, rng)
-    params = standardize_fit(dataset.X[i1], dataset.y[i1])
-    X1, y1 = standardize_apply(params, dataset.X[i1], dataset.y[i1])
-    X2, y2 = standardize_apply(params, dataset.X[i2], dataset.y[i2])
-    Xt, yt = standardize_apply(params, dataset.X[test_idx], dataset.y[test_idx])
-    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params)
+    seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    rows, bands, params = _run_repetition(cfg, dataset, oracle, 0, seq)
 
     grid_raw = np.linspace(0.0, 5.0, grid_size)[:, None]
     grid_std = standardize_apply(params, grid_raw)
     bounds: dict[str, np.ndarray] = {"x": grid_raw[:, 0]}
-    rows = []
-    for method in cfg.methods:
-        band, counter = fit_and_calibrate(method, bundle, X2, y2, cfg)
-        coverage, avg_len, miss_lo, miss_hi = _evaluate(band, Xt, yt, 1.0)
-        rows.append(
-            RepetitionResult(
-                method=method,
-                repetition=0,
-                coverage=coverage,
-                avg_length=avg_len,
-                tail_lo_miss=miss_lo,
-                tail_hi_miss=miss_hi,
-                n_crossings_fixed=counter.n_fixed if counter is not None else 0,
-            )
-        )
+    for method, band in zip(cfg.methods, bands):
         lo, hi = band.predict_interval(grid_std)
         bounds[f"{method}_lo"] = lo * params.response_scale
         bounds[f"{method}_hi"] = hi * params.response_scale
@@ -768,24 +761,20 @@ def coverage_audit(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    check_level(alpha)
+    if engine not in PAIR_ENGINES:
+        raise ValueError(
+            f"engine {engine!r} cannot produce quantile pairs; use one of {PAIR_ENGINES}"
+        )
+    # engine settings are the config defaults, in raw units
+    cfg = ExperimentConfig(engine=engine, alpha=alpha)
     rng = np.random.default_rng(seed)
     train, oracle = generate(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
-    levels = (alpha / 2.0, 1.0 - alpha / 2.0)
-    if engine == "linear-q":
-        pair: QuantileRegressor = LinearQuantilePair()
-    elif engine == "qrf":
-        pair = QuantileForestRegressor(ForestConfig(seed=int(rng.integers(2**63))))
-    elif engine == "mlp":
-        pair = MlpQuantilePair(MlpConfig(seed=int(rng.integers(2**63))))
-    elif engine == "oracle":
-        pair = OracleQuantileRegressor(oracle)
-    else:
-        raise ValueError(f"engine {engine!r} cannot produce quantile pairs")
-    fixed = CrossingFixPair(pair)
-    fixed.fit(train.X, train.y, *levels)
+    bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
+    # seeds are drawn only by engines whose pair takes one
+    fixed = CrossingFixPair(bundle.engine.pair(bundle, bundle.draw_seed))
+    fixed.fit(train.X, train.y, alpha / 2.0, 1.0 - alpha / 2.0)
 
     per_trial = np.empty(n_trials)
     base = SyntheticSpec(kind=kind, n=n_calibration + n_test)

@@ -1,4 +1,4 @@
-"""Training losses for the regression engines: pinball and squared error.
+"""Training losses for the regression engines: the pinball loss and an L2 penalty.
 
 The pinball (check) loss at level alpha is
 
@@ -20,8 +20,6 @@ from .quantiles import check_level
 __all__ = [
     "PinballLoss",
     "RegularizerSpec",
-    "squared_error",
-    "squared_error_gradient",
 ]
 
 
@@ -76,18 +74,3 @@ class RegularizerSpec:
         if self.l2_weight < 0:
             raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
 
-
-def squared_error(y, y_hat):
-    """Elementwise squared error (y - y_hat)**2."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    out = (y - y_hat) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def squared_error_gradient(y, y_hat):
-    """Gradient of the squared error with respect to y_hat: 2 (y_hat - y)."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    out = 2.0 * (y_hat - y)
-    return float(out) if out.ndim == 0 else out

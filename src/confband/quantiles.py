@@ -127,9 +127,3 @@ class SortedSample:
         counts = np.searchsorted(self._values, z, side="right")
         out = counts / self.n
         return float(out) if np.isscalar(z) else out
-
-    def cdf_strict(self, z):
-        """Left-limit empirical CDF: fraction of values < z."""
-        counts = np.searchsorted(self._values, z, side="left")
-        out = counts / self.n
-        return float(out) if np.isscalar(z) else out

@@ -12,14 +12,7 @@ from .base import (
 from .forest import ForestConfig, ForestMeanRegressor, QuantileForestRegressor
 from .knn import KnnDispersion
 from .linear import LinearMedianRegressor, LinearPinballModel, LinearQuantilePair
-from .mlp import (
-    MlpConfig,
-    MlpMeanRegressor,
-    MlpNetwork,
-    MlpQuantilePair,
-    fit_mlp_mean,
-    fit_mlp_quantiles,
-)
+from .mlp import MlpConfig, MlpMeanRegressor, MlpNetwork, MlpQuantilePair
 from .ridge import DEFAULT_L2_GRID, RidgeRegressor, cross_validate_l2
 
 __all__ = [
@@ -41,8 +34,6 @@ __all__ = [
     "MlpNetwork",
     "MlpMeanRegressor",
     "MlpQuantilePair",
-    "fit_mlp_mean",
-    "fit_mlp_quantiles",
     "ForestConfig",
     "QuantileForestRegressor",
     "ForestMeanRegressor",

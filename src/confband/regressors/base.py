@@ -27,8 +27,11 @@ __all__ = [
 ]
 
 
-def as_matrix(X) -> np.ndarray:
-    """Coerce features to a 2-D float array of shape (n_samples, n_features)."""
+def as_matrix(X, n_features: int | None = None) -> np.ndarray:
+    """Coerce features to a 2-D float array of shape (n_samples, n_features).
+
+    ``n_features``, when given, is the width a fitted model expects.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -36,6 +39,10 @@ def as_matrix(X) -> np.ndarray:
         raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
     if not np.all(np.isfinite(X)):
         raise ValueError("feature matrix contains non-finite entries")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(
+            f"X has {X.shape[1]} features, but the model was fitted on {n_features}"
+        )
     return X
 
 

@@ -268,6 +268,7 @@ class _Forest:
                 f"size {config.min_leaf_size}, got {n}"
             )
         self.y_train = y
+        self.n_features_in_ = X.shape[1]
         self.config = config
         self.trees: list[_Tree] = []
         for seq in np.random.SeedSequence(config.seed).spawn(config.n_trees):
@@ -309,8 +310,9 @@ class _Forest:
             w_flat[flat] += per_tree * shares[pos]
         return w
 
-    def quantiles(self, X: np.ndarray, levels: tuple[float, ...]) -> list[np.ndarray]:
+    def quantiles(self, X, levels: tuple[float, ...]) -> list[np.ndarray]:
         """Left empirical quantiles of the weighted CDF, one array per level."""
+        X = as_matrix(X, self.n_features_in_)
         for level in levels:
             check_level(level)
         out = [np.empty(X.shape[0]) for _ in levels]
@@ -326,7 +328,8 @@ class _Forest:
                 out[i][block] = self._y_sorted[idx]
         return out
 
-    def means(self, X: np.ndarray) -> np.ndarray:
+    def means(self, X) -> np.ndarray:
+        X = as_matrix(X, self.n_features_in_)
         acc = np.zeros(X.shape[0])
         for tree in self.trees:
             acc += tree.leaf_mean[tree.apply(X)]
@@ -361,14 +364,14 @@ class QuantileForestRegressor(QuantileRegressor):
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
         if self._forest is None or self._levels is None:
             raise RuntimeError("fit() must be called before predict_pair()")
-        lo, hi = self._forest.quantiles(as_matrix(X), self._levels)
+        lo, hi = self._forest.quantiles(X, self._levels)
         return lo, hi
 
     def predict_quantile(self, X, level: float) -> np.ndarray:
         """Weighted-CDF quantile at an arbitrary level from the fitted forest."""
         if self._forest is None:
             raise RuntimeError("fit() must be called before predict_quantile()")
-        return self._forest.quantiles(as_matrix(X), (level,))[0]
+        return self._forest.quantiles(X, (level,))[0]
 
 
 class ForestMeanRegressor(MeanRegressor):
@@ -385,4 +388,4 @@ class ForestMeanRegressor(MeanRegressor):
     def predict(self, X) -> np.ndarray:
         if self._forest is None:
             raise RuntimeError("fit() must be called before predict()")
-        return self._forest.means(as_matrix(X))
+        return self._forest.means(X)

@@ -34,12 +34,13 @@ class KnnDispersion(DispersionRegressor):
             raise ValueError(f"k={self.k} exceeds the {X.shape[0]} training rows")
         self._X = X.copy()
         self._r = r.copy()
+        self.n_features_in_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
         if self._X is None:
             raise RuntimeError("fit() must be called before predict()")
-        X = as_matrix(X)
+        X = as_matrix(X, self.n_features_in_)
         dists = cdist(X, self._X)
         if self.k == self._X.shape[0]:
             neighbors = np.broadcast_to(

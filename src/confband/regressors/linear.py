@@ -53,12 +53,13 @@ class LinearPinballModel:
         self.coef_ = w
         self.intercept_ = b
         self._y_scale = scale
+        self.n_features_in_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
         if self.coef_ is None:
             raise RuntimeError("fit() must be called before predict()")
-        X = as_matrix(X)
+        X = as_matrix(X, self.n_features_in_)
         return (X @ self.coef_ + self.intercept_) * self._y_scale
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "MlpNetwork",
     "MlpMeanRegressor",
     "MlpQuantilePair",
-    "fit_mlp_mean",
-    "fit_mlp_quantiles",
 ]
 
 _ADAM_BETA1 = 0.9
@@ -138,6 +136,7 @@ class MlpNetwork:
             + [n_outputs]
         )
         self.config = config
+        self.n_features_in_ = n_inputs
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -304,7 +303,7 @@ class MlpMeanRegressor(MeanRegressor):
     def predict(self, X) -> np.ndarray:
         if self._net is None:
             raise RuntimeError("fit() must be called before predict()")
-        return self._net.predict(as_matrix(X))[:, 0]
+        return self._net.predict(as_matrix(X, self._net.n_features_in_))[:, 0]
 
 
 class MlpQuantilePair(QuantileRegressor):
@@ -332,20 +331,6 @@ class MlpQuantilePair(QuantileRegressor):
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
         if self._net is None:
             raise RuntimeError("fit() must be called before predict_pair()")
-        out = self._net.predict(as_matrix(X))
+        out = self._net.predict(as_matrix(X, self._net.n_features_in_))
         return out[:, 0], out[:, 1]
 
-
-def fit_mlp_mean(X, y, config: MlpConfig = MlpConfig(), cv_folds: int = 5) -> MlpMeanRegressor:
-    return MlpMeanRegressor(config, cv_folds).fit(X, y)
-
-
-def fit_mlp_quantiles(
-    X,
-    y,
-    alpha_lo: float,
-    alpha_hi: float,
-    config: MlpConfig = MlpConfig(),
-    cv_folds: int = 5,
-) -> MlpQuantilePair:
-    return MlpQuantilePair(config, cv_folds).fit(X, y, alpha_lo, alpha_hi)

@@ -54,12 +54,13 @@ class RidgeRegressor(MeanRegressor):
         coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
         self.coef_ = coef
         self.intercept_ = float(y_mean - x_mean @ coef)
+        self.n_features_in_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
         if self.coef_ is None:
             raise RuntimeError("fit() must be called before predict()")
-        X = as_matrix(X)
+        X = as_matrix(X, self.n_features_in_)
         return X @ self.coef_ + self.intercept_
 
 

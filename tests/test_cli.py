@@ -74,6 +74,15 @@ def test_run_requires_exactly_one_data_source(capsys, tmp_path):
     assert "--data requires --target" in err
 
 
+def test_run_rejects_a_pair_method_on_an_engine_without_pairs(capsys):
+    code, out, err = _run(capsys, [
+        "run", "--synthetic", "heteroscedastic", "--n", "200", "--method", "cqr",
+        "--engine", "ridge", "--reps", "2",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error: engine 'ridge' cannot produce quantile pairs")
+
+
 def test_config_file_supplies_values_and_flags_win(capsys, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(

@@ -6,7 +6,6 @@ import pytest
 from confband.conformal import (
     ConformalBand,
     DataSplit,
-    Interval,
     cqr_asym_calibrate,
     cqr_calibrate,
     local_conformal_calibrate,
@@ -78,7 +77,8 @@ def test_split_correction_from_hand_residuals():
     lo, hi = band.predict_interval(np.array([[0.0], [5.0]]))
     assert np.array_equal(lo, [-9.0, -9.0])
     assert np.array_equal(hi, [9.0, 9.0])
-    assert all(iv.width == 18.0 for iv in band.intervals(np.zeros((4, 1))))
+    lo, hi = band.predict_interval(np.zeros((4, 1)))
+    assert np.all(hi - lo == 18.0)
 
 
 def test_perfect_predictor_gives_zero_width_band():
@@ -98,8 +98,6 @@ def test_tiny_calibration_set_yields_infinite_intervals():
     lo, hi = band.predict_interval(np.zeros((2, 1)))
     assert np.all(np.isneginf(lo))
     assert np.all(np.isposinf(hi))
-    iv = band.intervals(np.zeros((1, 1)))[0]
-    assert iv.contains(1e300)
 
 
 def test_interval_excess_scores_from_hand_calibration():
@@ -316,7 +314,8 @@ def test_fresh_draw_coverage_matches_nominal_rate():
             _ZERO_MEAN, np.zeros((99, 1)), y_cal, alpha=0.1
         )
         y_new = rng.normal()
-        hits += band.intervals(np.zeros((1, 1)))[0].contains(y_new)
+        lo, hi = band.predict_interval(np.zeros((1, 1)))
+        hits += bool(lo[0] <= y_new <= hi[0])
     rate = hits / n_trials
     se = np.sqrt(0.9 * 0.1 / n_trials)
     assert 0.9 - 4 * se <= rate <= 0.9 + 0.01 + 4 * se
@@ -337,12 +336,6 @@ def test_data_split_validation_and_random_halves():
     assert np.array_equal(np.sort(np.concatenate([halves.i1, halves.i2])), np.arange(7))
     with pytest.raises(ValueError, match="at least 2 rows"):
         DataSplit.random_halves(1, rng)
-
-
-def test_interval_helpers():
-    iv = Interval(-1.0, 3.0)
-    assert iv.width == 4.0
-    assert iv.contains(-1.0) and iv.contains(3.0) and not iv.contains(3.1)
 
 
 def test_unknown_method_tag_is_rejected():

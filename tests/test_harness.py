@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from confband import harness
+from confband.conformal import cqr_calibrate
 from confband.datagen import Dataset, SyntheticSpec, generate
 from confband.harness import (
     CSV_HEADER,
@@ -275,6 +277,10 @@ def test_config_validation_rejects_bad_settings():
         ExperimentConfig(gamma=-1.0)
     with pytest.raises(ValueError, match="cv_folds"):
         ExperimentConfig(cv_folds=1)
+    # ridge has no quantile pair, so the pair methods are rejected up front
+    for method in ("cqr", "cqr-asym"):
+        with pytest.raises(ValueError, match="cannot produce quantile pairs"):
+            ExperimentConfig(methods=("split", method), engine="ridge")
 
 
 def test_run_experiment_input_errors():
@@ -282,18 +288,46 @@ def test_run_experiment_input_errors():
     cfg = ExperimentConfig(methods=("split",), engine="ridge")
     with pytest.raises(ValueError, match="need at least 40 rows"):
         run_experiment(cfg, dataset)
-
-
-def test_every_repetition_failing_raises_with_the_first_error():
+    # the oracle engine needs the synthetic law behind the data
     dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=0))
-    # ridge has no quantile pair, so each repetition fails and is recorded
-    cfg = ExperimentConfig(methods=("cqr",), engine="ridge", n_repetitions=2)
-    with pytest.raises(RuntimeError, match="every repetition failed"):
-        run_experiment(cfg, dataset)
-    # the oracle engine without synthetic metadata fails the same way
     oracle_cfg = ExperimentConfig(methods=("split",), engine="oracle")
-    with pytest.raises(RuntimeError, match="every repetition failed"):
+    with pytest.raises(ValueError, match="requires synthetic data"):
         run_experiment(oracle_cfg, dataset)
+
+
+def _failing_cqr_calibrate(fail_on_calls):
+    """A cqr calibrator that raises on the given (1-based) call numbers."""
+    calls = []
+
+    def calibrate(*args):
+        calls.append(None)
+        if len(calls) in fail_on_calls:
+            raise ValueError(f"calibration {len(calls)} failed")
+        return cqr_calibrate(*args)
+
+    return calibrate
+
+
+def test_every_repetition_failing_raises_with_the_first_error(monkeypatch):
+    dataset, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=0))
+    monkeypatch.setattr(harness, "cqr_calibrate", _failing_cqr_calibrate({1, 2}))
+    cfg = ExperimentConfig(methods=("cqr",), engine="oracle", n_repetitions=2)
+    with pytest.raises(RuntimeError, match="every repetition failed; first error: calibration 1"):
+        run_experiment(cfg, dataset, oracle)
+
+
+def test_a_failed_repetition_adds_no_rows(monkeypatch):
+    # the second method of the first repetition fails after the first
+    # method has been scored; none of that repetition's rows may remain
+    dataset, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=0))
+    monkeypatch.setattr(harness, "cqr_calibrate", _failing_cqr_calibrate({1}))
+    cfg = ExperimentConfig(methods=("split", "cqr"), engine="oracle", n_repetitions=3)
+    report = run_experiment(cfg, dataset, oracle)
+    assert report.failures == ({"repetition": 0, "error": "calibration 1 failed"},)
+    assert [(r.repetition, r.method) for r in report.repetitions] == [
+        (1, "split"), (1, "cqr"), (2, "split"), (2, "cqr"),
+    ]
+    assert [s.n_reps for s in report.summaries] == [2, 2]
 
 
 def test_coverage_audit_arguments_and_light_run():

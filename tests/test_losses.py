@@ -1,14 +1,9 @@
-"""Pinball and squared-error loss tests with hand-computed values."""
+"""Pinball loss and L2 penalty tests with hand-computed values."""
 
 import numpy as np
 import pytest
 
-from confband.losses import (
-    PinballLoss,
-    RegularizerSpec,
-    squared_error,
-    squared_error_gradient,
-)
+from confband.losses import PinballLoss, RegularizerSpec
 
 
 def test_pinball_hand_values():
@@ -78,25 +73,6 @@ def test_pinball_rejects_degenerate_levels():
         PinballLoss(0.0)
     with pytest.raises(ValueError):
         PinballLoss(1.0)
-
-
-def test_squared_error_hand_values():
-    assert squared_error(3.0, 3.0) == 0.0
-    assert squared_error(3.0, 1.0) == pytest.approx(4.0)
-    assert squared_error_gradient(3.0, 1.0) == pytest.approx(-4.0)
-    assert squared_error(0.0, 2.0) == pytest.approx(4.0)
-    assert squared_error_gradient(0.0, 2.0) == pytest.approx(4.0)
-
-
-def test_squared_error_gradient_matches_central_differences():
-    rng = np.random.default_rng(34)
-    eps = 1e-6
-    for _ in range(100):
-        y, y_hat = rng.normal(size=2)
-        numeric = (squared_error(y, y_hat + eps) - squared_error(y, y_hat - eps)) / (
-            2 * eps
-        )
-        assert squared_error_gradient(y, y_hat) == pytest.approx(numeric, rel=1e-6)
 
 
 def test_regularizer_spec_rejects_negative_weight():

@@ -10,8 +10,6 @@ from confband.regressors.mlp import (
     MlpQuantilePair,
     _PinballPairHead,
     _SquaredErrorHead,
-    fit_mlp_mean,
-    fit_mlp_quantiles,
 )
 
 Z_90 = 1.6448536269514722
@@ -86,12 +84,12 @@ def test_training_is_deterministic_given_seed():
     X = rng.normal(size=(60, 2))
     y = X[:, 0] + rng.normal(size=60)
     config = MlpConfig(hidden_width=8, max_epochs=20, seed=5)
-    a = fit_mlp_mean(X, y, config, cv_folds=1)
-    b = fit_mlp_mean(X, y, config, cv_folds=1)
+    a = MlpMeanRegressor(config, cv_folds=1).fit(X, y)
+    b = MlpMeanRegressor(config, cv_folds=1).fit(X, y)
     grid = rng.normal(size=(10, 2))
     assert np.array_equal(a.predict(grid), b.predict(grid))
-    pa = fit_mlp_quantiles(X, y, 0.1, 0.9, config, cv_folds=1)
-    pb = fit_mlp_quantiles(X, y, 0.1, 0.9, config, cv_folds=1)
+    pa = MlpQuantilePair(config, cv_folds=1).fit(X, y, 0.1, 0.9)
+    pb = MlpQuantilePair(config, cv_folds=1).fit(X, y, 0.1, 0.9)
     assert np.array_equal(pa.predict_pair(grid)[0], pb.predict_pair(grid)[0])
     assert np.array_equal(pa.predict_pair(grid)[1], pb.predict_pair(grid)[1])
 

@@ -68,14 +68,11 @@ def test_inflated_quantile_boundary_product_is_snapped():
     assert SortedSample([5.0]).inflated_quantile(0.4) == math.inf
 
 
-def test_cdf_and_strict_cdf_counts():
+def test_cdf_counts():
     sample = SortedSample([1, 2, 3])
     assert sample.cdf(2.0) == pytest.approx(2 / 3)
-    assert sample.cdf_strict(2.0) == pytest.approx(1 / 3)
     assert sample.cdf(0.0) == 0.0
-    assert sample.cdf_strict(0.0) == 0.0
     assert sample.cdf(3.0) == 1.0
-    assert sample.cdf_strict(3.0) == pytest.approx(2 / 3)
 
 
 def test_quantile_matches_sort_index_oracle_on_random_cases():

@@ -1,0 +1,46 @@
+"""Checks shared by every regression engine."""
+
+import numpy as np
+import pytest
+
+from confband.regressors import (
+    ForestConfig,
+    ForestMeanRegressor,
+    KnnDispersion,
+    LinearMedianRegressor,
+    LinearQuantilePair,
+    MlpConfig,
+    MlpMeanRegressor,
+    MlpQuantilePair,
+    QuantileForestRegressor,
+    RidgeRegressor,
+)
+
+_FOREST = ForestConfig(n_trees=3, min_leaf_size=2)
+_MLP = MlpConfig(hidden_width=4, max_epochs=2)
+_PAIR_LEVELS = (0.1, 0.9)
+
+# (unfitted engine, extra fit arguments, readout method)
+_ENGINES = {
+    "forest-pair": (lambda: QuantileForestRegressor(_FOREST), _PAIR_LEVELS, "predict_pair"),
+    "forest-mean": (lambda: ForestMeanRegressor(_FOREST), (), "predict"),
+    "ridge": (lambda: RidgeRegressor(0.1), (), "predict"),
+    "linear-pair": (lambda: LinearQuantilePair(epochs=5), _PAIR_LEVELS, "predict_pair"),
+    "linear-median": (lambda: LinearMedianRegressor(epochs=5), (), "predict"),
+    "mlp-mean": (lambda: MlpMeanRegressor(_MLP, cv_folds=1), (), "predict"),
+    "mlp-pair": (lambda: MlpQuantilePair(_MLP, cv_folds=1), _PAIR_LEVELS, "predict_pair"),
+    "knn": (lambda: KnnDispersion(k=3), (), "predict"),
+}
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_predict_rejects_a_feature_count_other_than_the_fitted_one(engine):
+    make, fit_args, readout = _ENGINES[engine]
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 3))
+    y = np.abs(X[:, 0] + rng.normal(size=30))  # non-negative, as k-NN dispersion needs
+    predict = getattr(make().fit(X, y, *fit_args), readout)
+    predict(rng.normal(size=(4, 3)))
+    for width in (5, 2):
+        with pytest.raises(ValueError, match=f"has {width} features, but the model was fitted on 3"):
+            predict(rng.normal(size=(4, width)))
