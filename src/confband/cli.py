@@ -197,7 +197,11 @@ def _cmd_run(opt: _Options) -> int:
         knn_k=opt.get("knn_k", 11),
         report_original_units=bool(opt.get("original_units", False)),
     )
-    report = run_experiment(cfg, dataset, oracle)
+    try:
+        report = run_experiment(cfg, dataset, oracle)
+    except RuntimeError as exc:  # every repetition failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = opt.get("out")
     if out is None:
         sys.stdout.write(report.to_json())

@@ -10,7 +10,8 @@ dispersion s(x) is ``noise_scale * (0.1 + x)`` for the heteroscedastic
 kinds and the constant ``noise_scale`` for the homoscedastic kind. The
 conditional law is a two-component Gaussian mixture, so exact conditional
 quantiles are available for oracle tests: closed form without outliers,
-root-finding on the mixture CDF otherwise.
+otherwise Brent's root finder on the mixture CDF, run on all points at once
+and bit-identical to one ``scipy.optimize.brentq`` call per point.
 """
 
 import csv
@@ -19,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from .quantiles import check_level
@@ -111,7 +112,12 @@ class OracleQuantiles:
 
     With outliers, Y given X = x is the mixture
     (1-p) N(m(x), s(x)^2) + p N(m(x), s(x)^2 + outlier_scale^2); quantiles
-    come from inverting its CDF numerically to near machine precision.
+    come from inverting its CDF numerically to near machine precision. The
+    inversion brackets every point by doubling a radius around m(x), then
+    runs Brent's method on all points in lockstep (``_brentq_lockstep``),
+    which returns the same bits as ``brentq(..., xtol=1e-13, rtol=1e-15)``
+    called point by point. ``quantile`` raises ValueError for non-finite x
+    and where the scale s(x) is not positive.
     """
 
     noise_scale: float
@@ -132,31 +138,35 @@ class OracleQuantiles:
     def quantile(self, x, level: float) -> np.ndarray:
         check_level(level)
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x must be finite")
         m = self.mean(x)
         s = self.scale(x)
+        if not np.all(s > 0.0):
+            raise ValueError("the noise scale must be positive at every x")
         if self.outlier_prob == 0.0:
             return m + s * norm.ppf(level)
         p = self.outlier_prob
         wide = np.sqrt(s * s + self.outlier_scale**2)
+        m, s, wide = np.ravel(m), np.ravel(s), np.ravel(wide)
 
-        out = np.empty_like(m)
-        for i in range(m.size):
-            mi, si, wi = m.flat[i], s.flat[i], wide.flat[i]
+        def cdf_minus_level(q, i):
+            d = q - m[i]
+            return (1.0 - p) * ndtr(d / s[i]) + p * ndtr(d / wide[i]) - level
 
-            def cdf_minus_level(q):
-                return (
-                    (1.0 - p) * norm.cdf((q - mi) / si)
-                    + p * norm.cdf((q - mi) / wi)
-                    - level
-                )
-
-            radius = 10.0 * wi
-            while cdf_minus_level(mi - radius) > 0 or cdf_minus_level(mi + radius) < 0:
-                radius *= 2.0
-            out.flat[i] = brentq(
-                cdf_minus_level, mi - radius, mi + radius, xtol=1e-13, rtol=1e-15
+        # double each radius until [m - radius, m + radius] brackets the level
+        radius = 10.0 * wide
+        grow = np.arange(m.size)
+        while grow.size:
+            r = radius[grow]
+            miss = (cdf_minus_level(m[grow] - r, grow) > 0) | (
+                cdf_minus_level(m[grow] + r, grow) < 0
             )
-        return out
+            grow = grow[miss]
+            radius[grow] *= 2.0
+        return _brentq_lockstep(cdf_minus_level, m - radius, m + radius).reshape(
+            np.shape(x)
+        )
 
     def band(self, x, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Central (1 - alpha) interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]."""
@@ -168,6 +178,86 @@ class OracleQuantiles:
         wide = np.sqrt(s * s + self.outlier_scale**2)
         p = self.outlier_prob
         return math.sqrt(2.0 / math.pi) * ((1.0 - p) * s + p * wide)
+
+
+def _brentq_lockstep(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Roots of ``f(q, i)`` for every point i in its bracket [a[i], b[i]].
+
+    This is scipy's ``brentq`` (``brentq.c``, after Brent 1973, ch. 4) run
+    on all points in lockstep: each point keeps its own state and takes
+    exactly the interpolate / extrapolate / bisect steps the scalar routine
+    would, so the roots are bit-identical to one ``brentq`` call per point.
+    ``f(q, i)`` evaluates the function of points ``i`` at ``q``; points leave
+    the active set as they converge, so f only sees unconverged points.
+    ``f(a[i], i)`` and ``f(b[i], i)`` must not share a strict sign. The
+    settings are those of ``brentq(f, a, b, xtol=1e-13, rtol=1e-15)``: at
+    most 100 iterations, after which it raises RuntimeError as brentq does.
+    """
+    xtol, rtol, maxiter = 1e-13, 1e-15, 100
+    out = np.empty_like(a)
+    idx = np.arange(a.size)
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre, idx), f(xcur, idx)
+    at_end = (fpre == 0) | (fcur == 0)
+    out[at_end] = np.where(fpre[at_end] == 0, xpre[at_end], xcur[at_end])
+    keep = ~at_end
+    idx, xpre, xcur, fpre, fcur = (v[keep] for v in (idx, xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    for _ in range(maxiter):
+        if not idx.size:
+            return out
+        # a sign change starts a new bracket [xpre, xcur] with blk = pre
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        # cur is the end with the smaller |f|
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (
+            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        )
+        fpre, fcur, fblk = (
+            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        )
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            out[idx[done]] = xcur[done]
+            keep = ~done
+            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[keep]
+                for v in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+
+        # secant step when pre == blk, inverse quadratic extrapolation
+        # otherwise; their values are only used where the scalar code
+        # computes them, so divisions by zero elsewhere are harmless
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrap = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, extrap)
+        short = (
+            (np.abs(spre) > delta)
+            & (np.abs(fcur) < np.abs(fpre))
+            & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+        )
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(
+            np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta)
+        )
+        fcur = f(xcur, idx)
+    if idx.size:
+        raise RuntimeError(
+            f"Failed to converge after {maxiter} iterations, value is {xcur[0]}"
+        )
+    return out
 
 
 def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:

@@ -233,6 +233,10 @@ class ExperimentConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        if self.linear_epochs < 1:
+            raise ValueError(f"linear_epochs must be >= 1, got {self.linear_epochs}")
 
 
 @dataclass(frozen=True)

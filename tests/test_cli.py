@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from confband import harness
 from confband.cli import _load_config_file, build_parser, main
 from confband.harness import CSV_HEADER
 
@@ -81,6 +82,26 @@ def test_run_rejects_a_pair_method_on_an_engine_without_pairs(capsys):
     ])
     assert code == 2 and out == ""
     assert err.startswith("error: engine 'ridge' cannot produce quantile pairs")
+
+
+def test_run_reports_bad_engine_settings_and_all_failed_runs_as_errors(capsys, monkeypatch):
+    code, out, err = _run(capsys, [
+        "run", "--synthetic", "heteroscedastic", "--n", "200", "--method", "local",
+        "--engine", "ridge", "--knn-k", "0", "--reps", "2",
+    ])
+    assert code == 2 and out == ""
+    assert err == "error: knn_k must be >= 1, got 0\n"
+
+    def failing_calibrate(*args):
+        raise ValueError("calibration failed")
+
+    monkeypatch.setattr(harness, "cqr_calibrate", failing_calibrate)
+    code, out, err = _run(capsys, [
+        "run", "--synthetic", "heteroscedastic", "--n", "60", "--method", "cqr",
+        "--engine", "oracle", "--reps", "2",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error: every repetition failed; first error: calibration failed")
 
 
 def test_config_file_supplies_values_and_flags_win(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from confband.datagen import (
@@ -76,6 +77,62 @@ def test_mixture_quantiles_are_monotone_and_symmetric():
         atol=1e-9,
     )
     np.testing.assert_allclose(oracle.quantile(x, 0.5), oracle.mean(x), atol=1e-9)
+
+
+def _brentq_per_point(oracle, x, level):
+    """The scalar reference: bracket, then one scipy brentq call per point."""
+    m, s = oracle.mean(x), oracle.scale(x)
+    p = oracle.outlier_prob
+    wide = np.sqrt(s * s + oracle.outlier_scale**2)
+    out = np.empty_like(m)
+    for i in range(m.size):
+        mi, si, wi = m.flat[i], s.flat[i], wide.flat[i]
+
+        def cdf_minus_level(q):
+            return (
+                (1.0 - p) * norm.cdf((q - mi) / si)
+                + p * norm.cdf((q - mi) / wi)
+                - level
+            )
+
+        radius = 10.0 * wi
+        while cdf_minus_level(mi - radius) > 0 or cdf_minus_level(mi + radius) < 0:
+            radius *= 2.0
+        out.flat[i] = brentq(
+            cdf_minus_level, mi - radius, mi + radius, xtol=1e-13, rtol=1e-15
+        )
+    return out
+
+
+@pytest.mark.parametrize("heteroscedastic", [True, False])
+@pytest.mark.parametrize("outlier_prob, outlier_scale", [(0.05, 25.0), (0.3, 2.0)])
+def test_mixture_quantiles_equal_per_point_brentq_bit_for_bit(
+    heteroscedastic, outlier_prob, outlier_scale
+):
+    oracle = OracleQuantiles(
+        noise_scale=0.8, heteroscedastic=heteroscedastic,
+        outlier_prob=outlier_prob, outlier_scale=outlier_scale,
+    )
+    x = np.linspace(0.0, 5.0, 21)
+    for level in (1e-4, 0.05, 0.37, 0.5, 0.95, 1.0 - 1e-4):
+        want = _brentq_per_point(oracle, x, level)
+        assert np.array_equal(oracle.quantile(x, level), want)
+        assert np.array_equal(oracle.quantile(x.reshape(3, 7), level), want.reshape(3, 7))
+        point = oracle.quantile(x[4], level)
+        assert point.shape == () and point == want[4]
+
+
+def test_quantile_rejects_non_finite_x_and_non_positive_scale():
+    x = np.array([0.5, np.nan, 2.0])
+    for outlier_prob in (0.0, 0.05):
+        oracle = OracleQuantiles(noise_scale=1.0, outlier_prob=outlier_prob, outlier_scale=25.0)
+        for bad in (x, np.array([np.inf, 1.0]), -np.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                oracle.quantile(bad, 0.9)
+        # the law is undefined where the heteroscedastic scale
+        # noise_scale * (0.1 + x) is not positive
+        with pytest.raises(ValueError, match="noise scale must be positive"):
+            oracle.quantile(np.array([1.0, -0.5]), 0.9)
 
 
 def test_oracle_band_covers_at_nominal_rate_within_bins():

@@ -277,6 +277,10 @@ def test_config_validation_rejects_bad_settings():
         ExperimentConfig(gamma=-1.0)
     with pytest.raises(ValueError, match="cv_folds"):
         ExperimentConfig(cv_folds=1)
+    with pytest.raises(ValueError, match="knn_k must be >= 1"):
+        ExperimentConfig(knn_k=0)
+    with pytest.raises(ValueError, match="linear_epochs must be >= 1"):
+        ExperimentConfig(linear_epochs=0)
     # ridge has no quantile pair, so the pair methods are rejected up front
     for method in ("cqr", "cqr-asym"):
         with pytest.raises(ValueError, match="cannot produce quantile pairs"):
