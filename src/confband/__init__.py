@@ -40,7 +40,7 @@ from .harness import (
     run_experiment,
     tune_quantile_levels,
 )
-from .losses import PinballLoss, RegularizerSpec
+from .losses import PinballLoss
 from .quantiles import SortedSample, check_level
 from .regressors import (
     ConstantDispersion,
@@ -66,7 +66,6 @@ __all__ = [
     "SortedSample",
     "check_level",
     "PinballLoss",
-    "RegularizerSpec",
     "ConformalBand",
     "DataSplit",
     "split_conformal_calibrate",

@@ -116,8 +116,10 @@ class OracleQuantiles:
     inversion brackets every point by doubling a radius around m(x), then
     runs Brent's method on all points in lockstep (``_brentq_lockstep``),
     which returns the same bits as ``brentq(..., xtol=1e-13, rtol=1e-15)``
-    called point by point. ``quantile`` raises ValueError for non-finite x
-    and where the scale s(x) is not positive.
+    called point by point. ``quantile`` takes one level or an array of
+    levels that broadcasts against x, so several levels cost one solve; it
+    raises ValueError for non-finite x and where the scale s(x) is not
+    positive.
     """
 
     noise_scale: float
@@ -135,8 +137,10 @@ class OracleQuantiles:
             return self.noise_scale * (0.1 + x)
         return np.full_like(x, self.noise_scale)
 
-    def quantile(self, x, level: float) -> np.ndarray:
-        check_level(level)
+    def quantile(self, x, level) -> np.ndarray:
+        level = np.asarray(level, dtype=float)
+        for one in level.flat:
+            check_level(one)
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("x must be finite")
@@ -148,11 +152,12 @@ class OracleQuantiles:
             return m + s * norm.ppf(level)
         p = self.outlier_prob
         wide = np.sqrt(s * s + self.outlier_scale**2)
-        m, s, wide = np.ravel(m), np.ravel(s), np.ravel(wide)
+        shape = np.broadcast_shapes(x.shape, level.shape)
+        m, s, wide, level = (np.broadcast_to(v, shape).ravel() for v in (m, s, wide, level))
 
         def cdf_minus_level(q, i):
             d = q - m[i]
-            return (1.0 - p) * ndtr(d / s[i]) + p * ndtr(d / wide[i]) - level
+            return (1.0 - p) * ndtr(d / s[i]) + p * ndtr(d / wide[i]) - level[i]
 
         # double each radius until [m - radius, m + radius] brackets the level
         radius = 10.0 * wide
@@ -164,13 +169,13 @@ class OracleQuantiles:
             )
             grow = grow[miss]
             radius[grow] *= 2.0
-        return _brentq_lockstep(cdf_minus_level, m - radius, m + radius).reshape(
-            np.shape(x)
-        )
+        return _brentq_lockstep(cdf_minus_level, m - radius, m + radius).reshape(shape)
 
     def band(self, x, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Central (1 - alpha) interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]."""
-        return self.quantile(x, alpha / 2.0), self.quantile(x, 1.0 - alpha / 2.0)
+        levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0]).reshape((2,) + (1,) * np.ndim(x))
+        lo, hi = self.quantile(x, levels)
+        return lo, hi
 
     def mean_abs_deviation(self, x) -> np.ndarray:
         """E|Y - m(x)| given X = x; each mixture component is half-normal."""
@@ -438,11 +443,9 @@ class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
         if self._levels is None:
             raise RuntimeError("fit() must be called before predict_pair()")
-        x = self._raw_x(X)
-        return (
-            self._units(self.oracle.quantile(x, self._levels[0])),
-            self._units(self.oracle.quantile(x, self._levels[1])),
-        )
+        levels = np.reshape(self._levels, (2, 1))  # one solve for both levels
+        lo, hi = self._units(self.oracle.quantile(self._raw_x(X), levels))
+        return lo, hi
 
 
 class OracleDispersionRegressor(_OracleReadout, DispersionRegressor):

@@ -27,9 +27,8 @@ deviation for the oracle.
 
 import json
 import math
-import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,7 +81,6 @@ __all__ = [
     "fix_crossing",
     "CrossingFixPair",
     "repetition_split",
-    "fit_and_calibrate",
     "run_experiment",
     "tune_quantile_levels",
     "coverage_audit",
@@ -100,8 +98,7 @@ class _Engine:
     """How one engine builds an unfitted model for each role.
 
     A factory takes the ``_EngineBundle`` being filled and a zero-argument
-    seed source. Only models that take a seed draw one, so whether unused
-    seeds are drawn too is up to the caller's seed source.
+    seed source, which it calls only if its model takes a seed.
     """
 
     mean: Callable
@@ -150,11 +147,6 @@ ENGINES = tuple(_ENGINES)
 # engines that can fill the pair methods and the coverage audit
 PAIR_ENGINES = tuple(name for name, engine in _ENGINES.items() if engine.pair is not None)
 
-CSV_HEADER = (
-    "method,avg_length,sd_length,avg_coverage,sd_coverage,"
-    "tail_lo_miss,tail_hi_miss,n_reps"
-)
-
 
 def fix_crossing(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise repair of crossed quantile estimates: (min, max) per point."""
@@ -164,20 +156,30 @@ def fix_crossing(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CrossingFixPair(QuantileRegressor):
-    """Wraps a quantile regressor, repairing crossings and counting them."""
+    """Wraps a quantile regressor, repairing crossings; holds no state of its own."""
 
     def __init__(self, inner: QuantileRegressor):
         self.inner = inner
-        self.n_fixed = 0
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "CrossingFixPair":
         self.inner.fit(X, y, alpha_lo, alpha_hi)
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.inner.predict_pair(X)
-        self.n_fixed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
-        return fix_crossing(lo, hi)
+        return fix_crossing(*self.inner.predict_pair(X))
+
+
+class _CrossingCounter:
+    """A fitted pair's predictions, passed through with crossed points counted."""
+
+    def __init__(self, fitted: QuantileRegressor):
+        self.fitted = fitted
+        self.n_crossed = 0
+
+    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.fitted.predict_pair(X)
+        self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -251,34 +253,6 @@ class RepetitionResult:
     tail_hi_miss: float
     n_crossings_fixed: int
     alpha_nominal: float | None = None
-    wall_time_s: float = field(default=0.0, compare=False)
-
-    def to_dict(self) -> dict:
-        # wall time is intentionally left out so reports with identical
-        # configuration and seed are byte-identical
-        return {
-            "method": self.method,
-            "repetition": self.repetition,
-            "coverage": _num(self.coverage),
-            "avg_length": _num(self.avg_length),
-            "tail_lo_miss": _num(self.tail_lo_miss),
-            "tail_hi_miss": _num(self.tail_hi_miss),
-            "n_crossings_fixed": self.n_crossings_fixed,
-            "alpha_nominal": self.alpha_nominal,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RepetitionResult":
-        return RepetitionResult(
-            method=d["method"],
-            repetition=d["repetition"],
-            coverage=_denum(d["coverage"]),
-            avg_length=_denum(d["avg_length"]),
-            tail_lo_miss=_denum(d["tail_lo_miss"]),
-            tail_hi_miss=_denum(d["tail_hi_miss"]),
-            n_crossings_fixed=d["n_crossings_fixed"],
-            alpha_nominal=d["alpha_nominal"],
-        )
 
 
 @dataclass(frozen=True)
@@ -294,30 +268,16 @@ class MethodSummary:
     tail_hi_miss: float
     n_reps: int
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "avg_length": _num(self.avg_length),
-            "sd_length": _num(self.sd_length),
-            "avg_coverage": _num(self.avg_coverage),
-            "sd_coverage": _num(self.sd_coverage),
-            "tail_lo_miss": _num(self.tail_lo_miss),
-            "tail_hi_miss": _num(self.tail_hi_miss),
-            "n_reps": self.n_reps,
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "MethodSummary":
-        return MethodSummary(
-            method=d["method"],
-            avg_length=_denum(d["avg_length"]),
-            sd_length=_denum(d["sd_length"]),
-            avg_coverage=_denum(d["avg_coverage"]),
-            sd_coverage=_denum(d["sd_coverage"]),
-            tail_lo_miss=_denum(d["tail_lo_miss"]),
-            tail_hi_miss=_denum(d["tail_hi_miss"]),
-            n_reps=d["n_reps"],
-        )
+CSV_HEADER = ",".join(f.name for f in fields(MethodSummary))
+
+
+def _columns(row_type, values: dict, number) -> dict:
+    """A report row's columns in field order, ``number`` applied to float fields."""
+    return {
+        f.name: number(values[f.name]) if f.type is float else values[f.name]
+        for f in fields(row_type)
+    }
 
 
 def _num(x: float):
@@ -326,8 +286,8 @@ def _num(x: float):
     return x if math.isfinite(x) else str(x)
 
 
-def _denum(x) -> float:
-    return float(x)
+def _csv_num(x: float) -> str:
+    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -342,49 +302,37 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "summaries": [s.to_dict() for s in self.summaries],
-            "repetitions": [r.to_dict() for r in self.repetitions],
+            "summaries": [_columns(MethodSummary, vars(s), _num) for s in self.summaries],
+            "repetitions": [
+                _columns(RepetitionResult, vars(r), _num) for r in self.repetitions
+            ],
             "failures": list(self.failures),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentReport":
-        return ExperimentReport(
-            config=d["config"],
-            summaries=tuple(MethodSummary.from_dict(s) for s in d["summaries"]),
-            repetitions=tuple(RepetitionResult.from_dict(r) for r in d["repetitions"]),
-            failures=tuple(d["failures"]),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "ExperimentReport":
-        return ExperimentReport.from_dict(json.loads(text))
+        d = json.loads(text)
+        return ExperimentReport(
+            config=d["config"],
+            summaries=tuple(
+                MethodSummary(**_columns(MethodSummary, s, float)) for s in d["summaries"]
+            ),
+            repetitions=tuple(
+                RepetitionResult(**_columns(RepetitionResult, r, float))
+                for r in d["repetitions"]
+            ),
+            failures=tuple(d["failures"]),
+        )
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for s in self.summaries:
-            lines.append(
-                ",".join(
-                    [
-                        s.method,
-                        _csv_num(s.avg_length),
-                        _csv_num(s.sd_length),
-                        _csv_num(s.avg_coverage),
-                        _csv_num(s.sd_coverage),
-                        _csv_num(s.tail_lo_miss),
-                        _csv_num(s.tail_hi_miss),
-                        str(s.n_reps),
-                    ]
-                )
-            )
+            cells = _columns(MethodSummary, vars(s), _csv_num).values()
+            lines.append(",".join(map(str, cells)))
         return "\n".join(lines) + "\n"
-
-
-def _csv_num(x: float) -> str:
-    return repr(float(x))
 
 
 def emit_report(report: ExperimentReport, path: str) -> None:
@@ -440,7 +388,7 @@ class _EngineBundle:
         self.params = params
         self._mean = None
         self._dispersion = None
-        self._pair: CrossingFixPair | None = None
+        self._pair: QuantileRegressor | None = None
         self.alpha_nominal: float | None = None
 
     def draw_seed(self) -> int:
@@ -458,8 +406,8 @@ class _EngineBundle:
             self._dispersion = model.fit(self.X1, residuals)
         return self._dispersion
 
-    def quantile_model(self) -> CrossingFixPair:
-        """Fitted pair behind a crossing fix, at tuned or default levels."""
+    def quantile_model(self) -> QuantileRegressor:
+        """Fitted quantile pair, at tuned or default levels."""
         if self._pair is None:
             cfg = self.cfg
             if cfg.tune_quantiles and self.engine.tune_levels:
@@ -475,29 +423,22 @@ class _EngineBundle:
                 self.alpha_nominal = round(2.0 * levels[0], 12)
             else:
                 levels = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
-            # drawn even when the engine's pair takes no seed: reports depend on the draw order
-            seed = self.draw_seed()
-            pair = CrossingFixPair(self.engine.pair(self, lambda: seed))
-            pair.fit(self.X1, self.y1, *levels)
-            self._pair = pair
+            self._pair = self.engine.pair(self, self.draw_seed).fit(self.X1, self.y1, *levels)
         return self._pair
 
-    def counting_view(self) -> CrossingFixPair:
-        """A fresh crossing counter over the already fitted pair."""
-        return CrossingFixPair(self.quantile_model().inner)
 
-
-def fit_and_calibrate(
+def _fit_and_calibrate(
     method: str,
     bundle: _EngineBundle,
     X2: np.ndarray,
     y2: np.ndarray,
     cfg: ExperimentConfig,
-) -> tuple[ConformalBand, CrossingFixPair | None]:
+) -> tuple[ConformalBand, _CrossingCounter | None]:
     """Fit (via the bundle) and calibrate one method; test rows never enter.
 
-    Returns the band and, for the pair methods, the crossing-fix wrapper
-    whose counter covers this method's calibration and later predictions.
+    Returns the band and, for the pair methods, the crossing counter that
+    the band's crossing fix reads through: it covers this method's
+    calibration and every later prediction.
     """
     if method == "split":
         return split_conformal_calibrate(bundle.mean_model(), X2, y2, cfg.alpha), None
@@ -511,13 +452,13 @@ def fit_and_calibrate(
             cfg.gamma,
         )
         return band, None
-    bundle.quantile_model()  # ensure fitted (and tuned) once
-    view = bundle.counting_view()
+    counter = _CrossingCounter(bundle.quantile_model())
+    fixed = CrossingFixPair(counter)
     if method == "cqr":
-        return cqr_calibrate(view, X2, y2, cfg.alpha), view
+        return cqr_calibrate(fixed, X2, y2, cfg.alpha), counter
     if method == "cqr-asym":
         half = cfg.alpha / 2.0
-        return cqr_asym_calibrate(view, X2, y2, half, half), view
+        return cqr_asym_calibrate(fixed, X2, y2, half, half), counter
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
@@ -555,8 +496,7 @@ def _run_repetition(
     bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params)
     rows, bands = [], []
     for method in cfg.methods:
-        t0 = time.perf_counter()
-        band, counter = fit_and_calibrate(method, bundle, X2, y2, cfg)
+        band, counter = _fit_and_calibrate(method, bundle, X2, y2, cfg)
         coverage, avg_len, miss_lo, miss_hi = _evaluate(band, Xt, yt, length_scale)
         rows.append(
             RepetitionResult(
@@ -566,9 +506,8 @@ def _run_repetition(
                 avg_length=avg_len,
                 tail_lo_miss=miss_lo,
                 tail_hi_miss=miss_hi,
-                n_crossings_fixed=counter.n_fixed if counter is not None else 0,
+                n_crossings_fixed=counter.n_crossed if counter is not None else 0,
                 alpha_nominal=bundle.alpha_nominal if counter is not None else None,
-                wall_time_s=time.perf_counter() - t0,
             )
         )
         bands.append(band)
@@ -776,9 +715,7 @@ def coverage_audit(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
     bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
-    # seeds are drawn only by engines whose pair takes one
-    fixed = CrossingFixPair(bundle.engine.pair(bundle, bundle.draw_seed))
-    fixed.fit(train.X, train.y, alpha / 2.0, 1.0 - alpha / 2.0)
+    fixed = CrossingFixPair(bundle.quantile_model())
 
     per_trial = np.empty(n_trials)
     base = SyntheticSpec(kind=kind, n=n_calibration + n_test)

@@ -1,4 +1,4 @@
-"""Training losses for the regression engines: the pinball loss and an L2 penalty.
+"""The pinball loss that trains the quantile regression engines.
 
 The pinball (check) loss at level alpha is
 
@@ -17,10 +17,7 @@ import numpy as np
 
 from .quantiles import check_level
 
-__all__ = [
-    "PinballLoss",
-    "RegularizerSpec",
-]
+__all__ = ["PinballLoss"]
 
 
 @dataclass(frozen=True)
@@ -62,15 +59,3 @@ class PinballLoss:
 
     def mean_loss(self, y, y_hat) -> float:
         return float(np.mean(self.loss(y, y_hat)))
-
-
-@dataclass(frozen=True)
-class RegularizerSpec:
-    """An L2 penalty weight; zero disables regularization."""
-
-    l2_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.l2_weight < 0:
-            raise ValueError(f"l2_weight must be >= 0, got {self.l2_weight}")
-

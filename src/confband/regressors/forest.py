@@ -42,18 +42,15 @@ class ForestConfig:
         Number of trees.
     min_leaf_size : int
         Minimum rows per leaf; nodes smaller than twice this are not split.
-    max_features_per_split : int or "all"
-        Candidate features drawn (without replacement) at each split.
     bootstrap : bool
         Grow each tree on a resample of the rows, drawn with replacement.
     seed : int
-        Seeds resampling and feature subsampling; trees get independent
-        streams so the forest is reproducible.
+        Seeds resampling; trees get independent streams so the forest is
+        reproducible.
     """
 
     n_trees: int = 1000
     min_leaf_size: int = 5
-    max_features_per_split: int | str = "all"
     bootstrap: bool = True
     seed: int = 0
 
@@ -62,11 +59,6 @@ class ForestConfig:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.min_leaf_size < 1:
             raise ValueError(f"min_leaf_size must be >= 1, got {self.min_leaf_size}")
-        m = self.max_features_per_split
-        if m != "all" and (not isinstance(m, (int, np.integer)) or m < 1):
-            raise ValueError(
-                f'max_features_per_split must be a positive int or "all", got {m!r}'
-            )
 
 
 class _Tree:
@@ -144,7 +136,7 @@ class _Tree:
             )
 
 
-def _best_split(X, y, orders, min_leaf, candidates):
+def _best_split(X, y, orders, min_leaf):
     """Lowest summed child squared error over (feature, threshold) pairs.
 
     ``orders[j]`` holds the node's rows sorted by feature j, so no sorting
@@ -162,8 +154,7 @@ def _best_split(X, y, orders, min_leaf, candidates):
 
     best_gain = parent_gain
     best = None
-    for j in candidates:
-        rows = orders[j]
+    for j, rows in enumerate(orders):
         xs = X[rows, j]
         valid = xs[lo:hi] < xs[lo + 1 : hi + 1]
         if not valid.any():
@@ -186,7 +177,7 @@ def _best_split(X, y, orders, min_leaf, candidates):
     return best
 
 
-def _grow_tree(X, y, rows0, min_leaf, max_features, rng) -> _Tree:
+def _grow_tree(X, y, rows0, min_leaf) -> _Tree:
     n_features = X.shape[1]
     feature, threshold, left, right = [], [], [], []
     leaf_start, leaf_count = [], []
@@ -209,11 +200,7 @@ def _grow_tree(X, y, rows0, min_leaf, max_features, rng) -> _Tree:
         node, orders = stack.pop()
         split = None
         if orders[0].size >= 2 * min_leaf:
-            if max_features == "all" or max_features >= n_features:
-                candidates = range(n_features)
-            else:
-                candidates = rng.choice(n_features, size=max_features, replace=False)
-            split = _best_split(X, y, orders, min_leaf, candidates)
+            split = _best_split(X, y, orders, min_leaf)
         if split is None:
             rows = orders[0]
             feature[node] = -1
@@ -272,21 +259,11 @@ class _Forest:
         self.config = config
         self.trees: list[_Tree] = []
         for seq in np.random.SeedSequence(config.seed).spawn(config.n_trees):
-            rng = np.random.default_rng(seq)
             if config.bootstrap:
-                rows0 = rng.integers(0, n, size=n)
+                rows0 = np.random.default_rng(seq).integers(0, n, size=n)
             else:
                 rows0 = np.arange(n)
-            self.trees.append(
-                _grow_tree(
-                    X,
-                    y,
-                    rows0,
-                    config.min_leaf_size,
-                    config.max_features_per_split,
-                    rng,
-                )
-            )
+            self.trees.append(_grow_tree(X, y, rows0, config.min_leaf_size))
         self._order = np.argsort(y, kind="stable")
         self._y_sorted = y[self._order]
 

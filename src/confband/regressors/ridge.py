@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from ..losses import RegularizerSpec
 from .base import MeanRegressor, as_matrix, as_vector
 
 __all__ = ["RidgeRegressor", "cross_validate_l2", "DEFAULT_L2_GRID"]
@@ -20,14 +19,15 @@ class RidgeRegressor(MeanRegressor):
 
     Parameters
     ----------
-    regularizer : RegularizerSpec or float
-        L2 penalty weight; 0 gives ordinary least squares.
+    l2_weight : float
+        L2 penalty weight, >= 0; 0 gives ordinary least squares.
     """
 
-    def __init__(self, regularizer: RegularizerSpec | float = 0.0):
-        if not isinstance(regularizer, RegularizerSpec):
-            regularizer = RegularizerSpec(float(regularizer))
-        self.regularizer = regularizer
+    def __init__(self, l2_weight: float = 0.0):
+        l2_weight = float(l2_weight)
+        if l2_weight < 0:
+            raise ValueError(f"l2_weight must be >= 0, got {l2_weight}")
+        self.l2_weight = l2_weight
         self.coef_: np.ndarray | None = None
         self.intercept_: float | None = None
 
@@ -40,7 +40,7 @@ class RidgeRegressor(MeanRegressor):
         y_mean = y.mean()
         Xc = X - x_mean
         yc = y - y_mean
-        lam = self.regularizer.l2_weight
+        lam = self.l2_weight
         gram = Xc.T @ Xc + lam * np.eye(X.shape[1])
         try:
             # Cholesky fails exactly when the penalized Gram matrix is not

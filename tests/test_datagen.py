@@ -114,12 +114,18 @@ def test_mixture_quantiles_equal_per_point_brentq_bit_for_bit(
         outlier_prob=outlier_prob, outlier_scale=outlier_scale,
     )
     x = np.linspace(0.0, 5.0, 21)
+    wants = {}
     for level in (1e-4, 0.05, 0.37, 0.5, 0.95, 1.0 - 1e-4):
-        want = _brentq_per_point(oracle, x, level)
+        want = wants[level] = _brentq_per_point(oracle, x, level)
         assert np.array_equal(oracle.quantile(x, level), want)
         assert np.array_equal(oracle.quantile(x.reshape(3, 7), level), want.reshape(3, 7))
         point = oracle.quantile(x[4], level)
         assert point.shape == () and point == want[4]
+    # two levels broadcast against x are solved in one call, bit for bit
+    both = oracle.quantile(x, np.array([[0.05], [0.95]]))
+    assert np.array_equal(both, np.stack([wants[0.05], wants[0.95]]))
+    lo, hi = oracle.band(x, 0.1)
+    assert np.array_equal(lo, wants[0.05]) and np.array_equal(hi, wants[0.95])
 
 
 def test_quantile_rejects_non_finite_x_and_non_positive_scale():

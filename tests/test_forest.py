@@ -170,10 +170,6 @@ def test_invalid_levels_and_config_are_rejected():
         ForestConfig(n_trees=0)
     with pytest.raises(ValueError):
         ForestConfig(min_leaf_size=0)
-    with pytest.raises(ValueError):
-        ForestConfig(max_features_per_split=0)
-    with pytest.raises(ValueError):
-        ForestConfig(max_features_per_split="some")
 
 
 def test_predict_before_fit_raises():

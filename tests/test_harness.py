@@ -2,13 +2,23 @@
 
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confband import harness
 from confband.conformal import cqr_calibrate
-from confband.datagen import Dataset, SyntheticSpec, generate
+from confband.datagen import (
+    Dataset,
+    SyntheticSpec,
+    generate,
+    standardize_apply,
+    standardize_fit,
+)
 from confband.harness import (
     CSV_HEADER,
     METHODS,
@@ -72,14 +82,54 @@ def test_fix_crossing_repairs_and_is_idempotent():
     assert np.array_equal(again[0], fixed_lo) and np.array_equal(again[1], fixed_hi)
 
 
-def test_crossing_fix_pair_counts_repairs():
-    pair = CrossingFixPair(_CrossedPair().fit(None, None, 0.05, 0.95))
-    X = np.array([[1.0], [-2.0], [0.0], [3.0]])
-    lo, hi = pair.predict_pair(X)
-    assert np.all(lo <= hi)
-    assert pair.n_fixed == 2  # rows with x > 0 came back crossed
-    pair.predict_pair(X)
-    assert pair.n_fixed == 4
+def test_reports_count_crossings_at_calibration_and_test(monkeypatch):
+    # the crossed pair returns (x, -x), so exactly the rows whose
+    # standardized feature is positive come back crossed
+    crossed = replace(harness._ENGINES["linear-q"], pair=lambda b, seed: _CrossedPair())
+    monkeypatch.setitem(harness._ENGINES, "linear-q", crossed)
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=100, seed=4))
+    cfg = ExperimentConfig(
+        methods=("cqr", "split", "cqr-asym"), engine="linear-q", n_repetitions=1,
+        seed=5, linear_epochs=50,
+    )
+    seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, np.random.default_rng(seq))
+    params = standardize_fit(dataset.X[i1], dataset.y[i1])
+    n_cal = int(np.sum(standardize_apply(params, dataset.X[i2])[:, 0] > 0))
+    n_test = int(np.sum(standardize_apply(params, dataset.X[test_idx])[:, 0] > 0))
+    assert n_cal > 0 and n_test > 0
+
+    report = run_experiment(cfg, dataset)
+    counts = {r.method: r.n_crossings_fixed for r in report.repetitions}
+    assert counts == {"cqr": n_cal + n_test, "split": 0, "cqr-asym": n_cal + n_test}
+
+
+def test_a_calibrated_band_is_safe_to_share_across_threads():
+    # the crossed pair gives every read crossings to repair
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, size=(200, 1))
+    y = X[:, 0] + rng.normal(size=200)
+    pair = CrossingFixPair(_CrossedPair()).fit(X, y, 0.05, 0.95)
+    band = cqr_calibrate(pair, X, y, alpha=0.1)
+    state = dict(vars(pair))
+    X_new = rng.uniform(-2, 2, size=(300, 1))
+    want_lo, want_hi = band.predict_interval(X_new)
+    all_started = threading.Barrier(8)  # every read runs on its own thread
+
+    def read(_):
+        all_started.wait(timeout=60)
+        return band.predict_interval(X_new)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the reads as finely as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(read, range(8)))
+    finally:
+        sys.setswitchinterval(switch)
+    for lo, hi in results:
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert vars(pair) == state
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -1,9 +1,9 @@
-"""Pinball loss and L2 penalty tests with hand-computed values."""
+"""Pinball loss tests with hand-computed values."""
 
 import numpy as np
 import pytest
 
-from confband.losses import PinballLoss, RegularizerSpec
+from confband.losses import PinballLoss
 
 
 def test_pinball_hand_values():
@@ -73,10 +73,3 @@ def test_pinball_rejects_degenerate_levels():
         PinballLoss(0.0)
     with pytest.raises(ValueError):
         PinballLoss(1.0)
-
-
-def test_regularizer_spec_rejects_negative_weight():
-    assert RegularizerSpec().l2_weight == 0.0
-    assert RegularizerSpec(2.5).l2_weight == 2.5
-    with pytest.raises(ValueError):
-        RegularizerSpec(-0.1)
