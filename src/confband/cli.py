@@ -26,6 +26,7 @@ from .harness import (
     ExperimentConfig,
     ForestConfig,
     MlpConfig,
+    _check_report_path,
     band_comparison_demo,
     coverage_audit,
     emit_report,
@@ -143,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     if (args.data is None) == (args.synthetic is None):
         raise ValueError("provide exactly one of --data or --synthetic")
+    if args.out is not None:
+        _check_report_path(args.out)
     oracle = None
     if args.data is not None:
         if args.target is None:
@@ -187,6 +190,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    if not args.out.endswith(".csv"):
+        raise ValueError(f"demo output must be a .csv path, got {args.out!r}")
     summaries, bounds = band_comparison_demo(
         n=args.n,
         seed=args.seed,
@@ -201,15 +206,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             f"{s.method}: avg_length={s.avg_length:.4f} "
             f"avg_coverage={s.avg_coverage:.4f}"
         )
-    out = args.out
-    if not out.endswith(".csv"):
-        raise ValueError(f"demo output must be a .csv path, got {out!r}")
     columns = list(bounds)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for i in range(bounds["x"].size):
             fh.write(",".join(repr(float(bounds[c][i])) for c in columns) + "\n")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -1,25 +1,38 @@
 """Split-style conformal calibrators.
 
-All four calibrators share one shape: a predictor fitted on the proper
-training rows is scored on held-out calibration rows, an inflated empirical
-quantile of those scores becomes a frozen correction constant, and the
-returned band applies that constant to fresh predictions. Exchangeability
-of the calibration and test rows then gives finite-sample marginal
-coverage of at least 1 - alpha, with a matching upper bound when the
-scores are almost surely distinct.
+All four calibrators are one recipe. A plug-in reader, built from
+predictors fitted on the proper training rows, gives each row x a plug-in
+interval [lo(x), hi(x)] and a positive scale s(x). On held-out calibration
+rows the scores
 
-The four score choices:
+    below = (lo(x) - y) / s(x)        above = (y - hi(x)) / s(x)
 
-- absolute residual |y - mu(x)|: fixed-width band around a point predictor
-- scaled residual |y - mu(x)| / (sigma(x) + gamma): width follows a fitted
-  dispersion estimate
-- signed interval excess max{q_lo(x) - y, y - q_hi(x)}: shifts a quantile
-  pair outward (or inward, the score may be negative) by one constant
-- per-tail excesses q_lo(x) - y and y - q_hi(x) separately: independent
-  corrections for the two tails
+say how far each point falls below or above the plug-in interval, in units
+of the scale (negative inside it). Inflated empirical quantiles of the
+scores become frozen corrections (c_lo, c_hi), and the band on fresh rows is
+
+    [lo(x) - c_lo * s(x), hi(x) + c_hi * s(x)]
+
+with any point whose ends cross collapsed to their midpoint. Exchangeability
+of the calibration and test rows then gives finite-sample marginal coverage
+of at least 1 - alpha, with a matching upper bound when the scores are
+almost surely distinct.
+
+The calibrators differ only in the plug-in reader and the quantiles taken:
+
+- split: lo = hi = mu(x), s = 1, one quantile of max(below, above), which
+  is |y - mu(x)|: a fixed-width band around a point predictor
+- local: lo = hi = mu(x), s = sigma(x) + gamma, the same single quantile:
+  the width follows a fitted dispersion estimate
+- cqr: a fitted quantile pair, s = 1, the same single quantile: shifts both
+  ends outward (or inward, the score may be negative) by one constant
+- cqr-asym: the same pair, one quantile of ``below`` and one of ``above``:
+  independent corrections for the two tails
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -81,51 +94,50 @@ class DataSplit:
         return DataSplit(order[:cut], order[cut:])
 
 
-def _inflated_correction(scores: np.ndarray, alpha: float) -> float:
-    return SortedSample(scores).inflated_quantile(alpha)
-
-
 @dataclass(frozen=True)
 class ConformalBand:
-    """A calibrated band: fitted predictor(s) plus frozen correction constants.
+    """A calibrated band: a plug-in reader plus frozen correction constants.
 
-    Prediction never re-reads calibration data; everything the band needs
-    is captured here. ``correction`` is a single constant except for the
-    per-tail method, which stores ``(q_lo_correction, q_hi_correction)``.
+    ``plugin`` maps a feature matrix to ``(lo, hi, scale)`` and holds fitted
+    predictors only, so prediction never re-reads calibration data.
+    ``correction`` is one constant for both ends, except for the per-tail
+    method, which stores ``(c_lo, c_hi)``.
     """
 
-    method: str
+    plugin: Callable
     correction: float | tuple[float, float]
-    gamma: float = 0.0
-    mu: MeanRegressor | None = None
-    sigma: DispersionRegressor | None = None
-    quantile_pair: QuantileRegressor | None = None
 
     def predict_interval(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Interval endpoints (lo, hi) for each row of X."""
-        X = as_matrix(X)
-        if self.method == "split":
-            center = self.mu.predict(X)
-            q = self.correction
-            return center - q, center + q
-        if self.method == "local":
-            center = self.mu.predict(X)
-            scale = self.sigma.predict(X) + self.gamma
-            if np.any(scale <= 0.0):
-                raise ValueError("zero scale; set gamma > 0")
-            half = scale * self.correction
-            return center - half, center + half
-        if self.method == "cqr_sym":
-            q_lo, q_hi = _checked_pair(self.quantile_pair, X)
-            return _uncross(q_lo - self.correction, q_hi + self.correction)
-        if self.method == "cqr_asym":
-            q_lo, q_hi = _checked_pair(self.quantile_pair, X)
-            c_lo, c_hi = self.correction
-            return _uncross(q_lo - c_lo, q_hi + c_hi)
-        raise ValueError(f"unknown method tag {self.method!r}")
+        lo, hi, scale = self.plugin(as_matrix(X))
+        c = self.correction
+        c_lo, c_hi = c if isinstance(c, tuple) else (c, c)
+        lo = lo - c_lo * scale
+        hi = hi + c_hi * scale
+        # a negative correction can push the ends past each other; collapse
+        # those intervals to their midpoint
+        crossed = lo > hi
+        if np.any(crossed):
+            mid = 0.5 * (lo[crossed] + hi[crossed])
+            lo[crossed] = mid
+            hi[crossed] = mid
+        return lo, hi
 
 
-def _checked_pair(pair: QuantileRegressor, X) -> tuple[np.ndarray, np.ndarray]:
+def _point_plugin(mu: MeanRegressor, X):
+    center = mu.predict(X)
+    return center, center, 1.0
+
+
+def _scaled_plugin(mu: MeanRegressor, sigma: DispersionRegressor, gamma: float, X):
+    center = mu.predict(X)
+    scale = sigma.predict(X) + gamma
+    if np.any(scale <= 0.0):
+        raise ValueError("zero scale; set gamma > 0")
+    return center, center, scale
+
+
+def _pair_plugin(pair: QuantileRegressor, X):
     q_lo, q_hi = pair.predict_pair(X)
     q_lo = np.asarray(q_lo, dtype=float)
     q_hi = np.asarray(q_hi, dtype=float)
@@ -133,20 +145,33 @@ def _checked_pair(pair: QuantileRegressor, X) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             "quantile estimates cross; wrap the regressor in a crossing fix"
         )
-    return q_lo, q_hi
+    return q_lo, q_hi, 1.0
 
 
-def _uncross(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a sufficiently negative correction can push the endpoints past each
-    # other; collapse those intervals to their midpoint
-    crossed = lo > hi
-    if np.any(crossed):
-        mid = 0.5 * (lo[crossed] + hi[crossed])
-        lo = lo.copy()
-        hi = hi.copy()
-        lo[crossed] = mid
-        hi[crossed] = mid
-    return lo, hi
+def _calibrate(
+    plugin, X_cal, y_cal, alpha_lo: float, alpha_hi: float | None = None
+) -> ConformalBand:
+    """Score the calibration rows against the plug-in interval; freeze the correction.
+
+    With ``alpha_hi`` None, one inflated quantile of max(below, above) at
+    ``alpha_lo`` serves both ends; otherwise each tail gets its own.
+    """
+    check_level(alpha_lo)
+    if alpha_hi is not None:
+        check_level(alpha_hi)
+    X_cal = as_matrix(X_cal)
+    y_cal = as_vector(y_cal, X_cal.shape[0])
+    lo, hi, scale = plugin(X_cal)
+    below = (lo - y_cal) / scale
+    above = (y_cal - hi) / scale
+    if alpha_hi is None:
+        correction = SortedSample(np.maximum(below, above)).inflated_quantile(alpha_lo)
+    else:
+        correction = (
+            SortedSample(below).inflated_quantile(alpha_lo),
+            SortedSample(above).inflated_quantile(alpha_hi),
+        )
+    return ConformalBand(plugin, correction)
 
 
 def split_conformal_calibrate(mu: MeanRegressor, X_cal, y_cal, alpha: float) -> ConformalBand:
@@ -157,12 +182,7 @@ def split_conformal_calibrate(mu: MeanRegressor, X_cal, y_cal, alpha: float) -> 
     mu(x) +/- correction. A calibration set too small for the inflated
     level yields infinite intervals.
     """
-    check_level(alpha)
-    X_cal = as_matrix(X_cal)
-    y_cal = as_vector(y_cal, X_cal.shape[0])
-    residuals = np.abs(y_cal - mu.predict(X_cal))
-    q = _inflated_correction(residuals, alpha)
-    return ConformalBand(method="split", correction=q, mu=mu)
+    return _calibrate(partial(_point_plugin, mu), X_cal, y_cal, alpha)
 
 
 def local_conformal_calibrate(
@@ -181,17 +201,9 @@ def local_conformal_calibrate(
     on the proper training rows. ``gamma`` regularizes small or zero
     dispersion estimates.
     """
-    check_level(alpha)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    X_cal = as_matrix(X_cal)
-    y_cal = as_vector(y_cal, X_cal.shape[0])
-    residuals = np.abs(y_cal - mu.predict(X_cal))
-    scale = sigma.predict(X_cal) + gamma
-    if np.any(scale <= 0.0):
-        raise ValueError("zero scale; set gamma > 0")
-    q = _inflated_correction(residuals / scale, alpha)
-    return ConformalBand(method="local", correction=q, gamma=gamma, mu=mu, sigma=sigma)
+    return _calibrate(partial(_scaled_plugin, mu, sigma, gamma), X_cal, y_cal, alpha)
 
 
 def cqr_calibrate(q: QuantileRegressor, X_cal, y_cal, alpha: float) -> ConformalBand:
@@ -202,13 +214,7 @@ def cqr_calibrate(q: QuantileRegressor, X_cal, y_cal, alpha: float) -> Conformal
     plug-in interval. One inflated quantile of the scores shifts both
     endpoints outward; a negative correction tightens the band instead.
     """
-    check_level(alpha)
-    X_cal = as_matrix(X_cal)
-    y_cal = as_vector(y_cal, X_cal.shape[0])
-    q_lo, q_hi = _checked_pair(q, X_cal)
-    scores = np.maximum(q_lo - y_cal, y_cal - q_hi)
-    corr = _inflated_correction(scores, alpha)
-    return ConformalBand(method="cqr_sym", correction=corr, quantile_pair=q)
+    return _calibrate(partial(_pair_plugin, q), X_cal, y_cal, alpha)
 
 
 def cqr_asym_calibrate(
@@ -220,13 +226,4 @@ def cqr_asym_calibrate(
     (1 - alpha_lo); the upper tail uses y_i - q_hi(x_i) at inflated level
     (1 - alpha_hi). Joint miscoverage is at most alpha_lo + alpha_hi.
     """
-    check_level(alpha_lo)
-    check_level(alpha_hi)
-    X_cal = as_matrix(X_cal)
-    y_cal = as_vector(y_cal, X_cal.shape[0])
-    q_lo, q_hi = _checked_pair(q, X_cal)
-    corr_lo = _inflated_correction(q_lo - y_cal, alpha_lo)
-    corr_hi = _inflated_correction(y_cal - q_hi, alpha_hi)
-    return ConformalBand(
-        method="cqr_asym", correction=(corr_lo, corr_hi), quantile_pair=q
-    )
+    return _calibrate(partial(_pair_plugin, q), X_cal, y_cal, alpha_lo, alpha_hi)

@@ -20,8 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .quantiles import check_level
 from .regressors.base import (
@@ -149,7 +148,7 @@ class OracleQuantiles:
         if not np.all(s > 0.0):
             raise ValueError("the noise scale must be positive at every x")
         if self.outlier_prob == 0.0:
-            return m + s * norm.ppf(level)
+            return m + s * ndtri(level)
         p = self.outlier_prob
         wide = np.sqrt(s * s + self.outlier_scale**2)
         shape = np.broadcast_shapes(x.shape, level.shape)

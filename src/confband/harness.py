@@ -335,14 +335,15 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _check_report_path(path: str) -> None:
+    if not path.endswith((".csv", ".json")):
+        raise ValueError(f"output path must end with .csv or .json, got {path!r}")
+
+
 def emit_report(report: ExperimentReport, path: str) -> None:
     """Write the report as CSV or JSON depending on the file extension."""
-    if path.endswith(".csv"):
-        text = report.to_csv()
-    elif path.endswith(".json"):
-        text = report.to_json()
-    else:
-        raise ValueError(f"output path must end with .csv or .json, got {path!r}")
+    _check_report_path(path)
+    text = report.to_csv() if path.endswith(".csv") else report.to_json()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -463,13 +464,15 @@ def _fit_and_calibrate(
 
 
 def _evaluate(band: ConformalBand, X_test, y_test, length_scale: float):
+    """(coverage, mean length, lower-tail miss rate, upper-tail miss rate)."""
     lo, hi = band.predict_interval(X_test)
-    covered = (y_test >= lo) & (y_test <= hi)
+    n = y_test.size
+    # an exact count over n rounds like np.mean of the boolean mask
     return (
-        float(np.mean(covered)),
+        float(np.count_nonzero((y_test >= lo) & (y_test <= hi)) / n),
         float(np.mean(hi - lo) * length_scale),
-        float(np.mean(y_test < lo)),
-        float(np.mean(y_test > hi)),
+        float(np.count_nonzero(y_test < lo) / n),
+        float(np.count_nonzero(y_test > hi) / n),
     )
 
 
@@ -638,8 +641,7 @@ def tune_quantile_levels(
             pair = CrossingFixPair(make_pair())
             pair.fit(X1[fit_idx], y1[fit_idx], *levels)
             band = cqr_calibrate(pair, X1[cal_idx], y1[cal_idx], alpha)
-            lo, hi = band.predict_interval(X1[val_idx])
-            total += float(np.mean(hi - lo))
+            total += _evaluate(band, X1[val_idx], y1[val_idx], 1.0)[1]
         key = (total / cv_folds, abs(nominal - alpha), nominal)
         if best is None or key < best:
             best = key
@@ -702,8 +704,11 @@ def coverage_audit(
     continuous data the pooled coverage should land in
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    for name, count in (
+        ("n_trials", n_trials), ("n_calibration", n_calibration), ("n_test", n_test)
+    ):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if engine not in PAIR_ENGINES:
         raise ValueError(
             f"engine {engine!r} cannot produce quantile pairs; use one of {PAIR_ENGINES}"
@@ -722,9 +727,7 @@ def coverage_audit(
     for t in range(n_trials):
         ds, _ = generate(replace(base, seed=int(rng.integers(2**63))))
         band = cqr_calibrate(fixed, ds.X[:n_calibration], ds.y[:n_calibration], alpha)
-        lo, hi = band.predict_interval(ds.X[n_calibration:])
-        y_test = ds.y[n_calibration:]
-        per_trial[t] = np.mean((y_test >= lo) & (y_test <= hi))
+        per_trial[t] = _evaluate(band, ds.X[n_calibration:], ds.y[n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0

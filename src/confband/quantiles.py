@@ -72,19 +72,8 @@ class SortedSample:
         self._values = arr
 
     @property
-    def values(self) -> np.ndarray:
-        """The scores in non-decreasing order (read-only view)."""
-        return self._values
-
-    @property
     def n(self) -> int:
         return self._values.size
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __repr__(self) -> str:
-        return f"SortedSample(n={self.n}, min={self._values[0]}, max={self._values[-1]})"
 
     def order_statistic(self, k: int) -> float:
         """Return the k-th smallest value, 1-indexed."""

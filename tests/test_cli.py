@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from confband import harness
+from confband import cli, harness
 from confband.cli import _load_config_file, build_parser, main
 from confband.harness import CSV_HEADER
 
@@ -102,6 +102,22 @@ def test_run_reports_bad_engine_settings_and_all_failed_runs_as_errors(capsys, m
     ])
     assert code == 2 and out == ""
     assert err.startswith("error: every repetition failed; first error: calibration failed")
+
+
+def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("generate", "load_csv", "run_experiment", "band_comparison_demo"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = _run(capsys, [
+        "run", "--synthetic", "heteroscedastic", "--out", "r.txt",
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: output path must end with .csv or .json, got 'r.txt'\n"
+    code, out, err = _run(capsys, ["demo-fig1", "--out", "d.json"])
+    assert (code, out) == (2, "")
+    assert err == "error: demo output must be a .csv path, got 'd.json'\n"
 
 
 def test_config_file_supplies_values_and_flags_win(capsys, tmp_path):

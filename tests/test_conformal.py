@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from confband.conformal import (
-    ConformalBand,
     DataSplit,
     cqr_asym_calibrate,
     cqr_calibrate,
@@ -336,9 +335,3 @@ def test_data_split_validation_and_random_halves():
     assert np.array_equal(np.sort(np.concatenate([halves.i1, halves.i2])), np.arange(7))
     with pytest.raises(ValueError, match="at least 2 rows"):
         DataSplit.random_halves(1, rng)
-
-
-def test_unknown_method_tag_is_rejected():
-    band = ConformalBand(method="bogus", correction=0.0, mu=_ZERO_MEAN)
-    with pytest.raises(ValueError, match="unknown method tag"):
-        band.predict_interval(np.zeros((1, 1)))

@@ -387,6 +387,10 @@ def test_a_failed_repetition_adds_no_rows(monkeypatch):
 def test_coverage_audit_arguments_and_light_run():
     with pytest.raises(ValueError, match="n_trials"):
         coverage_audit(n_trials=0)
+    with pytest.raises(ValueError, match="n_calibration must be >= 1, got 0"):
+        coverage_audit(n_trials=1, n_calibration=0)
+    with pytest.raises(ValueError, match="n_test must be >= 1, got 0"):
+        coverage_audit(n_trials=1, n_test=0)
     with pytest.raises(ValueError, match="cannot produce quantile pairs"):
         coverage_audit(n_trials=1, engine="ridge")
     audit = coverage_audit(n_trials=5, engine="oracle", seed=2)
