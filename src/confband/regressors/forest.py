@@ -6,6 +6,17 @@ adjacent sorted feature values, and growth stops when a node cannot produce
 two children of at least ``min_leaf_size`` rows or no split reduces the
 squared error. Leaves keep the rows routed to them during growth.
 
+Growth runs on batches of trees, breadth first, over presorted attribute
+lists (SLIQ, Mehta, Agrawal & Rissanen 1996; the "all leaves collectively"
+split finding of XGBoost's exact greedy method). Each feature's sample order
+is sorted once per batch; one iteration scores every candidate split of
+every frontier node of every tree in the batch, with cumulative sums over
+padded blocks of nodes, and then partitions the orders stably, so children
+stay sorted. The per-node sums are numpy's own sums of the same values in
+the same order, so every tree is bit for bit the tree a node-by-node grower
+would produce. Each tree's leaf weight table is built while its batch is
+grown, and a fitted forest is never written to again.
+
 A query point x collects weight 1/n_trees from every tree, split uniformly
 over the rows in the leaf that x reaches. Quantiles are read off the
 resulting weighted empirical CDF by the left-quantile rule: the smallest
@@ -30,6 +41,10 @@ __all__ = [
 # slack applied to cumulative-weight thresholds so sums of equal weights
 # that land a float ulp short of an exact level still count as reaching it
 _CDF_RTOL = 1e-9
+
+# bootstrap samples (rows x trees) grown together in one batch; bounds the
+# working set of growth as the query chunk bounds the readout's
+_GROW_BATCH = 2**16
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,10 @@ class _Tree:
 
     ``leaf_rows[leaf_start[node]:leaf_start[node] + leaf_count[node]]`` are
     the training-row indices (with bootstrap multiplicity) held by a leaf.
+    ``weight_table`` is ``(start, count, rows, weights)``: for a leaf node,
+    ``rows[start[node]:start[node] + count[node]]`` are its distinct training
+    rows in ascending order and ``weights`` their multiplicity divided by
+    the leaf size.
     """
 
     __slots__ = (
@@ -77,10 +96,11 @@ class _Tree:
         "leaf_count",
         "leaf_rows",
         "leaf_mean",
-        "_csr",
+        "weight_table",
     )
 
-    def __init__(self, feature, threshold, left, right, leaf_start, leaf_count, leaf_rows, leaf_mean):
+    def __init__(self, feature, threshold, left, right, leaf_start, leaf_count,
+                 leaf_rows, leaf_mean, weight_table):
         self.feature = feature
         self.threshold = threshold
         self.left = left
@@ -89,36 +109,7 @@ class _Tree:
         self.leaf_count = leaf_count
         self.leaf_rows = leaf_rows
         self.leaf_mean = leaf_mean
-        self._csr = None
-
-    def leaf_weight_table(self):
-        """Per-leaf deduplicated rows and their weight shares, built lazily.
-
-        Returns ``(start, count, rows, weights)`` arrays: for a leaf node,
-        ``rows[start[node]:...]`` are its distinct training rows and
-        ``weights`` their multiplicity divided by the leaf size.
-        """
-        if self._csr is None:
-            leaf_nodes = np.flatnonzero(self.feature < 0)
-            node_by_seg = leaf_nodes[np.argsort(self.leaf_start[leaf_nodes])]
-            sizes = self.leaf_count[node_by_seg]
-            # run-length encode (segment, row) pairs in one global sort
-            seg = np.repeat(np.arange(sizes.size), sizes)
-            stride = int(self.leaf_rows.max()) + 1
-            key = np.sort(seg * stride + self.leaf_rows)
-            first = np.empty(key.size, dtype=bool)
-            first[0] = True
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            uniq = key[first]
-            mult = np.diff(np.flatnonzero(np.append(first, True)))
-            useg = uniq // stride
-            per_seg = np.bincount(useg, minlength=sizes.size)
-            start = np.zeros(self.feature.size, dtype=np.int64)
-            count = np.zeros(self.feature.size, dtype=np.int64)
-            start[node_by_seg] = np.cumsum(per_seg) - per_seg
-            count[node_by_seg] = per_seg
-            self._csr = (start, count, uniq % stride, mult / sizes[useg])
-        return self._csr
+        self.weight_table = weight_table
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index reached by each row of X (route left on <=)."""
@@ -136,110 +127,238 @@ class _Tree:
             )
 
 
-def _best_split(X, y, orders, min_leaf):
-    """Lowest summed child squared error over (feature, threshold) pairs.
+def _ranges(start, size):
+    """Positions ``start[i], ..., start[i] + size[i] - 1`` for every i, concatenated."""
+    end = np.cumsum(size)
+    return np.arange(end[-1] if end.size else 0) + np.repeat(start - (end - size), size)
 
-    ``orders[j]`` holds the node's rows sorted by feature j, so no sorting
-    happens here. Minimizing the summed child squared error equals
-    maximizing s_L^2/k + s_R^2/(m-k) (the squared-response term is constant
-    across splits), and a split only counts if that gain strictly exceeds
-    the unsplit node's s^2/m. Returns ``(feature, threshold, k)`` with k
-    the left-child size in sorted order, or None.
+
+def _segment_sums(values, start, size):
+    """``values[s:s + m].sum()`` for every segment (s, m), bit for bit.
+
+    numpy sums pairwise, so how a sum rounds depends on its length. Segments
+    of one length are summed together as the rows of a 2-D block, and numpy
+    reduces each row of a block exactly as it reduces a 1-D array.
     """
-    m = orders[0].size
-    total_sum = float(y[orders[0]].sum())
-    parent_gain = total_sum * total_sum / m
+    by_size = np.argsort(size, kind="stable")
+    sizes = size[by_size]
+    flat = values[_ranges(start[by_size], sizes)]
+    sums = np.empty(size.size)
+    bounds = np.append(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1, sizes.size).tolist()
+    i = offset = 0
+    for j in bounds:
+        m = int(sizes[i])
+        end = offset + (j - i) * m
+        sums[i:j] = np.add.reduce(flat[offset:end].reshape(j - i, m), axis=1)
+        i, offset = j, end
+    out = np.empty(size.size)
+    out[by_size] = sums
+    return out
+
+
+def _best_splits(x, y, orders, start, size, min_leaf):
+    """Best split of every node (segment) at once.
+
+    ``orders[j]`` holds every node's samples sorted by feature j, node by
+    node in the same segments. Minimizing the summed child squared error
+    equals maximizing s_L^2/k + s_R^2/(m-k) (the squared-response term is
+    constant across splits), and a split only counts if that gain strictly
+    exceeds the unsplit node's s^2/m; ties go to the first feature, then to
+    the smallest left child. Thresholds sit at the midpoint between the
+    adjacent sorted values. Returns ``(feature, threshold, k)`` arrays with
+    k the left-child size; feature is -1 where no split counts.
+    """
+    total = _segment_sums(y[orders[0]], start, size)
+    best = total * total / size
+    feature = np.full(size.size, -1)
+    threshold = np.zeros(size.size)
+    k = np.zeros(size.size, dtype=np.int64)
     lo = min_leaf - 1
-    hi = m - min_leaf
-
-    best_gain = parent_gain
-    best = None
-    for j, rows in enumerate(orders):
-        xs = X[rows, j]
-        valid = xs[lo:hi] < xs[lo + 1 : hi + 1]
-        if not valid.any():
-            continue
-        csum = np.cumsum(y[rows])[lo:hi]
-        k = np.arange(min_leaf, hi + 1, dtype=np.float64)
-        gain = np.where(
-            valid,
-            csum * csum / k + (total_sum - csum) ** 2 / (m - k),
-            -np.inf,
-        )
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain:
-            x_lo, x_hi = xs[lo + i], xs[lo + i + 1]
+    last = orders[0].size - 1
+    # pad nodes into blocks of similar size, one block per power of two
+    size_class = np.frexp(size.astype(np.float64))[1]
+    for cls in np.unique(size_class).tolist():
+        sel = np.flatnonzero(size_class == cls)
+        m, tot = size[sel], total[sel][:, None]
+        width = int(m.max())
+        hi = width - min_leaf
+        idx = np.minimum(start[sel][:, None] + np.arange(width), last)
+        # a split after sorted position i puts i + 1 samples on the left
+        i = np.arange(lo, hi)
+        k_left = i + 1.0
+        # clamped only past a node's end, where the gain is discarded
+        k_right = np.maximum(m[:, None] - k_left, 1.0)
+        past_end = i >= (m - min_leaf)[:, None]
+        row = np.arange(sel.size)
+        best_c, feature_c, threshold_c, k_c = best[sel], feature[sel], threshold[sel], k[sel]
+        for j, order in enumerate(orders):
+            samples = order[idx]
+            xs = x[j][samples]
+            csum = np.cumsum(y[samples], axis=1)[:, lo:hi]
+            invalid = xs[:, lo:hi] >= xs[:, lo + 1 : hi + 1]
+            invalid |= past_end
+            # csum^2/k + (total - csum)^2/(m - k), evaluated in place
+            gain = csum * csum
+            gain /= k_left
+            right = tot - csum
+            right *= right
+            right /= k_right
+            gain += right
+            np.copyto(gain, -np.inf, where=invalid)
+            at = gain.argmax(axis=1)
+            g = gain[row, at]
+            better = g > best_c
+            if not better.any():
+                continue
+            x_lo, x_hi = xs[row, lo + at], xs[row, lo + at + 1]
             t = 0.5 * (x_lo + x_hi)
-            if t >= x_hi:  # midpoint rounded up to the right value; keep routing exact
-                t = x_lo
-            best_gain = float(gain[i])
-            best = (j, t, min_leaf + i)
-    return best
+            # midpoint rounded up to the right value; keep routing exact
+            t = np.where(t >= x_hi, x_lo, t)
+            best_c = np.where(better, g, best_c)
+            feature_c = np.where(better, j, feature_c)
+            threshold_c = np.where(better, t, threshold_c)
+            k_c = np.where(better, at + min_leaf, k_c)
+        feature[sel], threshold[sel], k[sel] = feature_c, threshold_c, k_c
+    return feature, threshold, k
 
 
-def _grow_tree(X, y, rows0, min_leaf) -> _Tree:
-    n_features = X.shape[1]
-    feature, threshold, left, right = [], [], [], []
-    leaf_start, leaf_count = [], []
-    leaf_rows_parts = []
-    leaf_mean = []
-    n_leaf_rows = 0
+def _partition(orders, start, size, k, feature):
+    """Split each segment into its left and right child segments, stably.
 
-    # sort once per tree; children inherit order through stable partition
-    root_orders = [rows0[np.argsort(X[rows0, j])] for j in range(n_features)]
-    stack = [(0, root_orders)]
-    feature.append(0)
-    threshold.append(0.0)
-    left.append(-1)
-    right.append(-1)
-    leaf_start.append(0)
-    leaf_count.append(0)
-    leaf_mean.append(0.0)
+    A node's left child is the first k samples of its split feature's
+    order, which are exactly the samples at or below the threshold; stable
+    partitioning keeps each child sorted in every other feature's order.
+    """
+    goes_left = np.zeros(orders[0].size, dtype=bool)
+    for j, order in enumerate(orders):
+        on_j = feature == j
+        if on_j.any():
+            goes_left[order[_ranges(start[on_j], k[on_j])]] = True
+    pos = _ranges(start, size)
+    # a sample with c left-goers before it in the concatenated segments
+    # lands at left_base + c if it goes left, else at right_base - c
+    k_before = np.repeat(np.cumsum(k) - k, size)
+    left_base = np.repeat(start, size) - k_before
+    right_base = pos + np.repeat(k, size) + k_before
+    for order in orders:
+        samples = order[pos]
+        g = goes_left[samples]
+        c = np.cumsum(g)
+        c -= g
+        order[np.where(g, left_base + c, right_base - c)] = samples
 
-    while stack:
-        node, orders = stack.pop()
-        split = None
-        if orders[0].size >= 2 * min_leaf:
-            split = _best_split(X, y, orders, min_leaf)
-        if split is None:
-            rows = orders[0]
-            feature[node] = -1
-            leaf_start[node] = n_leaf_rows
-            leaf_count[node] = rows.size
-            leaf_mean[node] = float(y[rows].mean())
-            leaf_rows_parts.append(rows)
-            n_leaf_rows += rows.size
-            continue
-        j, t, _k = split
-        feature[node] = j
-        threshold[node] = t
-        # duplicated bootstrap rows share a feature value, so membership by
-        # row id routes them together and each child order stays sorted
-        go_left = X[:, j] <= t
-        left_orders = [o[go_left[o]] for o in orders]
-        right_orders = [o[~go_left[o]] for o in orders]
-        for child_orders, side in ((left_orders, left), (right_orders, right)):
-            child = len(feature)
-            side[node] = child
-            feature.append(0)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            leaf_start.append(0)
-            leaf_count.append(0)
-            leaf_mean.append(0.0)
-            stack.append((child, child_orders))
 
-    return _Tree(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(leaf_start, dtype=np.int64),
-        np.asarray(leaf_count, dtype=np.int64),
-        np.concatenate(leaf_rows_parts) if leaf_rows_parts else np.empty(0, dtype=np.int64),
-        np.asarray(leaf_mean, dtype=np.float64),
-    )
+def _grow_batch(X, y, R, min_leaf) -> list[_Tree]:
+    """Grow one tree per row of R, the tree's bootstrap rows, level by level.
+
+    Sample ``u`` of the batch is training row ``R.flat[u]``. Each node is a
+    segment of positions holding the same samples in every feature's order;
+    one iteration splits every splittable node of the level in all trees,
+    and stable partitioning keeps each child's segment sorted, so the sort
+    happens once per feature. A tree's leaves end up tiling its block of
+    the feature-0 order, which becomes its ``leaf_rows``.
+    """
+    n_trees, n = R.shape
+    rows = R.ravel()
+    y_s = y[rows]
+    x_s = [X[rows, j] for j in range(X.shape[1])]
+    tree_base = np.arange(n_trees) * n
+    orders = [
+        (np.argsort(x.reshape(n_trees, n), axis=1) + tree_base[:, None]).ravel()
+        for x in x_s
+    ]
+
+    start, size = tree_base, np.full(n_trees, n)
+    levels = []
+    while start.size:
+        feature = np.full(start.size, -1)
+        threshold = np.zeros(start.size)
+        k = np.zeros(start.size, dtype=np.int64)
+        can = np.flatnonzero(size >= 2 * min_leaf)
+        if can.size:
+            feature[can], threshold[can], k[can] = _best_splits(
+                x_s, y_s, orders, start[can], size[can], min_leaf
+            )
+        levels.append((start, size, feature, threshold))
+        split = np.flatnonzero(feature >= 0)
+        s, m, k = start[split], size[split], k[split]
+        _partition(orders, s, m, k, feature[split])
+        start = np.column_stack((s, s + k)).ravel()
+        size = np.column_stack((k, m - k)).ravel()
+    return _build_trees(levels, rows[orders[0]], y_s[orders[0]], n)
+
+
+def _build_trees(levels, leaf_rows, leaf_y, n) -> list[_Tree]:
+    """Flat trees, with their leaf weight tables, from a grown batch.
+
+    ``levels`` holds each level's ``(start, size, feature, threshold)``
+    node arrays; ``leaf_rows`` and ``leaf_y`` are the training rows and
+    responses of the final feature-0 order, whose block ``[t * n, (t + 1) * n)``
+    belongs to tree t.
+    """
+    n_trees = leaf_rows.size // n
+    # node ids run level by level, and by position within a level; a split
+    # node's children are consecutive ids in the next level
+    start, size, feature, threshold = (np.concatenate(a) for a in zip(*levels))
+    level_size = np.array([len(lv[0]) for lv in levels])
+    next_level = np.repeat(np.cumsum(level_size), level_size)
+    is_split = feature >= 0
+    rank = np.cumsum(is_split) - is_split
+    rank -= np.repeat(rank[np.cumsum(level_size) - level_size], level_size)
+    child = np.where(is_split, next_level + 2 * rank, -1)
+
+    # renumber each tree's nodes from 0, keeping the level-by-level order
+    tree = start // n
+    by_tree = np.argsort(tree, kind="stable")
+    nodes_per_tree = np.bincount(tree, minlength=n_trees)
+    first_node = np.cumsum(nodes_per_tree) - nodes_per_tree
+    local = np.empty(tree.size, dtype=np.int64)
+    local[by_tree] = np.arange(tree.size) - np.repeat(first_node, nodes_per_tree)
+    left = np.where(is_split, local[child], -1)
+    right = np.where(is_split, local[child + 1], -1)
+
+    leaves = np.flatnonzero(~is_split)
+    leaves = leaves[np.argsort(start[leaves])]  # leaf segments tile the batch
+    leaf_size = size[leaves]
+    leaf_mean = np.zeros(tree.size)
+    leaf_mean[leaves] = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
+    leaf_start = np.zeros(tree.size, dtype=np.int64)
+    leaf_count = np.zeros(tree.size, dtype=np.int64)
+    leaf_start[leaves] = start[leaves] - tree[leaves] * n
+    leaf_count[leaves] = leaf_size
+
+    # weight table: run-length encode (leaf, row) pairs in one batch sort
+    key = np.sort(np.repeat(np.arange(leaves.size), leaf_size) * n + leaf_rows)
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    uniq = key[first]
+    mult = np.diff(np.flatnonzero(np.append(first, True)))
+    leaf_of = uniq // n
+    per_leaf = np.bincount(leaf_of, minlength=leaves.size)
+    per_tree = np.bincount(tree[leaves][leaf_of], minlength=n_trees)
+    table_base = np.cumsum(per_tree) - per_tree
+    w_start = np.zeros(tree.size, dtype=np.int64)
+    w_count = np.zeros(tree.size, dtype=np.int64)
+    w_start[leaves] = np.cumsum(per_leaf) - per_leaf - table_base[tree[leaves]]
+    w_count[leaves] = per_leaf
+    w_rows = uniq - leaf_of * n
+    w_share = mult / leaf_size[leaf_of]
+
+    cut = np.cumsum(nodes_per_tree)[:-1]
+    per_node = [
+        np.split(a[by_tree], cut)
+        for a in (feature, threshold, left, right, leaf_start, leaf_count, leaf_mean,
+                  w_start, w_count)
+    ]
+    table_cut = np.cumsum(per_tree)[:-1]
+    return [
+        _Tree(f, t, lt, rt, ls, lc, leaf_rows[b : b + n], lm, (ws, wc, wr, wsh))
+        for f, t, lt, rt, ls, lc, lm, ws, wc, b, wr, wsh in zip(
+            *per_node, range(0, leaf_rows.size, n), np.split(w_rows, table_cut),
+            np.split(w_share, table_cut),
+        )
+    ]
 
 
 class _Forest:
@@ -258,12 +377,16 @@ class _Forest:
         self.n_features_in_ = X.shape[1]
         self.config = config
         self.trees: list[_Tree] = []
-        for seq in np.random.SeedSequence(config.seed).spawn(config.n_trees):
+        seqs = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+        per_batch = max(1, _GROW_BATCH // n)
+        for b in range(0, len(seqs), per_batch):
+            # draw a batch's bootstrap rows only when the batch is grown
+            batch = seqs[b : b + per_batch]
             if config.bootstrap:
-                rows0 = np.random.default_rng(seq).integers(0, n, size=n)
+                R = np.stack([np.random.default_rng(s).integers(0, n, size=n) for s in batch])
             else:
-                rows0 = np.arange(n)
-            self.trees.append(_grow_tree(X, y, rows0, config.min_leaf_size))
+                R = np.broadcast_to(np.arange(n), (len(batch), n))
+            self.trees.extend(_grow_batch(X, y, R, config.min_leaf_size))
         self._order = np.argsort(y, kind="stable")
         self._y_sorted = y[self._order]
 
@@ -275,7 +398,7 @@ class _Forest:
         w_flat = w.ravel()
         per_tree = 1.0 / len(self.trees)
         for tree in self.trees:
-            start, count, rows, shares = tree.leaf_weight_table()
+            start, count, rows, shares = tree.weight_table
             leaves = tree.apply(X)
             counts_q = count[leaves]
             # ragged gather of each query's leaf slice into one flat batch

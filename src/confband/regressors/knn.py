@@ -1,11 +1,24 @@
 """k-nearest-neighbor dispersion: local mean of absolute residuals."""
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .base import DispersionRegressor, as_matrix, as_vector
 
 __all__ = ["KnnDispersion"]
+
+
+def _euclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise distances between the rows of A and B.
+
+    Squares are summed one feature at a time, left to right, which gives
+    the same bits as ``scipy.spatial.distance.cdist`` without importing
+    ``scipy.spatial``.
+    """
+    acc = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        d = A[:, j, None] - B[:, j]
+        acc += d * d
+    return np.sqrt(acc)
 
 
 class KnnDispersion(DispersionRegressor):
@@ -41,7 +54,7 @@ class KnnDispersion(DispersionRegressor):
         if self._X is None:
             raise RuntimeError("fit() must be called before predict()")
         X = as_matrix(X, self.n_features_in_)
-        dists = cdist(X, self._X)
+        dists = _euclidean(X, self._X)
         if self.k == self._X.shape[0]:
             neighbors = np.broadcast_to(
                 np.arange(self._X.shape[0]), (X.shape[0], self._X.shape[0])

@@ -72,3 +72,16 @@ def test_invalid_k_and_negative_residuals_are_rejected():
 def test_predict_before_fit_is_an_error():
     with pytest.raises(RuntimeError):
         KnnDispersion(k=1).predict([[0.0]])
+
+
+def test_distances_match_scipy_cdist_bit_for_bit():
+    from scipy.spatial.distance import cdist
+
+    from confband.regressors.knn import _euclidean
+
+    rng = np.random.default_rng(11)
+    for p in range(1, 17):
+        scale = 10.0 ** rng.uniform(-3, 3, size=p)
+        A = rng.normal(size=(23, p)) * scale
+        B = rng.normal(size=(31, p)) * scale
+        assert _euclidean(A, B).tobytes() == cdist(A, B).tobytes()

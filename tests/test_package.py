@@ -16,7 +16,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
     code = (
         "import sys, confband; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
+        "if m in sys.modules))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
