@@ -28,8 +28,15 @@ The calibrators differ only in the plug-in reader and the quantiles taken:
   ends outward (or inward, the score may be negative) by one constant
 - cqr-asym: the same pair, one quantile of ``below`` and one of ``above``:
   independent corrections for the two tails
+
+Calibrating reads the plug-in on the calibration rows and then scores the
+values read (``conformal_correction``, which reads no model); a band applies
+its correction to plug-in values (``ConformalBand.apply``). A caller that
+already holds the plug-in values, such as the experiment harness, which
+reads each fitted model once per row set, uses the two pure steps directly.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -48,6 +55,9 @@ from .regressors.base import (
 __all__ = [
     "DataSplit",
     "ConformalBand",
+    "scaled_values",
+    "check_gamma",
+    "conformal_correction",
     "split_conformal_calibrate",
     "local_conformal_calibrate",
     "cqr_calibrate",
@@ -107,9 +117,8 @@ class ConformalBand:
     plugin: Callable
     correction: float | tuple[float, float]
 
-    def predict_interval(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Interval endpoints (lo, hi) for each row of X."""
-        lo, hi, scale = self.plugin(as_matrix(X))
+    def apply(self, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+        """The band around given plug-in values; the inputs are not modified."""
         c = self.correction
         c_lo, c_hi = c if isinstance(c, tuple) else (c, c)
         lo = lo - c_lo * scale
@@ -123,6 +132,18 @@ class ConformalBand:
             hi[crossed] = mid
         return lo, hi
 
+    def predict_interval(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Interval endpoints (lo, hi) for each row of X: read the plug-in, then apply."""
+        return self.apply(*self.plugin(as_matrix(X)))
+
+
+def scaled_values(center, dispersion, gamma: float):
+    """Plug-in values around point predictions, scaled by dispersion + gamma."""
+    scale = dispersion + gamma
+    if np.any(scale <= 0.0):
+        raise ValueError("zero scale; set gamma > 0")
+    return center, center, scale
+
 
 def _point_plugin(mu: MeanRegressor, X):
     center = mu.predict(X)
@@ -130,11 +151,7 @@ def _point_plugin(mu: MeanRegressor, X):
 
 
 def _scaled_plugin(mu: MeanRegressor, sigma: DispersionRegressor, gamma: float, X):
-    center = mu.predict(X)
-    scale = sigma.predict(X) + gamma
-    if np.any(scale <= 0.0):
-        raise ValueError("zero scale; set gamma > 0")
-    return center, center, scale
+    return scaled_values(mu.predict(X), sigma.predict(X), gamma)
 
 
 def _pair_plugin(pair: QuantileRegressor, X):
@@ -148,30 +165,41 @@ def _pair_plugin(pair: QuantileRegressor, X):
     return q_lo, q_hi, 1.0
 
 
-def _calibrate(
-    plugin, X_cal, y_cal, alpha_lo: float, alpha_hi: float | None = None
-) -> ConformalBand:
-    """Score the calibration rows against the plug-in interval; freeze the correction.
+def check_gamma(gamma: float) -> None:
+    """Reject a scale offset that is negative or not finite."""
+    if not (gamma >= 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
 
-    With ``alpha_hi`` None, one inflated quantile of max(below, above) at
+
+def conformal_correction(
+    lo, hi, scale, y_cal, alpha_lo: float, alpha_hi: float | None = None
+) -> float | tuple[float, float]:
+    """Frozen correction from plug-in values on the calibration rows.
+
+    The scoring step of every calibrator: it reads no model. With
+    ``alpha_hi`` None, one inflated quantile of max(below, above) at
     ``alpha_lo`` serves both ends; otherwise each tail gets its own.
     """
     check_level(alpha_lo)
     if alpha_hi is not None:
         check_level(alpha_hi)
-    X_cal = as_matrix(X_cal)
-    y_cal = as_vector(y_cal, X_cal.shape[0])
-    lo, hi, scale = plugin(X_cal)
     below = (lo - y_cal) / scale
     above = (y_cal - hi) / scale
     if alpha_hi is None:
-        correction = SortedSample(np.maximum(below, above)).inflated_quantile(alpha_lo)
-    else:
-        correction = (
-            SortedSample(below).inflated_quantile(alpha_lo),
-            SortedSample(above).inflated_quantile(alpha_hi),
-        )
-    return ConformalBand(plugin, correction)
+        return SortedSample(np.maximum(below, above)).inflated_quantile(alpha_lo)
+    return (
+        SortedSample(below).inflated_quantile(alpha_lo),
+        SortedSample(above).inflated_quantile(alpha_hi),
+    )
+
+
+def _calibrate(
+    plugin, X_cal, y_cal, alpha_lo: float, alpha_hi: float | None = None
+) -> ConformalBand:
+    """Read the plug-in on the calibration rows, then score them."""
+    X_cal = as_matrix(X_cal)
+    y_cal = as_vector(y_cal, X_cal.shape[0])
+    return ConformalBand(plugin, conformal_correction(*plugin(X_cal), y_cal, alpha_lo, alpha_hi))
 
 
 def split_conformal_calibrate(mu: MeanRegressor, X_cal, y_cal, alpha: float) -> ConformalBand:
@@ -201,8 +229,7 @@ def local_conformal_calibrate(
     on the proper training rows. ``gamma`` regularizes small or zero
     dispersion estimates.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_gamma(gamma)
     return _calibrate(partial(_scaled_plugin, mu, sigma, gamma), X_cal, y_cal, alpha)
 
 

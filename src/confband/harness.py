@@ -3,8 +3,11 @@
 Each repetition draws a fresh test split, halves the remaining rows into
 proper-training and calibration sets, standardizes using proper-training
 statistics only, fits the requested engine, calibrates, and scores
-coverage and average interval length on the test rows. A repetition adds
-the rows of all its methods or, when any method fails, none. Summaries
+coverage and average interval length on the test rows. Each fitted model
+is read once per row set (proper-training, calibration, test), and every
+method scores from those shared reads: split and local share the mean
+reads, cqr and cqr-asym the quantile pair reads. A repetition adds the
+rows of all its methods or, when any method fails, none. Summaries
 average over repetitions. Interval lengths are reported in standardized
 response units unless configured otherwise.
 
@@ -29,15 +32,16 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .conformal import (
     ConformalBand,
-    cqr_asym_calibrate,
+    check_gamma,
+    conformal_correction,
     cqr_calibrate,
-    local_conformal_calibrate,
-    split_conformal_calibrate,
+    scaled_values,
 )
 from .datagen import (
     Dataset,
@@ -169,19 +173,6 @@ class CrossingFixPair(QuantileRegressor):
         return fix_crossing(*self.inner.predict_pair(X))
 
 
-class _CrossingCounter:
-    """A fitted pair's predictions, passed through with crossed points counted."""
-
-    def __init__(self, fitted: QuantileRegressor):
-        self.fitted = fitted
-        self.n_crossed = 0
-
-    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.fitted.predict_pair(X)
-        self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
-        return lo, hi
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Protocol settings for ``run_experiment``.
@@ -231,8 +222,7 @@ class ExperimentConfig:
         ):
             if not 0.0 < frac < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {frac}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.knn_k < 1:
@@ -363,12 +353,14 @@ def repetition_split(n: int, cfg: ExperimentConfig, rng) -> tuple[np.ndarray, np
 
 
 class _EngineBundle:
-    """Lazily fits one engine's models on one set of training rows.
+    """Lazily fits one engine's models on one set of training rows and reads them.
 
     Models are cached so methods sharing a fitted predictor (split and
     local share the point predictor; cqr and cqr-asym share the quantile
-    pair) do not refit. RNG draws happen at first use in a fixed order, so
-    results are reproducible for a fixed method list.
+    pair) do not refit. ``read`` reads a fitted model on a named row set
+    once and hands every later caller the same values. Fits and reads
+    happen at first use, so RNG draws happen in a fixed order and results
+    are reproducible for a fixed method list.
     """
 
     def __init__(
@@ -379,6 +371,7 @@ class _EngineBundle:
         rng,
         oracle: OracleQuantiles | None,
         params: StandardizationParams | None,
+        rows: dict[str, np.ndarray] | None = None,
     ):
         self.cfg = cfg
         self.engine = _ENGINES[cfg.engine]
@@ -387,10 +380,13 @@ class _EngineBundle:
         self.rng = rng
         self.oracle = oracle
         self.params = params
+        self.rows = {"X1": X1, **(rows or {})}
         self._mean = None
         self._dispersion = None
         self._pair: QuantileRegressor | None = None
+        self._reads: dict[tuple[str, str], object] = {}
         self.alpha_nominal: float | None = None
+        self.n_crossed = 0  # crossed points among the pair reads, before the fix
 
     def draw_seed(self) -> int:
         return int(self.rng.integers(2**63))
@@ -402,7 +398,7 @@ class _EngineBundle:
 
     def dispersion_model(self):
         if self._dispersion is None:
-            residuals = np.abs(self.y1 - self.mean_model().predict(self.X1))
+            residuals = np.abs(self.y1 - self.read("mean", "X1"))
             model = self.engine.dispersion(self, self.draw_seed)
             self._dispersion = model.fit(self.X1, residuals)
         return self._dispersion
@@ -427,45 +423,59 @@ class _EngineBundle:
             self._pair = self.engine.pair(self, self.draw_seed).fit(self.X1, self.y1, *levels)
         return self._pair
 
+    def read(self, role: str, at: str):
+        """The fitted "mean", "dispersion" or "pair" model on row set ``at``, read once.
 
-def _fit_and_calibrate(
-    method: str,
-    bundle: _EngineBundle,
-    X2: np.ndarray,
-    y2: np.ndarray,
-    cfg: ExperimentConfig,
-) -> tuple[ConformalBand, _CrossingCounter | None]:
-    """Fit (via the bundle) and calibrate one method; test rows never enter.
+        Crossed points of a pair read are counted, then repaired with
+        ``fix_crossing``.
+        """
+        key = (role, at)
+        if key not in self._reads:
+            X = self.rows[at]
+            if role == "pair":
+                lo, hi = self.quantile_model().predict_pair(X)
+                self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
+                self._reads[key] = fix_crossing(lo, hi)
+            else:
+                model = self.mean_model() if role == "mean" else self.dispersion_model()
+                self._reads[key] = model.predict(X)
+        return self._reads[key]
 
-    Returns the band and, for the pair methods, the crossing counter that
-    the band's crossing fix reads through: it covers this method's
-    calibration and every later prediction.
+    def fitted_models(self) -> dict:
+        """The models fitted so far, by role, with the pair's crossings repaired."""
+        models = {"mean": self._mean, "dispersion": self._dispersion}
+        if self._pair is not None:
+            models["pair"] = CrossingFixPair(self._pair)
+        return models
+
+
+def _plugin_values(method: str, read, gamma: float):
+    """A method's plug-in values ``(lo, hi, scale)`` on one set of rows.
+
+    ``read(role)`` is the output of that role's fitted model on those rows;
+    a pair comes with its crossings repaired.
     """
+    if method in _PAIR_METHODS:
+        lo, hi = read("pair")
+        return lo, hi, 1.0
+    center = read("mean")
     if method == "split":
-        return split_conformal_calibrate(bundle.mean_model(), X2, y2, cfg.alpha), None
-    if method == "local":
-        band = local_conformal_calibrate(
-            bundle.mean_model(),
-            bundle.dispersion_model(),
-            X2,
-            y2,
-            cfg.alpha,
-            cfg.gamma,
-        )
-        return band, None
-    counter = _CrossingCounter(bundle.quantile_model())
-    fixed = CrossingFixPair(counter)
-    if method == "cqr":
-        return cqr_calibrate(fixed, X2, y2, cfg.alpha), counter
-    if method == "cqr-asym":
-        half = cfg.alpha / 2.0
-        return cqr_asym_calibrate(fixed, X2, y2, half, half), counter
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        return center, center, 1.0
+    return scaled_values(center, read("dispersion"), gamma)
 
 
-def _evaluate(band: ConformalBand, X_test, y_test, length_scale: float):
+def _fitted_plugin(method: str, models: dict, gamma: float, X):
+    """A band's plug-in reader: the fitted models, read afresh on X."""
+
+    def read(role):
+        model = models[role]
+        return model.predict_pair(X) if role == "pair" else model.predict(X)
+
+    return _plugin_values(method, read, gamma)
+
+
+def _evaluate(lo, hi, y_test, length_scale: float):
     """(coverage, mean length, lower-tail miss rate, upper-tail miss rate)."""
-    lo, hi = band.predict_interval(X_test)
     n = y_test.size
     # an exact count over n rounds like np.mean of the boolean mask
     return (
@@ -485,9 +495,12 @@ def _run_repetition(
 ) -> tuple[list[RepetitionResult], list[ConformalBand], StandardizationParams]:
     """Split, standardize, fit, calibrate and score every method once.
 
-    Returns the per-method rows, the calibrated bands in the same order and
-    the repetition's standardization. A failure in any method raises, so a
-    repetition contributes all of its rows or none.
+    Every method scores from the bundle's shared reads: each fitted model
+    is read once on the calibration rows and once on the test rows, and
+    test rows never enter a fit or a correction. Returns the per-method
+    rows, the calibrated bands in the same order and the repetition's
+    standardization. A failure in any method raises, so a repetition
+    contributes all of its rows or none.
     """
     rng = np.random.default_rng(seed_seq)
     test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, rng)
@@ -496,11 +509,21 @@ def _run_repetition(
     X2, y2 = standardize_apply(params, dataset.X[i2], dataset.y[i2])
     Xt, yt = standardize_apply(params, dataset.X[test_idx], dataset.y[test_idx])
     length_scale = params.response_scale if cfg.report_original_units else 1.0
-    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params)
+    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params, {"X2": X2, "Xt": Xt})
+    half = cfg.alpha / 2.0
     rows, bands = [], []
     for method in cfg.methods:
-        band, counter = _fit_and_calibrate(method, bundle, X2, y2, cfg)
-        coverage, avg_len, miss_lo, miss_hi = _evaluate(band, Xt, yt, length_scale)
+        # cqr-asym scores each tail at alpha / 2; the others score both ends at once
+        levels = (half, half) if method == "cqr-asym" else (cfg.alpha, None)
+        cal = _plugin_values(method, lambda role: bundle.read(role, "X2"), cfg.gamma)
+        correction = conformal_correction(*cal, y2, *levels)
+        test = _plugin_values(method, lambda role: bundle.read(role, "Xt"), cfg.gamma)
+        band = ConformalBand(
+            partial(_fitted_plugin, method, bundle.fitted_models(), cfg.gamma), correction
+        )
+        lo, hi = band.apply(*test)
+        coverage, avg_len, miss_lo, miss_hi = _evaluate(lo, hi, yt, length_scale)
+        pair = method in _PAIR_METHODS
         rows.append(
             RepetitionResult(
                 method=method,
@@ -509,8 +532,8 @@ def _run_repetition(
                 avg_length=avg_len,
                 tail_lo_miss=miss_lo,
                 tail_hi_miss=miss_hi,
-                n_crossings_fixed=counter.n_crossed if counter is not None else 0,
-                alpha_nominal=bundle.alpha_nominal if counter is not None else None,
+                n_crossings_fixed=bundle.n_crossed if pair else 0,
+                alpha_nominal=bundle.alpha_nominal if pair else None,
             )
         )
         bands.append(band)
@@ -641,7 +664,7 @@ def tune_quantile_levels(
             pair = CrossingFixPair(make_pair())
             pair.fit(X1[fit_idx], y1[fit_idx], *levels)
             band = cqr_calibrate(pair, X1[cal_idx], y1[cal_idx], alpha)
-            total += _evaluate(band, X1[val_idx], y1[val_idx], 1.0)[1]
+            total += _evaluate(*band.predict_interval(X1[val_idx]), y1[val_idx], 1.0)[1]
         key = (total / cv_folds, abs(nominal - alpha), nominal)
         if best is None or key < best:
             best = key
@@ -727,7 +750,8 @@ def coverage_audit(
     for t in range(n_trials):
         ds, _ = generate(replace(base, seed=int(rng.integers(2**63))))
         band = cqr_calibrate(fixed, ds.X[:n_calibration], ds.y[:n_calibration], alpha)
-        per_trial[t] = _evaluate(band, ds.X[n_calibration:], ds.y[n_calibration:], 1.0)[0]
+        lo, hi = band.predict_interval(ds.X[n_calibration:])
+        per_trial[t] = _evaluate(lo, hi, ds.y[n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0

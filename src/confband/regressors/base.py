@@ -12,6 +12,7 @@ predictors are immutable: predictions are deterministic functions of the
 fitted state.
 """
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -101,8 +102,8 @@ class ConstantDispersion(DispersionRegressor):
     """
 
     def __init__(self, value: float = 1.0):
-        if value < 0:
-            raise ValueError(f"dispersion must be >= 0, got {value}")
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"dispersion must be >= 0 and finite, got {value}")
         self.value = float(value)
 
     def fit(self, X, residuals) -> "ConstantDispersion":

@@ -70,10 +70,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf_size < 1:
-            raise ValueError(f"min_leaf_size must be >= 1, got {self.min_leaf_size}")
+        for name in ("n_trees", "min_leaf_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class _Tree:
@@ -368,6 +370,8 @@ class _Forest:
         X = as_matrix(X)
         y = as_vector(y, X.shape[0])
         n = X.shape[0]
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns")
         if n < 2 * config.min_leaf_size:
             raise ValueError(
                 f"need at least {2 * config.min_leaf_size} rows to grow leaves of "

@@ -95,13 +95,22 @@ def test_run_reports_bad_engine_settings_and_all_failed_runs_as_errors(capsys, m
     def failing_calibrate(*args):
         raise ValueError("calibration failed")
 
-    monkeypatch.setattr(harness, "cqr_calibrate", failing_calibrate)
+    monkeypatch.setattr(harness, "conformal_correction", failing_calibrate)
     code, out, err = _run(capsys, [
         "run", "--synthetic", "heteroscedastic", "--n", "60", "--method", "cqr",
         "--engine", "oracle", "--reps", "2",
     ])
     assert code == 2 and out == ""
     assert err.startswith("error: every repetition failed; first error: calibration failed")
+
+
+def test_a_non_finite_gamma_is_named_in_the_error(capsys):
+    code, out, err = _run(capsys, [
+        "run", "--synthetic", "heteroscedastic", "--n", "200", "--method", "local",
+        "--engine", "oracle", "--reps", "2", "--gamma", "nan",
+    ])
+    assert code == 2 and out == ""
+    assert err == "error: gamma must be >= 0 and finite, got nan\n"
 
 
 def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch):

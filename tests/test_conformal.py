@@ -223,6 +223,65 @@ def test_negative_gamma_is_rejected():
         )
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_non_finite_gamma_is_rejected(gamma):
+    with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+        local_conformal_calibrate(
+            _ZERO_MEAN, ConstantDispersion(1.0), np.zeros((5, 1)), np.ones(5),
+            0.1, gamma=gamma,
+        )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_constant_dispersion_rejects_negative_and_non_finite_values(value):
+    with pytest.raises(ValueError, match="dispersion must be >= 0 and finite"):
+        ConstantDispersion(value)
+
+
+def _bands_of_all_four_calibrators():
+    """(band, query rows) for each calibrator, including an infinite band and a
+    band whose negative correction crosses its ends, which are collapsed."""
+    rng = np.random.default_rng(21)
+    X_cal = rng.uniform(-2.0, 2.0, size=(40, 1))
+    y_cal = X_cal[:, 0] + rng.normal(size=40)
+    mu = _FunctionMean(lambda X: 0.9 * X[:, 0])
+    sigma = _FunctionDispersion(lambda X: np.abs(X[:, 0]))
+    pair = _FunctionPair(lambda X: X[:, 0] - 1.0, lambda X: X[:, 0] + 1.5)
+    X_new = rng.uniform(-3.0, 3.0, size=(25, 1))
+    # per-tail levels past 1/2 give corrections below -1 each, which pull
+    # the ends of the width-2 plug-in band past each other
+    crossed = cqr_asym_calibrate(
+        _constant_pair(-1.0, 1.0), np.zeros((20, 1)), np.linspace(-0.5, 0.5, 20), 0.8, 0.8
+    )
+    return [
+        (split_conformal_calibrate(mu, X_cal, y_cal, 0.1), X_new),
+        (local_conformal_calibrate(mu, sigma, X_cal, y_cal, 0.1, gamma=0.5), X_new),
+        (cqr_calibrate(pair, X_cal, y_cal, 0.1), X_new),
+        (cqr_asym_calibrate(pair, X_cal, y_cal, 0.05, 0.05), X_new),
+        # 5 calibration rows cannot certify 90% coverage
+        (split_conformal_calibrate(mu, X_cal[:5], y_cal[:5], 0.1), X_new),
+        (crossed, np.zeros((3, 1))),
+    ]
+
+
+def test_predict_interval_is_apply_on_the_plugin_values():
+    bands = _bands_of_all_four_calibrators()
+    assert np.isinf(bands[4][0].correction)
+    for band, X in bands:
+        lo, hi = band.predict_interval(X)
+        values = band.plugin(X)
+        kept = [np.copy(v) for v in values]
+        lo_again, hi_again = band.apply(*values)
+        assert lo.tobytes() == lo_again.tobytes() and hi.tobytes() == hi_again.tobytes()
+        # apply leaves its inputs alone, so plug-in values can be shared
+        for before, after in zip(kept, values):
+            assert np.array_equal(before, after)
+    crossed = bands[5][0]
+    assert sum(crossed.correction) < -2.0
+    lo, hi = crossed.predict_interval(np.zeros((3, 1)))
+    assert np.array_equal(lo, hi)
+
+
 def test_crossing_quantile_pair_is_rejected():
     crossed = _constant_pair(1.0, -1.0)
     with pytest.raises(ValueError, match="quantile estimates cross"):

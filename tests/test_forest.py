@@ -405,6 +405,21 @@ def test_invalid_levels_and_config_are_rejected():
         ForestConfig(min_leaf_size=0)
 
 
+@pytest.mark.parametrize("field", ["n_trees", "min_leaf_size"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+def test_non_integer_config_counts_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ForestConfig(**{field: value})
+    assert getattr(ForestConfig(**{field: np.int64(3)}), field) == 3
+
+
+def test_features_with_no_columns_are_rejected_before_growth():
+    for model, levels in ((QuantileForestRegressor(ForestConfig(n_trees=2)), (0.1, 0.9)),
+                          (ForestMeanRegressor(ForestConfig(n_trees=2)), ())):
+        with pytest.raises(ValueError, match="X has no feature columns"):
+            model.fit(np.zeros((20, 0)), np.zeros(20), *levels)
+
+
 def test_predict_before_fit_raises():
     with pytest.raises(RuntimeError, match="fit"):
         QuantileForestRegressor().predict_pair(np.zeros((2, 1)))

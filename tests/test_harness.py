@@ -37,6 +37,7 @@ from confband.harness import (
     summarize,
     tune_quantile_levels,
 )
+from confband.regressors import ForestConfig, ForestMeanRegressor, QuantileForestRegressor
 
 
 class _ConstantPair:
@@ -102,6 +103,52 @@ def test_reports_count_crossings_at_calibration_and_test(monkeypatch):
     report = run_experiment(cfg, dataset)
     counts = {r.method: r.n_crossings_fixed for r in report.repetitions}
     assert counts == {"cqr": n_cal + n_test, "split": 0, "cqr-asym": n_cal + n_test}
+
+
+def _count_forest_reads(monkeypatch):
+    """Record every forest read as (readout, forest id, the rows it read)."""
+    reads = []
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def read(self, X):
+            reads.append((name, id(self), np.asarray(X).tobytes()))
+            return original(self, X)
+
+        monkeypatch.setattr(cls, name, read)
+
+    counted(QuantileForestRegressor, "predict_pair")
+    counted(ForestMeanRegressor, "predict")
+    return reads
+
+
+@pytest.mark.parametrize("methods", [METHODS, METHODS[::-1]])
+def test_each_fitted_model_is_read_once_per_row_set(monkeypatch, methods):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=200, seed=2))
+    cfg = ExperimentConfig(
+        methods=methods, engine="qrf", n_repetitions=1, seed=6,
+        forest=ForestConfig(n_trees=10, min_leaf_size=5),
+    )
+    seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, np.random.default_rng(seq))
+    params = standardize_fit(dataset.X[i1], dataset.y[i1])
+    X1, X2, Xt = (
+        standardize_apply(params, dataset.X[idx]).tobytes() for idx in (i1, i2, test_idx)
+    )
+
+    reads = _count_forest_reads(monkeypatch)
+    assert not run_experiment(cfg, dataset).failures
+    per_forest = {}
+    for readout, forest, rows in reads:
+        per_forest.setdefault((readout, forest), []).append(rows)
+    pair = [sorted(rows) for (readout, _), rows in per_forest.items() if readout == "predict_pair"]
+    means = [sorted(rows) for (readout, _), rows in per_forest.items() if readout == "predict"]
+    # the pair once on the calibration and test rows; the mean forest also
+    # once on the proper-training rows, for the dispersion fit's residuals;
+    # the dispersion forest (a mean forest on residuals) once on each
+    assert pair == [sorted([X2, Xt])]
+    assert sorted(means) == sorted([sorted([X1, X2, Xt]), sorted([X2, Xt])])
 
 
 def test_a_calibrated_band_is_safe_to_share_across_threads():
@@ -325,6 +372,9 @@ def test_config_validation_rejects_bad_settings():
         ExperimentConfig(calibration_fraction_of_train=0.0)
     with pytest.raises(ValueError, match="gamma"):
         ExperimentConfig(gamma=-1.0)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            ExperimentConfig(gamma=gamma)
     with pytest.raises(ValueError, match="cv_folds"):
         ExperimentConfig(cv_folds=1)
     with pytest.raises(ValueError, match="knn_k must be >= 1"):
@@ -349,22 +399,23 @@ def test_run_experiment_input_errors():
         run_experiment(oracle_cfg, dataset)
 
 
-def _failing_cqr_calibrate(fail_on_calls):
-    """A cqr calibrator that raises on the given (1-based) call numbers."""
+def _failing_correction(fail_on_calls):
+    """The harness's scoring step, raising on the given (1-based) call numbers."""
     calls = []
+    score = harness.conformal_correction
 
-    def calibrate(*args):
+    def correction(*args):
         calls.append(None)
         if len(calls) in fail_on_calls:
             raise ValueError(f"calibration {len(calls)} failed")
-        return cqr_calibrate(*args)
+        return score(*args)
 
-    return calibrate
+    return correction
 
 
 def test_every_repetition_failing_raises_with_the_first_error(monkeypatch):
     dataset, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=0))
-    monkeypatch.setattr(harness, "cqr_calibrate", _failing_cqr_calibrate({1, 2}))
+    monkeypatch.setattr(harness, "conformal_correction", _failing_correction({1, 2}))
     cfg = ExperimentConfig(methods=("cqr",), engine="oracle", n_repetitions=2)
     with pytest.raises(RuntimeError, match="every repetition failed; first error: calibration 1"):
         run_experiment(cfg, dataset, oracle)
@@ -374,10 +425,11 @@ def test_a_failed_repetition_adds_no_rows(monkeypatch):
     # the second method of the first repetition fails after the first
     # method has been scored; none of that repetition's rows may remain
     dataset, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=0))
-    monkeypatch.setattr(harness, "cqr_calibrate", _failing_cqr_calibrate({1}))
+    # scoring calls run one per method: split is call 1, cqr call 2
+    monkeypatch.setattr(harness, "conformal_correction", _failing_correction({2}))
     cfg = ExperimentConfig(methods=("split", "cqr"), engine="oracle", n_repetitions=3)
     report = run_experiment(cfg, dataset, oracle)
-    assert report.failures == ({"repetition": 0, "error": "calibration 1 failed"},)
+    assert report.failures == ({"repetition": 0, "error": "calibration 2 failed"},)
     assert [(r.repetition, r.method) for r in report.repetitions] == [
         (1, "split"), (1, "cqr"), (2, "split"), (2, "cqr"),
     ]
