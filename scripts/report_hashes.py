@@ -21,6 +21,10 @@ that it left every byte alone. The matrix covers:
   quantile tuning off/on (on only for sets with a pair method), plus
   reports in original units and with a non-default gamma;
 - ``audit``: the coverage audit with every pair engine;
+- ``calibrate``: ``predict_interval`` of the band each public calibrator
+  makes from fitted qrf and linear-q models on fixed rows, and of cqr and
+  cqr-asym on the linear-q pair tilted to cross on part of the rows,
+  wrapped in ``CrossingFixPair``;
 - ``demo``: the demo-fig1 CSV and its stdout for every synthetic kind;
 - ``cli``: ``confband run`` to stdout and to a CSV, and
   ``confband coverage-audit`` to stdout.
@@ -28,7 +32,7 @@ that it left every byte alone. The matrix covers:
 The hashes are not pinned anywhere: MLP and ridge bits depend on the BLAS
 build, so they hold between two checkouts on one machine, not across
 machines. That is why this script is not part of the test suite or CI.
-The 84 outputs take about 20 s per checkout on a 2-vCPU VM.
+The 94 outputs take about 20 s per checkout on a 2-vCPU VM.
 """
 
 import argparse
@@ -72,6 +76,74 @@ def _cli(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
     return code, buf.getvalue()
+
+
+class _TiltedPair:
+    """A fitted pair whose ends move toward each other by a share x / 5 of
+    the gap, x the first feature (in [0, 5] for synthetic data), so the
+    raw ends cross where x > 2.5."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict_pair(self, X):
+        lo, hi = self.inner.predict_pair(X)
+        tilt = (hi - lo) * X[:, 0] / 5.0
+        return lo + tilt, hi - tilt
+
+
+def calibrated_bands(dataset):
+    """Yield ``(name, sha256)`` for the public calibrators' bands on fixed rows."""
+    import numpy as np
+
+    from confband.conformal import (
+        cqr_asym_calibrate,
+        cqr_calibrate,
+        local_conformal_calibrate,
+        split_conformal_calibrate,
+    )
+    from confband.harness import CrossingFixPair
+    from confband.regressors import (
+        ForestConfig,
+        ForestMeanRegressor,
+        KnnDispersion,
+        LinearMedianRegressor,
+        LinearQuantilePair,
+        NonNegativeDispersion,
+        QuantileForestRegressor,
+    )
+
+    X, y = dataset.X, dataset.y
+    fit, cal, new = slice(0, 100), slice(100, 160), slice(160, 200)
+
+    def bands(pair):
+        yield "cqr", cqr_calibrate(pair, X[cal], y[cal], 0.1)
+        yield "cqr-asym", cqr_asym_calibrate(pair, X[cal], y[cal], 0.05, 0.08)
+
+    def digest(band) -> str:
+        lo, hi = band.predict_interval(X[new])
+        return _sha(repr(band.correction).encode() + lo.tobytes() + hi.tobytes())
+
+    forest = ForestConfig(n_trees=20, min_leaf_size=5, seed=1)
+    engines = (
+        ("qrf", ForestMeanRegressor(forest),
+         NonNegativeDispersion(ForestMeanRegressor(ForestConfig(n_trees=20, seed=2))),
+         QuantileForestRegressor(forest)),
+        ("linear-q", LinearMedianRegressor(200), KnnDispersion(11), LinearQuantilePair(200)),
+    )
+    for engine, mu, sigma, pair in engines:
+        mu.fit(X[fit], y[fit])
+        sigma.fit(X[fit], np.abs(y[fit] - mu.predict(X[fit])))
+        pair.fit(X[fit], y[fit], 0.05, 0.95)
+        split = split_conformal_calibrate(mu, X[cal], y[cal], 0.1)
+        yield f"calibrate/{engine}/split", digest(split)
+        local = local_conformal_calibrate(mu, sigma, X[cal], y[cal], 0.1, gamma=0.5)
+        yield f"calibrate/{engine}/local", digest(local)
+        for method, band in bands(pair):
+            yield f"calibrate/{engine}/{method}", digest(band)
+    linear_pair = engines[-1][3]
+    for method, band in bands(CrossingFixPair(_TiltedPair(linear_pair))):
+        yield f"calibrate/crossed/{method}", digest(band)
 
 
 def matrix():
@@ -121,6 +193,8 @@ def matrix():
             n_trials=4, n_calibration=49, n_test=50, n_train=200, engine=engine, seed=5
         )
         yield f"audit/{engine}", _sha(json.dumps(audit, sort_keys=True))
+
+    yield from calibrated_bands(dataset)
 
     with tempfile.TemporaryDirectory() as tmp:
         for kind in ("homoscedastic", "heteroscedastic", "heteroscedastic_outliers"):

@@ -29,14 +29,16 @@ The calibrators differ only in the plug-in reader and the quantiles taken:
 - cqr-asym: the same pair, one quantile of ``below`` and one of ``above``:
   independent corrections for the two tails
 
-Calibrating reads the plug-in on the calibration rows and then scores the
-values read (``conformal_correction``, which reads no model); a band applies
-its correction to plug-in values (``ConformalBand.apply``). A caller that
-already holds the plug-in values, such as the experiment harness, which
-reads each fitted model once per row set, uses the two pure steps directly.
+``plugin_values`` is that table, written once: it turns the outputs of a
+method's fitted models on some rows into ``(lo, hi, scale)``. Calibrating
+reads the plug-in on the calibration rows and scores the values read
+(``conformal_correction``); a band applies its correction to plug-in values
+(``apply_correction``). Neither step reads a model. The public calibrators
+read their fitted models afresh on every call; the experiment harness reads
+each fitted model once per row set and feeds ``plugin_values`` from those
+reads, then runs the same two pure steps.
 """
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -50,19 +52,26 @@ from .regressors.base import (
     QuantileRegressor,
     as_matrix,
     as_vector,
+    check_real,
 )
 
 __all__ = [
+    "METHODS",
+    "PAIR_METHODS",
     "DataSplit",
     "ConformalBand",
-    "scaled_values",
-    "check_gamma",
+    "plugin_values",
     "conformal_correction",
+    "apply_correction",
     "split_conformal_calibrate",
     "local_conformal_calibrate",
     "cqr_calibrate",
     "cqr_asym_calibrate",
 ]
+
+METHODS = ("split", "local", "cqr", "cqr-asym")
+# the methods whose plug-in is a fitted quantile pair
+PAIR_METHODS = ("cqr", "cqr-asym")
 
 
 @dataclass(frozen=True)
@@ -119,56 +128,47 @@ class ConformalBand:
 
     def apply(self, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
         """The band around given plug-in values; the inputs are not modified."""
-        c = self.correction
-        c_lo, c_hi = c if isinstance(c, tuple) else (c, c)
-        lo = lo - c_lo * scale
-        hi = hi + c_hi * scale
-        # a negative correction can push the ends past each other; collapse
-        # those intervals to their midpoint
-        crossed = lo > hi
-        if np.any(crossed):
-            mid = 0.5 * (lo[crossed] + hi[crossed])
-            lo[crossed] = mid
-            hi[crossed] = mid
-        return lo, hi
+        return apply_correction(self.correction, lo, hi, scale)
 
     def predict_interval(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Interval endpoints (lo, hi) for each row of X: read the plug-in, then apply."""
-        return self.apply(*self.plugin(as_matrix(X)))
+        return apply_correction(self.correction, *self.plugin(as_matrix(X)))
 
 
-def scaled_values(center, dispersion, gamma: float):
-    """Plug-in values around point predictions, scaled by dispersion + gamma."""
-    scale = dispersion + gamma
+def plugin_values(method: str, read, gamma: float | None):
+    """A method's plug-in values ``(lo, hi, scale)`` on one set of rows.
+
+    ``read(role)`` is the output on those rows of the method's fitted
+    "mean", "dispersion" or "pair" model, a pair being ``(q_lo, q_hi)``.
+    Only the local method reads ``gamma``.
+    """
+    if method in PAIR_METHODS:
+        lo, hi = read("pair")
+        return lo, hi, 1.0
+    center = read("mean")
+    if method == "split":
+        return center, center, 1.0
+    scale = read("dispersion") + gamma
     if np.any(scale <= 0.0):
         raise ValueError("zero scale; set gamma > 0")
     return center, center, scale
 
 
-def _point_plugin(mu: MeanRegressor, X):
-    center = mu.predict(X)
-    return center, center, 1.0
-
-
-def _scaled_plugin(mu: MeanRegressor, sigma: DispersionRegressor, gamma: float, X):
-    return scaled_values(mu.predict(X), sigma.predict(X), gamma)
-
-
-def _pair_plugin(pair: QuantileRegressor, X):
-    q_lo, q_hi = pair.predict_pair(X)
+def _read_fitted(models: dict, X, role: str):
+    """The fitted ``role`` model's output on X; a crossed raw pair is rejected."""
+    if role != "pair":
+        return models[role].predict(X)
+    q_lo, q_hi = models[role].predict_pair(X)
     q_lo = np.asarray(q_lo, dtype=float)
     q_hi = np.asarray(q_hi, dtype=float)
     if np.any(q_lo > q_hi):
-        raise ValueError(
-            "quantile estimates cross; wrap the regressor in a crossing fix"
-        )
-    return q_lo, q_hi, 1.0
+        raise ValueError("quantile estimates cross; wrap the regressor in a crossing fix")
+    return q_lo, q_hi
 
 
-def check_gamma(gamma: float) -> None:
-    """Reject a scale offset that is negative or not finite."""
-    if not (gamma >= 0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
+def _fitted_plugin(method: str, models: dict, gamma: float | None, X):
+    """A band's plug-in reader: the method's fitted models, read afresh on X."""
+    return plugin_values(method, partial(_read_fitted, models, X), gamma)
 
 
 def conformal_correction(
@@ -193,12 +193,31 @@ def conformal_correction(
     )
 
 
-def _calibrate(
-    plugin, X_cal, y_cal, alpha_lo: float, alpha_hi: float | None = None
-) -> ConformalBand:
-    """Read the plug-in on the calibration rows, then score them."""
+def apply_correction(correction, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The band a frozen correction makes around plug-in values.
+
+    The band step of every calibrator, the twin of ``conformal_correction``:
+    it reads no model and leaves its inputs alone, so plug-in values can be
+    shared between methods.
+    """
+    c_lo, c_hi = correction if isinstance(correction, tuple) else (correction, correction)
+    lo = lo - c_lo * scale
+    hi = hi + c_hi * scale
+    # a negative correction can push the ends past each other; collapse
+    # those intervals to their midpoint
+    crossed = lo > hi
+    if np.any(crossed):
+        mid = 0.5 * (lo[crossed] + hi[crossed])
+        lo[crossed] = mid
+        hi[crossed] = mid
+    return lo, hi
+
+
+def _calibrate(method, models: dict, X_cal, y_cal, alpha_lo, alpha_hi=None, gamma=None):
+    """Read the method's fitted models on the calibration rows, then score them."""
     X_cal = as_matrix(X_cal)
     y_cal = as_vector(y_cal, X_cal.shape[0])
+    plugin = partial(_fitted_plugin, method, models, gamma)
     return ConformalBand(plugin, conformal_correction(*plugin(X_cal), y_cal, alpha_lo, alpha_hi))
 
 
@@ -210,7 +229,7 @@ def split_conformal_calibrate(mu: MeanRegressor, X_cal, y_cal, alpha: float) -> 
     mu(x) +/- correction. A calibration set too small for the inflated
     level yields infinite intervals.
     """
-    return _calibrate(partial(_point_plugin, mu), X_cal, y_cal, alpha)
+    return _calibrate("split", {"mean": mu}, X_cal, y_cal, alpha)
 
 
 def local_conformal_calibrate(
@@ -229,8 +248,9 @@ def local_conformal_calibrate(
     on the proper training rows. ``gamma`` regularizes small or zero
     dispersion estimates.
     """
-    check_gamma(gamma)
-    return _calibrate(partial(_scaled_plugin, mu, sigma, gamma), X_cal, y_cal, alpha)
+    check_real("gamma", gamma)
+    models = {"mean": mu, "dispersion": sigma}
+    return _calibrate("local", models, X_cal, y_cal, alpha, gamma=gamma)
 
 
 def cqr_calibrate(q: QuantileRegressor, X_cal, y_cal, alpha: float) -> ConformalBand:
@@ -241,7 +261,7 @@ def cqr_calibrate(q: QuantileRegressor, X_cal, y_cal, alpha: float) -> Conformal
     plug-in interval. One inflated quantile of the scores shifts both
     endpoints outward; a negative correction tightens the band instead.
     """
-    return _calibrate(partial(_pair_plugin, q), X_cal, y_cal, alpha)
+    return _calibrate("cqr", {"pair": q}, X_cal, y_cal, alpha)
 
 
 def cqr_asym_calibrate(
@@ -253,4 +273,4 @@ def cqr_asym_calibrate(
     (1 - alpha_lo); the upper tail uses y_i - q_hi(x_i) at inflated level
     (1 - alpha_hi). Joint miscoverage is at most alpha_lo + alpha_hi.
     """
-    return _calibrate(partial(_pair_plugin, q), X_cal, y_cal, alpha_lo, alpha_hi)
+    return _calibrate("cqr-asym", {"pair": q}, X_cal, y_cal, alpha_lo, alpha_hi)

@@ -29,6 +29,8 @@ from .regressors.base import (
     QuantileRegressor,
     as_matrix,
     as_vector,
+    check_count,
+    check_real,
 )
 
 __all__ = [
@@ -93,16 +95,13 @@ class SyntheticSpec:
             raise ValueError(
                 f"kind must be one of {SYNTHETIC_KINDS}, got {self.kind!r}"
             )
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.noise_scale <= 0:
-            raise ValueError(f"noise_scale must be > 0, got {self.noise_scale}")
+        check_count("n", self.n)
+        check_real("noise_scale", self.noise_scale, positive=True)
         if not 0.0 <= self.outlier_prob < 1.0:
             raise ValueError(
                 f"outlier_prob must be in [0, 1), got {self.outlier_prob}"
             )
-        if self.outlier_scale <= 0:
-            raise ValueError(f"outlier_scale must be > 0, got {self.outlier_scale}")
+        check_real("outlier_scale", self.outlier_scale, positive=True)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ statistics only, fits the requested engine, calibrates, and scores
 coverage and average interval length on the test rows. Each fitted model
 is read once per row set (proper-training, calibration, test), and every
 method scores from those shared reads: split and local share the mean
-reads, cqr and cqr-asym the quantile pair reads. A repetition adds the
+reads, cqr and cqr-asym the quantile pair reads. The conformal module's
+``plugin_values`` turns the reads into a method's plug-in values, and its
+two pure steps do the rest: ``conformal_correction`` on the calibration
+rows, ``apply_correction`` on the test rows. A repetition adds the
 rows of all its methods or, when any method fails, none. Summaries
 average over repetitions. Interval lengths are reported in standardized
 response units unless configured otherwise.
@@ -37,11 +40,12 @@ from functools import partial
 import numpy as np
 
 from .conformal import (
-    ConformalBand,
-    check_gamma,
+    METHODS,
+    PAIR_METHODS,
+    apply_correction,
     conformal_correction,
     cqr_calibrate,
-    scaled_values,
+    plugin_values,
 )
 from .datagen import (
     Dataset,
@@ -71,6 +75,7 @@ from .regressors import (
     RidgeRegressor,
     cross_validate_l2,
 )
+from .regressors.base import check_count, check_real
 
 __all__ = [
     "METHODS",
@@ -92,8 +97,6 @@ __all__ = [
     "emit_report",
 ]
 
-METHODS = ("split", "local", "cqr", "cqr-asym")
-_PAIR_METHODS = ("cqr", "cqr-asym")
 QUANTILE_TUNING_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
 
 
@@ -209,26 +212,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         if _ENGINES[self.engine].pair is None:
             for m in self.methods:
-                if m in _PAIR_METHODS:
+                if m in PAIR_METHODS:
                     raise ValueError(
                         f"engine {self.engine!r} cannot produce quantile pairs for "
                         f"method {m!r}; use one of {PAIR_ENGINES}"
                     )
-        if self.n_repetitions < 1:
-            raise ValueError(f"n_repetitions must be >= 1, got {self.n_repetitions}")
+        check_count("n_repetitions", self.n_repetitions)
         for name, frac in (
             ("test_fraction", self.test_fraction),
             ("calibration_fraction_of_train", self.calibration_fraction_of_train),
         ):
             if not 0.0 < frac < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {frac}")
-        check_gamma(self.gamma)
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.linear_epochs < 1:
-            raise ValueError(f"linear_epochs must be >= 1, got {self.linear_epochs}")
+        check_real("gamma", self.gamma)
+        check_count("cv_folds", self.cv_folds, minimum=2)
+        check_count("knn_k", self.knn_k)
+        check_count("linear_epochs", self.linear_epochs)
 
 
 @dataclass(frozen=True)
@@ -441,38 +440,6 @@ class _EngineBundle:
                 self._reads[key] = model.predict(X)
         return self._reads[key]
 
-    def fitted_models(self) -> dict:
-        """The models fitted so far, by role, with the pair's crossings repaired."""
-        models = {"mean": self._mean, "dispersion": self._dispersion}
-        if self._pair is not None:
-            models["pair"] = CrossingFixPair(self._pair)
-        return models
-
-
-def _plugin_values(method: str, read, gamma: float):
-    """A method's plug-in values ``(lo, hi, scale)`` on one set of rows.
-
-    ``read(role)`` is the output of that role's fitted model on those rows;
-    a pair comes with its crossings repaired.
-    """
-    if method in _PAIR_METHODS:
-        lo, hi = read("pair")
-        return lo, hi, 1.0
-    center = read("mean")
-    if method == "split":
-        return center, center, 1.0
-    return scaled_values(center, read("dispersion"), gamma)
-
-
-def _fitted_plugin(method: str, models: dict, gamma: float, X):
-    """A band's plug-in reader: the fitted models, read afresh on X."""
-
-    def read(role):
-        model = models[role]
-        return model.predict_pair(X) if role == "pair" else model.predict(X)
-
-    return _plugin_values(method, read, gamma)
-
 
 def _evaluate(lo, hi, y_test, length_scale: float):
     """(coverage, mean length, lower-tail miss rate, upper-tail miss rate)."""
@@ -492,15 +459,16 @@ def _run_repetition(
     oracle: OracleQuantiles | None,
     rep: int,
     seed_seq: np.random.SeedSequence,
-) -> tuple[list[RepetitionResult], list[ConformalBand], StandardizationParams]:
+) -> tuple[list[RepetitionResult], list, _EngineBundle]:
     """Split, standardize, fit, calibrate and score every method once.
 
     Every method scores from the bundle's shared reads: each fitted model
     is read once on the calibration rows and once on the test rows, and
     test rows never enter a fit or a correction. Returns the per-method
-    rows, the calibrated bands in the same order and the repetition's
-    standardization. A failure in any method raises, so a repetition
-    contributes all of its rows or none.
+    rows, each method's correction in the same order and the bundle, which
+    holds the fitted models and the repetition's standardization. A failure
+    in any method raises, so a repetition contributes all of its rows or
+    none.
     """
     rng = np.random.default_rng(seed_seq)
     test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, rng)
@@ -511,19 +479,16 @@ def _run_repetition(
     length_scale = params.response_scale if cfg.report_original_units else 1.0
     bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params, {"X2": X2, "Xt": Xt})
     half = cfg.alpha / 2.0
-    rows, bands = [], []
+    rows, corrections = [], []
     for method in cfg.methods:
         # cqr-asym scores each tail at alpha / 2; the others score both ends at once
         levels = (half, half) if method == "cqr-asym" else (cfg.alpha, None)
-        cal = _plugin_values(method, lambda role: bundle.read(role, "X2"), cfg.gamma)
+        cal = plugin_values(method, partial(bundle.read, at="X2"), cfg.gamma)
         correction = conformal_correction(*cal, y2, *levels)
-        test = _plugin_values(method, lambda role: bundle.read(role, "Xt"), cfg.gamma)
-        band = ConformalBand(
-            partial(_fitted_plugin, method, bundle.fitted_models(), cfg.gamma), correction
-        )
-        lo, hi = band.apply(*test)
+        test = plugin_values(method, partial(bundle.read, at="Xt"), cfg.gamma)
+        lo, hi = apply_correction(correction, *test)
         coverage, avg_len, miss_lo, miss_hi = _evaluate(lo, hi, yt, length_scale)
-        pair = method in _PAIR_METHODS
+        pair = method in PAIR_METHODS
         rows.append(
             RepetitionResult(
                 method=method,
@@ -536,8 +501,8 @@ def _run_repetition(
                 alpha_nominal=bundle.alpha_nominal if pair else None,
             )
         )
-        bands.append(band)
-    return rows, bands, params
+        corrections.append(correction)
+    return rows, corrections, bundle
 
 
 def run_experiment(
@@ -642,6 +607,7 @@ def tune_quantile_levels(
     if not grid:
         raise ValueError("tuning grid must be non-empty")
     check_level(alpha)
+    check_count("cv_folds", cv_folds, minimum=2)
     X1 = np.asarray(X1, dtype=float)
     y1 = np.asarray(y1, dtype=float)
     n = X1.shape[0]
@@ -698,13 +664,16 @@ def band_comparison_demo(
     )
     dataset, oracle = generate(SyntheticSpec(kind=kind, n=n, seed=seed))
     seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    rows, bands, params = _run_repetition(cfg, dataset, oracle, 0, seq)
+    rows, corrections, bundle = _run_repetition(cfg, dataset, oracle, 0, seq)
 
+    # the grid is one more row set, so each fitted model is read on it once
+    params = bundle.params
     grid_raw = np.linspace(0.0, 5.0, grid_size)[:, None]
-    grid_std = standardize_apply(params, grid_raw)
+    bundle.rows["grid"] = standardize_apply(params, grid_raw)
     bounds: dict[str, np.ndarray] = {"x": grid_raw[:, 0]}
-    for method, band in zip(cfg.methods, bands):
-        lo, hi = band.predict_interval(grid_std)
+    for method, correction in zip(cfg.methods, corrections):
+        grid = plugin_values(method, partial(bundle.read, at="grid"), cfg.gamma)
+        lo, hi = apply_correction(correction, *grid)
         bounds[f"{method}_lo"] = lo * params.response_scale
         bounds[f"{method}_hi"] = hi * params.response_scale
     return summarize(rows, cfg.methods), bounds
@@ -728,10 +697,10 @@ def coverage_audit(
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
     """
     for name, count in (
-        ("n_trials", n_trials), ("n_calibration", n_calibration), ("n_test", n_test)
+        ("n_trials", n_trials), ("n_calibration", n_calibration), ("n_test", n_test),
+        ("n_train", n_train),
     ):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+        check_count(name, count)
     if engine not in PAIR_ENGINES:
         raise ValueError(
             f"engine {engine!r} cannot produce quantile pairs; use one of {PAIR_ENGINES}"

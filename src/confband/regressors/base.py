@@ -25,6 +25,8 @@ __all__ = [
     "NonNegativeDispersion",
     "as_matrix",
     "as_vector",
+    "check_count",
+    "check_real",
 ]
 
 
@@ -55,6 +57,22 @@ def as_vector(y, n_rows: int | None = None) -> np.ndarray:
     if n_rows is not None and y.size != n_rows:
         raise ValueError(f"response has {y.size} rows, features have {n_rows}")
     return y
+
+
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """Reject a count that is not an integer (a bool is not one) or is below ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value, positive: bool = False) -> float:
+    """Reject a real that is not finite, or is negative (zero too when ``positive``)."""
+    if not ((value > 0 if positive else value >= 0) and math.isfinite(value)):
+        raise ValueError(f"{name} must be {'>' if positive else '>='} 0 and finite, got {value}")
+    return float(value)
 
 
 class MeanRegressor(ABC):
@@ -102,9 +120,7 @@ class ConstantDispersion(DispersionRegressor):
     """
 
     def __init__(self, value: float = 1.0):
-        if not (value >= 0 and math.isfinite(value)):
-            raise ValueError(f"dispersion must be >= 0 and finite, got {value}")
-        self.value = float(value)
+        self.value = check_real("dispersion", value)
 
     def fit(self, X, residuals) -> "ConstantDispersion":
         return self

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..quantiles import check_level
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector
+from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count
 
 __all__ = [
     "ForestConfig",
@@ -71,11 +71,7 @@ class ForestConfig:
 
     def __post_init__(self):
         for name in ("n_trees", "min_leaf_size"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            check_count(name, getattr(self, name))
 
 
 class _Tree:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import DispersionRegressor, as_matrix, as_vector
+from .base import DispersionRegressor, as_matrix, as_vector, check_count
 
 __all__ = ["KnnDispersion"]
 
@@ -32,9 +32,7 @@ class KnnDispersion(DispersionRegressor):
     """
 
     def __init__(self, k: int = 11):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = check_count("k", k)
         self._X: np.ndarray | None = None
         self._r: np.ndarray | None = None
 

@@ -11,7 +11,7 @@ predictions are returned in original units.
 import numpy as np
 
 from ..losses import PinballLoss
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector
+from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
 
 __all__ = ["LinearPinballModel", "LinearQuantilePair", "LinearMedianRegressor"]
 
@@ -21,12 +21,8 @@ class LinearPinballModel:
 
     def __init__(self, alpha: float, epochs: int = 2000, learning_rate: float = 0.5):
         self.pinball = PinballLoss(alpha)
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
+        self.epochs = check_count("epochs", epochs)
+        self.learning_rate = check_real("learning_rate", learning_rate, positive=True)
         self.coef_: np.ndarray | None = None
         self.intercept_: float | None = None
         self._y_scale: float = 1.0
@@ -67,8 +63,8 @@ class LinearQuantilePair(QuantileRegressor):
     """Lower/upper conditional quantile curves, one linear model per level."""
 
     def __init__(self, epochs: int = 2000, learning_rate: float = 0.5):
-        self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
+        self.epochs = check_count("epochs", epochs)
+        self.learning_rate = check_real("learning_rate", learning_rate, positive=True)
         self._lo: LinearPinballModel | None = None
         self._hi: LinearPinballModel | None = None
 

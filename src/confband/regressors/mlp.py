@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..losses import PinballLoss
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector
+from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
 
 __all__ = [
     "MlpConfig",
@@ -71,24 +71,14 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_width < 1:
-            raise ValueError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.n_hidden_layers < 1:
-            raise ValueError(
-                f"n_hidden_layers must be >= 1, got {self.n_hidden_layers}"
-            )
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("hidden_width", "n_hidden_layers", "batch_size", "max_epochs"):
+            check_count(name, getattr(self, name))
+        check_real("learning_rate", self.learning_rate, positive=True)
+        check_real("weight_decay", self.weight_decay)
         if not 0.0 < self.dropout_keep_prob <= 1.0:
             raise ValueError(
                 f"dropout_keep_prob must be in (0, 1], got {self.dropout_keep_prob}"
             )
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 class _SquaredErrorHead:
@@ -293,7 +283,7 @@ class MlpMeanRegressor(MeanRegressor):
 
     def __init__(self, config: MlpConfig = MlpConfig(), cv_folds: int = 5):
         self.config = config
-        self.cv_folds = int(cv_folds)
+        self.cv_folds = check_count("cv_folds", cv_folds, minimum=0)
         self._net: MlpNetwork | None = None
 
     def fit(self, X, y) -> "MlpMeanRegressor":
@@ -315,7 +305,7 @@ class MlpQuantilePair(QuantileRegressor):
 
     def __init__(self, config: MlpConfig = MlpConfig(), cv_folds: int = 5):
         self.config = config
-        self.cv_folds = int(cv_folds)
+        self.cv_folds = check_count("cv_folds", cv_folds, minimum=0)
         self._net: MlpNetwork | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "MlpQuantilePair":

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import MeanRegressor, as_matrix, as_vector
+from .base import MeanRegressor, as_matrix, as_vector, check_count, check_real
 
 __all__ = ["RidgeRegressor", "cross_validate_l2", "DEFAULT_L2_GRID"]
 
@@ -24,10 +24,7 @@ class RidgeRegressor(MeanRegressor):
     """
 
     def __init__(self, l2_weight: float = 0.0):
-        l2_weight = float(l2_weight)
-        if l2_weight < 0:
-            raise ValueError(f"l2_weight must be >= 0, got {l2_weight}")
-        self.l2_weight = l2_weight
+        self.l2_weight = check_real("l2_weight", float(l2_weight))
         self.coef_: np.ndarray | None = None
         self.intercept_: float | None = None
 
@@ -75,6 +72,7 @@ def cross_validate_l2(
 
     Folds are a seeded shuffle of the rows; ties go to the smaller penalty.
     """
+    check_count("n_folds", n_folds, minimum=2)
     X = as_matrix(X)
     y = as_vector(y, X.shape[0])
     n = X.shape[0]

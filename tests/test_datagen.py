@@ -215,6 +215,24 @@ def test_invalid_spec_fields_are_rejected():
         SyntheticSpec(outlier_scale=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 2.5, "n must be an integer"),
+        ("n", "100", "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        *[
+            (field, value, f"{field} must be > 0 and finite")
+            for field in ("noise_scale", "outlier_scale")
+            for value in (float("nan"), float("inf"))
+        ],
+    ],
+)
+def test_non_integer_sizes_and_non_finite_scales_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**{field: value})
+
+
 def test_dataset_validates_feature_name_count():
     with pytest.raises(ValueError, match="feature names"):
         Dataset(X=np.zeros((3, 2)), y=np.zeros(3), feature_names=("a",))

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from confband import harness
-from confband.conformal import cqr_calibrate
+from confband.conformal import (
+    apply_correction,
+    cqr_asym_calibrate,
+    cqr_calibrate,
+    local_conformal_calibrate,
+    plugin_values,
+    split_conformal_calibrate,
+)
 from confband.datagen import (
     Dataset,
     SyntheticSpec,
@@ -149,6 +156,58 @@ def test_each_fitted_model_is_read_once_per_row_set(monkeypatch, methods):
     # the dispersion forest (a mean forest on residuals) once on each
     assert pair == [sorted([X2, Xt])]
     assert sorted(means) == sorted([sorted([X1, X2, Xt]), sorted([X2, Xt])])
+
+
+def test_the_demo_reads_each_fitted_model_once_on_its_grid(monkeypatch):
+    reads = _count_forest_reads(monkeypatch)
+    grid_size = 37  # no other row set of the demo has this many rows
+    band_comparison_demo(n=300, seed=1, n_trees=10, grid_size=grid_size)
+    on_grid = [(readout, forest) for readout, forest, rows in reads if len(rows) == grid_size * 8]
+    # split and local share the mean forest; local adds the dispersion
+    # forest and cqr the pair: three models, one read each
+    assert len(on_grid) == len(set(on_grid)) == 3
+    assert sorted(readout for readout, _ in on_grid) == ["predict", "predict", "predict_pair"]
+
+
+def _public_band(method, bundle, X2, y2, cfg):
+    """The band of ``method``'s public calibrator on the bundle's fitted models."""
+    half = cfg.alpha / 2.0
+    if method == "split":
+        return split_conformal_calibrate(bundle.mean_model(), X2, y2, cfg.alpha)
+    if method == "local":
+        return local_conformal_calibrate(
+            bundle.mean_model(), bundle.dispersion_model(), X2, y2, cfg.alpha, cfg.gamma
+        )
+    pair = CrossingFixPair(bundle.quantile_model())
+    if method == "cqr":
+        return cqr_calibrate(pair, X2, y2, cfg.alpha)
+    return cqr_asym_calibrate(pair, X2, y2, half, half)
+
+
+@pytest.mark.parametrize("engine", ["qrf", "linear-q"])
+@pytest.mark.parametrize("method", METHODS)
+def test_the_run_loop_band_is_the_public_calibrator_band(engine, method):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=200, seed=8))
+    cfg = ExperimentConfig(
+        methods=(method,), engine=engine, n_repetitions=1, seed=3, gamma=0.5,
+        forest=ForestConfig(n_trees=10, min_leaf_size=5), linear_epochs=100,
+    )
+    seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    (row,), (correction,), bundle = harness._run_repetition(cfg, dataset, None, 0, seq)
+    test_idx, _, i2 = repetition_split(dataset.n_rows, cfg, np.random.default_rng(seq))
+    X2, y2 = standardize_apply(bundle.params, dataset.X[i2], dataset.y[i2])
+    Xt, yt = standardize_apply(bundle.params, dataset.X[test_idx], dataset.y[test_idx])
+
+    band = _public_band(method, bundle, X2, y2, cfg)
+    assert band.correction == correction
+    lo, hi = band.predict_interval(Xt)
+    # the run loop's band on the test rows, from the bundle's shared reads
+    test = plugin_values(method, lambda role: bundle.read(role, "Xt"), cfg.gamma)
+    run_lo, run_hi = apply_correction(correction, *test)
+    assert lo.tobytes() == run_lo.tobytes() and hi.tobytes() == run_hi.tobytes()
+    assert (row.coverage, row.avg_length, row.tail_lo_miss, row.tail_hi_miss) == (
+        harness._evaluate(lo, hi, yt, 1.0)
+    )
 
 
 def test_a_calibrated_band_is_safe_to_share_across_threads():
@@ -329,6 +388,10 @@ def test_quantile_level_tuning_grid_and_ties():
         tune_quantile_levels(
             _ConstantPair, X1, y1, 0.1, 2, np.random.default_rng(0), grid=()
         )
+    # one fold leaves no rows to fit on, and zero folds nothing to average
+    for folds, message in ((0, "must be >= 2, got 0"), (2.5, "must be an integer")):
+        with pytest.raises(ValueError, match=f"cv_folds {message}"):
+            tune_quantile_levels(_ConstantPair, X1, y1, 0.1, folds, np.random.default_rng(0))
 
 
 def test_tuned_runs_record_the_nominal_level():
@@ -375,7 +438,7 @@ def test_config_validation_rejects_bad_settings():
     for gamma in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
             ExperimentConfig(gamma=gamma)
-    with pytest.raises(ValueError, match="cv_folds"):
+    with pytest.raises(ValueError, match="cv_folds must be >= 2, got 1"):
         ExperimentConfig(cv_folds=1)
     with pytest.raises(ValueError, match="knn_k must be >= 1"):
         ExperimentConfig(knn_k=0)
@@ -385,6 +448,21 @@ def test_config_validation_rejects_bad_settings():
     for method in ("cqr", "cqr-asym"):
         with pytest.raises(ValueError, match="cannot produce quantile pairs"):
             ExperimentConfig(methods=("split", method), engine="ridge")
+
+
+@pytest.mark.parametrize("field", ["n_repetitions", "cv_folds", "knn_k", "linear_epochs"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+def test_non_integer_config_counts_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{field: value})
+    assert getattr(ExperimentConfig(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("field", ["n_trials", "n_calibration", "n_test", "n_train"])
+def test_non_integer_audit_counts_are_rejected(field):
+    counts = dict(n_trials=1, n_calibration=9, n_test=10, n_train=50)
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+        coverage_audit(**{**counts, field: 2.5}, engine="oracle")
 
 
 def test_run_experiment_input_errors():

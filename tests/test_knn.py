@@ -69,6 +69,13 @@ def test_invalid_k_and_negative_residuals_are_rejected():
         KnnDispersion(k=2).fit([[0.0], [1.0]], [1.0, -0.5])
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
+def test_a_non_integer_k_is_rejected(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        KnnDispersion(k=k)
+    assert KnnDispersion(k=np.int64(2)).k == 2
+
+
 def test_predict_before_fit_is_an_error():
     with pytest.raises(RuntimeError):
         KnnDispersion(k=1).predict([[0.0]])

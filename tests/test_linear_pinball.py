@@ -103,6 +103,25 @@ def test_invalid_settings_are_rejected():
         LinearQuantilePair().fit(np.zeros((5, 1)), np.zeros(5), 0.9, 0.1)
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        (dict(epochs=2.5), "epochs must be an integer"),
+        (dict(epochs="10"), "epochs must be an integer"),
+        (dict(learning_rate=float("nan")), "learning_rate must be > 0 and finite"),
+        (dict(learning_rate=float("inf")), "learning_rate must be > 0 and finite"),
+    ],
+)
+def test_non_integer_epochs_and_non_finite_rates_are_rejected(setting, message):
+    for build in (
+        lambda: LinearPinballModel(0.5, **setting),
+        lambda: LinearQuantilePair(**setting),
+        lambda: LinearMedianRegressor(**setting),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_predict_before_fit_is_an_error():
     with pytest.raises(RuntimeError):
         LinearPinballModel(0.5).predict([[0.0]])

@@ -136,6 +136,32 @@ def test_invalid_config_fields_are_rejected():
         MlpConfig(max_epochs=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        *[
+            (field, value, f"{field} must be an integer")
+            for field in ("hidden_width", "n_hidden_layers", "batch_size", "max_epochs")
+            for value in (2.5, 3.0, "3", True)
+        ],
+        ("learning_rate", float("nan"), "learning_rate must be > 0 and finite"),
+        ("learning_rate", float("inf"), "learning_rate must be > 0 and finite"),
+        ("weight_decay", float("nan"), "weight_decay must be >= 0 and finite"),
+        ("weight_decay", float("inf"), "weight_decay must be >= 0 and finite"),
+    ],
+)
+def test_non_integer_counts_and_non_finite_rates_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        MlpConfig(**{field: value})
+
+
+@pytest.mark.parametrize("model", [MlpMeanRegressor, MlpQuantilePair])
+def test_a_non_integer_fold_count_is_rejected(model):
+    with pytest.raises(ValueError, match="cv_folds must be an integer, got 2.5"):
+        model(MlpConfig(), cv_folds=2.5)
+    assert model(MlpConfig(), cv_folds=0).cv_folds == 0  # no cross-validation
+
+
 def test_pinball_head_requires_ordered_levels():
     with pytest.raises(ValueError, match="alpha_lo must be below alpha_hi"):
         _PinballPairHead(0.9, 0.1)

@@ -86,6 +86,12 @@ def test_cross_validation_needs_enough_rows():
         cross_validate_l2(np.ones((3, 1)), np.ones(3), n_folds=5)
 
 
+@pytest.mark.parametrize("n_folds, message", [(1, "must be >= 2, got 1"), (2.5, "must be an integer")])
+def test_cross_validation_rejects_a_bad_fold_count(n_folds, message):
+    with pytest.raises(ValueError, match=f"n_folds {message}"):
+        cross_validate_l2(np.ones((10, 1)), np.ones(10), n_folds=n_folds)
+
+
 def test_fit_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         RidgeRegressor(0.0).fit([[1.0], [2.0]], [1.0, 2.0, 3.0])
@@ -103,3 +109,9 @@ def test_ridge_rejects_negative_l2_weight():
     assert RidgeRegressor(2.5).l2_weight == 2.5
     with pytest.raises(ValueError, match="l2_weight must be >= 0"):
         RidgeRegressor(-1.0)
+
+
+@pytest.mark.parametrize("l2_weight", [float("nan"), float("inf")])
+def test_ridge_rejects_a_non_finite_l2_weight(l2_weight):
+    with pytest.raises(ValueError, match="l2_weight must be >= 0 and finite"):
+        RidgeRegressor(l2_weight)
