@@ -25,6 +25,9 @@ that it left every byte alone. The matrix covers:
   makes from fitted qrf and linear-q models on fixed rows, and of cqr and
   cqr-asym on the linear-q pair tilted to cross on part of the rows,
   wrapped in ``CrossingFixPair``;
+- ``forest``: the mean, the quantile pair and three single-level quantiles
+  read from forests of 140 trees on 1000 rows, which grow in 3 batches,
+  with bootstrap on and off;
 - ``demo``: the demo-fig1 CSV and its stdout for every synthetic kind;
 - ``cli``: ``confband run`` to stdout and to a CSV, and
   ``confband coverage-audit`` to stdout.
@@ -32,7 +35,7 @@ that it left every byte alone. The matrix covers:
 The hashes are not pinned anywhere: MLP and ridge bits depend on the BLAS
 build, so they hold between two checkouts on one machine, not across
 machines. That is why this script is not part of the test suite or CI.
-The 94 outputs take about 20 s per checkout on a 2-vCPU VM.
+The 104 outputs take about 23 s per checkout on a 2-vCPU VM.
 """
 
 import argparse
@@ -146,6 +149,27 @@ def calibrated_bands(dataset):
         yield f"calibrate/crossed/{method}", digest(band)
 
 
+def multi_batch_forests():
+    """Yield ``(name, sha256)`` for the readouts of forests grown in several batches."""
+    import numpy as np
+
+    from confband.regressors import ForestConfig, ForestMeanRegressor, QuantileForestRegressor
+
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(1000, 2))
+    y = X[:, 0] + (0.5 + np.abs(X[:, 1])) * rng.normal(size=1000)
+    X_new = rng.normal(size=(200, 2))
+    for bootstrap in (True, False):
+        config = ForestConfig(n_trees=140, min_leaf_size=5, bootstrap=bootstrap, seed=3)
+        name = f"forest/bootstrap-{'on' if bootstrap else 'off'}"
+        yield f"{name}/mean", _sha(ForestMeanRegressor(config).fit(X, y).predict(X_new).tobytes())
+        pair = QuantileForestRegressor(config).fit(X, y, 0.05, 0.95)
+        lo, hi = pair.predict_pair(X_new)
+        yield f"{name}/pair", _sha(lo.tobytes() + hi.tobytes())
+        for level in (0.1, 0.5, 0.83):
+            yield f"{name}/quantile-{level}", _sha(pair.predict_quantile(X_new, level).tobytes())
+
+
 def matrix():
     """Yield ``(name, sha256)`` for every output of the checkout on the path."""
     from confband.datagen import SyntheticSpec, generate
@@ -195,6 +219,7 @@ def matrix():
         yield f"audit/{engine}", _sha(json.dumps(audit, sort_keys=True))
 
     yield from calibrated_bands(dataset)
+    yield from multi_batch_forests()
 
     with tempfile.TemporaryDirectory() as tmp:
         for kind in ("homoscedastic", "heteroscedastic", "heteroscedastic_outliers"):

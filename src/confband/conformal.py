@@ -135,26 +135,26 @@ class ConformalBand:
         return apply_correction(self.correction, *self.plugin(as_matrix(X)))
 
 
-def plugin_values(method: str, read, gamma: float | None):
+def plugin_values(method: str, read, rows, gamma: float | None):
     """A method's plug-in values ``(lo, hi, scale)`` on one set of rows.
 
-    ``read(role)`` is the output on those rows of the method's fitted
+    ``read(role, rows)`` is the output on ``rows`` of the method's fitted
     "mean", "dispersion" or "pair" model, a pair being ``(q_lo, q_hi)``.
     Only the local method reads ``gamma``.
     """
     if method in PAIR_METHODS:
-        lo, hi = read("pair")
+        lo, hi = read("pair", rows)
         return lo, hi, 1.0
-    center = read("mean")
+    center = read("mean", rows)
     if method == "split":
         return center, center, 1.0
-    scale = read("dispersion") + gamma
+    scale = read("dispersion", rows) + gamma
     if np.any(scale <= 0.0):
         raise ValueError("zero scale; set gamma > 0")
     return center, center, scale
 
 
-def _read_fitted(models: dict, X, role: str):
+def _read_fitted(models: dict, role: str, X):
     """The fitted ``role`` model's output on X; a crossed raw pair is rejected."""
     if role != "pair":
         return models[role].predict(X)
@@ -164,11 +164,6 @@ def _read_fitted(models: dict, X, role: str):
     if np.any(q_lo > q_hi):
         raise ValueError("quantile estimates cross; wrap the regressor in a crossing fix")
     return q_lo, q_hi
-
-
-def _fitted_plugin(method: str, models: dict, gamma: float | None, X):
-    """A band's plug-in reader: the method's fitted models, read afresh on X."""
-    return plugin_values(method, partial(_read_fitted, models, X), gamma)
 
 
 def conformal_correction(
@@ -217,7 +212,8 @@ def _calibrate(method, models: dict, X_cal, y_cal, alpha_lo, alpha_hi=None, gamm
     """Read the method's fitted models on the calibration rows, then score them."""
     X_cal = as_matrix(X_cal)
     y_cal = as_vector(y_cal, X_cal.shape[0])
-    plugin = partial(_fitted_plugin, method, models, gamma)
+    # a band reads the method's fitted models afresh on every X
+    plugin = partial(plugin_values, method, partial(_read_fitted, models), gamma=gamma)
     return ConformalBand(plugin, conformal_correction(*plugin(X_cal), y_cal, alpha_lo, alpha_hi))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .quantiles import check_level
+from .quantiles import check_level, check_level_pair
 from .regressors.base import (
     DispersionRegressor,
     MeanRegressor,
@@ -433,8 +433,7 @@ class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
     _levels: tuple[float, float] | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "OracleQuantileRegressor":
-        check_level(alpha_lo)
-        check_level(alpha_hi)
+        check_level_pair(alpha_lo, alpha_hi)
         self._levels = (alpha_lo, alpha_hi)
         return self
 

@@ -35,7 +35,6 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -98,6 +97,8 @@ __all__ = [
 ]
 
 QUANTILE_TUNING_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
+# the fewest dataset rows the split protocol runs on
+_MIN_SPLIT_ROWS = 40
 
 
 @dataclass(frozen=True)
@@ -483,9 +484,9 @@ def _run_repetition(
     for method in cfg.methods:
         # cqr-asym scores each tail at alpha / 2; the others score both ends at once
         levels = (half, half) if method == "cqr-asym" else (cfg.alpha, None)
-        cal = plugin_values(method, partial(bundle.read, at="X2"), cfg.gamma)
+        cal = plugin_values(method, bundle.read, "X2", cfg.gamma)
         correction = conformal_correction(*cal, y2, *levels)
-        test = plugin_values(method, partial(bundle.read, at="Xt"), cfg.gamma)
+        test = plugin_values(method, bundle.read, "Xt", cfg.gamma)
         lo, hi = apply_correction(correction, *test)
         coverage, avg_len, miss_lo, miss_hi = _evaluate(lo, hi, yt, length_scale)
         pair = method in PAIR_METHODS
@@ -517,8 +518,8 @@ def run_experiment(
     recorded in the report's ``failures`` list rather than silently skipped.
     """
     n = dataset.n_rows
-    if n < 40:
-        raise ValueError(f"need at least 40 rows for the split protocol, got {n}")
+    if n < _MIN_SPLIT_ROWS:
+        raise ValueError(f"need at least {_MIN_SPLIT_ROWS} rows for the split protocol, got {n}")
     if cfg.engine == "oracle" and oracle is None:
         raise ValueError("engine 'oracle' requires synthetic data")
 
@@ -653,6 +654,8 @@ def band_comparison_demo(
     adaptive, and quantile-pair methods, plus interval bounds over an
     evenly spaced feature grid in original response units (for plotting).
     """
+    check_count("n", n, minimum=_MIN_SPLIT_ROWS)
+    check_count("grid_size", grid_size)
     cfg = ExperimentConfig(
         methods=("split", "local", "cqr"),
         engine="qrf",
@@ -672,7 +675,7 @@ def band_comparison_demo(
     bundle.rows["grid"] = standardize_apply(params, grid_raw)
     bounds: dict[str, np.ndarray] = {"x": grid_raw[:, 0]}
     for method, correction in zip(cfg.methods, corrections):
-        grid = plugin_values(method, partial(bundle.read, at="grid"), cfg.gamma)
+        grid = plugin_values(method, bundle.read, "grid", cfg.gamma)
         lo, hi = apply_correction(correction, *grid)
         bounds[f"{method}_lo"] = lo * params.response_scale
         bounds[f"{method}_hi"] = hi * params.response_scale

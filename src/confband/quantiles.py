@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SortedSample", "check_level"]
+__all__ = ["SortedSample", "check_level", "check_level_pair"]
 
 # Levels are floats, so products like 0.9 * (n + 1) can land a hair above
 # or below an exact integer boundary. Indices snap to the boundary when
@@ -37,6 +37,14 @@ def check_level(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"level must be in the open interval (0, 1), got {alpha}")
     return alpha
+
+
+def check_level_pair(alpha_lo: float, alpha_hi: float) -> None:
+    """Validate the levels of a quantile pair: both valid, the lower below the upper."""
+    check_level(alpha_lo)
+    check_level(alpha_hi)
+    if not alpha_lo < alpha_hi:
+        raise ValueError(f"alpha_lo must be below alpha_hi, got ({alpha_lo}, {alpha_hi})")
 
 
 def _snap(x: float) -> float:

@@ -14,8 +14,10 @@ every frontier node of every tree in the batch, with cumulative sums over
 padded blocks of nodes, and then partitions the orders stably, so children
 stay sorted. The per-node sums are numpy's own sums of the same values in
 the same order, so every tree is bit for bit the tree a node-by-node grower
-would produce. Each tree's leaf weight table is built while its batch is
-grown, and a fitted forest is never written to again.
+would produce. A fitted forest is one flat node table per batch, holding
+the batch's trees with their leaf rows and leaf weight table, and is never
+written to after growth; a readout walks every tree from its root in its
+table, batch after batch.
 
 A query point x collects weight 1/n_trees from every tree, split uniformly
 over the rows in the leaf that x reaches. Quantiles are read off the
@@ -26,10 +28,11 @@ the same weighted CDF.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..quantiles import check_level
+from ..quantiles import check_level, check_level_pair
 from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count
 
 __all__ = [
@@ -74,44 +77,34 @@ class ForestConfig:
             check_count(name, getattr(self, name))
 
 
-class _Tree:
-    """Flat-array binary tree. ``feature[node] == -1`` marks a leaf.
+class _NodeTable(NamedTuple):
+    """One growth batch of trees as flat node arrays; tree t is rooted at node t.
 
+    ``feature[node] == -1`` marks a leaf. Node ids run level by level, so
+    the batch's ``n_trees`` roots come first, in tree order.
     ``leaf_rows[leaf_start[node]:leaf_start[node] + leaf_count[node]]`` are
-    the training-row indices (with bootstrap multiplicity) held by a leaf.
+    the training-row indices (with bootstrap multiplicity) that reached a
+    node; ``leaf_rows`` is every leaf's rows, leaf after leaf.
     ``weight_table`` is ``(start, count, rows, weights)``: for a leaf node,
     ``rows[start[node]:start[node] + count[node]]`` are its distinct training
     rows in ascending order and ``weights`` their multiplicity divided by
     the leaf size.
     """
 
-    __slots__ = (
-        "feature",
-        "threshold",
-        "left",
-        "right",
-        "leaf_start",
-        "leaf_count",
-        "leaf_rows",
-        "leaf_mean",
-        "weight_table",
-    )
+    n_trees: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_start: np.ndarray
+    leaf_count: np.ndarray
+    leaf_rows: np.ndarray
+    leaf_mean: np.ndarray
+    weight_table: tuple
 
-    def __init__(self, feature, threshold, left, right, leaf_start, leaf_count,
-                 leaf_rows, leaf_mean, weight_table):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.leaf_start = leaf_start
-        self.leaf_count = leaf_count
-        self.leaf_rows = leaf_rows
-        self.leaf_mean = leaf_mean
-        self.weight_table = weight_table
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index reached by each row of X (route left on <=)."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
+    def apply(self, X: np.ndarray, root: int) -> np.ndarray:
+        """Leaf node index reached from ``root`` by each row of X (route left on <=)."""
+        node = np.full(X.shape[0], root)
         while True:
             feat = self.feature[node]
             active = feat >= 0
@@ -246,15 +239,15 @@ def _partition(orders, start, size, k, feature):
         order[np.where(g, left_base + c, right_base - c)] = samples
 
 
-def _grow_batch(X, y, R, min_leaf) -> list[_Tree]:
+def _grow_batch(X, y, R, min_leaf) -> _NodeTable:
     """Grow one tree per row of R, the tree's bootstrap rows, level by level.
 
     Sample ``u`` of the batch is training row ``R.flat[u]``. Each node is a
     segment of positions holding the same samples in every feature's order;
     one iteration splits every splittable node of the level in all trees,
     and stable partitioning keeps each child's segment sorted, so the sort
-    happens once per feature. A tree's leaves end up tiling its block of
-    the feature-0 order, which becomes its ``leaf_rows``.
+    happens once per feature. The leaves end up tiling the feature-0
+    order, which becomes the batch's ``leaf_rows``.
     """
     n_trees, n = R.shape
     rows = R.ravel()
@@ -283,18 +276,17 @@ def _grow_batch(X, y, R, min_leaf) -> list[_Tree]:
         _partition(orders, s, m, k, feature[split])
         start = np.column_stack((s, s + k)).ravel()
         size = np.column_stack((k, m - k)).ravel()
-    return _build_trees(levels, rows[orders[0]], y_s[orders[0]], n)
+    return _build_table(levels, rows[orders[0]], y_s[orders[0]], n)
 
 
-def _build_trees(levels, leaf_rows, leaf_y, n) -> list[_Tree]:
-    """Flat trees, with their leaf weight tables, from a grown batch.
+def _build_table(levels, leaf_rows, leaf_y, n) -> _NodeTable:
+    """The node table, with its leaf weight table, of a grown batch.
 
     ``levels`` holds each level's ``(start, size, feature, threshold)``
-    node arrays; ``leaf_rows`` and ``leaf_y`` are the training rows and
-    responses of the final feature-0 order, whose block ``[t * n, (t + 1) * n)``
-    belongs to tree t.
+    node arrays, the first level being the roots in tree order; ``leaf_rows``
+    and ``leaf_y`` are the training rows and responses of the final
+    feature-0 order, in which every node's segment holds its rows.
     """
-    n_trees = leaf_rows.size // n
     # node ids run level by level, and by position within a level; a split
     # node's children are consecutive ids in the next level
     start, size, feature, threshold = (np.concatenate(a) for a in zip(*levels))
@@ -303,27 +295,14 @@ def _build_trees(levels, leaf_rows, leaf_y, n) -> list[_Tree]:
     is_split = feature >= 0
     rank = np.cumsum(is_split) - is_split
     rank -= np.repeat(rank[np.cumsum(level_size) - level_size], level_size)
-    child = np.where(is_split, next_level + 2 * rank, -1)
-
-    # renumber each tree's nodes from 0, keeping the level-by-level order
-    tree = start // n
-    by_tree = np.argsort(tree, kind="stable")
-    nodes_per_tree = np.bincount(tree, minlength=n_trees)
-    first_node = np.cumsum(nodes_per_tree) - nodes_per_tree
-    local = np.empty(tree.size, dtype=np.int64)
-    local[by_tree] = np.arange(tree.size) - np.repeat(first_node, nodes_per_tree)
-    left = np.where(is_split, local[child], -1)
-    right = np.where(is_split, local[child + 1], -1)
+    left = np.where(is_split, next_level + 2 * rank, -1)
+    right = np.where(is_split, left + 1, -1)
 
     leaves = np.flatnonzero(~is_split)
     leaves = leaves[np.argsort(start[leaves])]  # leaf segments tile the batch
     leaf_size = size[leaves]
-    leaf_mean = np.zeros(tree.size)
+    leaf_mean = np.zeros(start.size)
     leaf_mean[leaves] = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
-    leaf_start = np.zeros(tree.size, dtype=np.int64)
-    leaf_count = np.zeros(tree.size, dtype=np.int64)
-    leaf_start[leaves] = start[leaves] - tree[leaves] * n
-    leaf_count[leaves] = leaf_size
 
     # weight table: run-length encode (leaf, row) pairs in one batch sort
     key = np.sort(np.repeat(np.arange(leaves.size), leaf_size) * n + leaf_rows)
@@ -334,33 +313,17 @@ def _build_trees(levels, leaf_rows, leaf_y, n) -> list[_Tree]:
     mult = np.diff(np.flatnonzero(np.append(first, True)))
     leaf_of = uniq // n
     per_leaf = np.bincount(leaf_of, minlength=leaves.size)
-    per_tree = np.bincount(tree[leaves][leaf_of], minlength=n_trees)
-    table_base = np.cumsum(per_tree) - per_tree
-    w_start = np.zeros(tree.size, dtype=np.int64)
-    w_count = np.zeros(tree.size, dtype=np.int64)
-    w_start[leaves] = np.cumsum(per_leaf) - per_leaf - table_base[tree[leaves]]
+    w_start = np.zeros(start.size, dtype=np.int64)
+    w_count = np.zeros(start.size, dtype=np.int64)
+    w_start[leaves] = np.cumsum(per_leaf) - per_leaf
     w_count[leaves] = per_leaf
-    w_rows = uniq - leaf_of * n
-    w_share = mult / leaf_size[leaf_of]
-
-    cut = np.cumsum(nodes_per_tree)[:-1]
-    per_node = [
-        np.split(a[by_tree], cut)
-        for a in (feature, threshold, left, right, leaf_start, leaf_count, leaf_mean,
-                  w_start, w_count)
-    ]
-    table_cut = np.cumsum(per_tree)[:-1]
-    return [
-        _Tree(f, t, lt, rt, ls, lc, leaf_rows[b : b + n], lm, (ws, wc, wr, wsh))
-        for f, t, lt, rt, ls, lc, lm, ws, wc, b, wr, wsh in zip(
-            *per_node, range(0, leaf_rows.size, n), np.split(w_rows, table_cut),
-            np.split(w_share, table_cut),
-        )
-    ]
+    weight_table = (w_start, w_count, uniq - leaf_of * n, mult / leaf_size[leaf_of])
+    return _NodeTable(int(level_size[0]), feature, threshold, left, right, start, size,
+                      leaf_rows, leaf_mean, weight_table)
 
 
 class _Forest:
-    """Grown trees plus the training responses they index into."""
+    """Grown node tables, one per growth batch, plus the training responses they index into."""
 
     def __init__(self, X, y, config: ForestConfig):
         X = as_matrix(X)
@@ -376,7 +339,7 @@ class _Forest:
         self.y_train = y
         self.n_features_in_ = X.shape[1]
         self.config = config
-        self.trees: list[_Tree] = []
+        self.tables: list[_NodeTable] = []
         seqs = np.random.SeedSequence(config.seed).spawn(config.n_trees)
         per_batch = max(1, _GROW_BATCH // n)
         for b in range(0, len(seqs), per_batch):
@@ -386,7 +349,7 @@ class _Forest:
                 R = np.stack([np.random.default_rng(s).integers(0, n, size=n) for s in batch])
             else:
                 R = np.broadcast_to(np.arange(n), (len(batch), n))
-            self.trees.extend(_grow_batch(X, y, R, config.min_leaf_size))
+            self.tables.append(_grow_batch(X, y, R, config.min_leaf_size))
         self._order = np.argsort(y, kind="stable")
         self._y_sorted = y[self._order]
 
@@ -396,18 +359,19 @@ class _Forest:
         n_train = self.y_train.size
         w = np.zeros((nq, n_train))
         w_flat = w.ravel()
-        per_tree = 1.0 / len(self.trees)
-        for tree in self.trees:
-            start, count, rows, shares = tree.weight_table
-            leaves = tree.apply(X)
-            counts_q = count[leaves]
-            # ragged gather of each query's leaf slice into one flat batch
-            excl = np.cumsum(counts_q) - counts_q
-            pos = np.arange(counts_q.sum()) + np.repeat(start[leaves] - excl, counts_q)
-            # a query meets each distinct row at most once per tree, so the
-            # flat indices are duplicate-free and += accumulates correctly
-            flat = np.repeat(np.arange(nq) * n_train, counts_q) + rows[pos]
-            w_flat[flat] += per_tree * shares[pos]
+        per_tree = 1.0 / self.config.n_trees
+        for table in self.tables:
+            start, count, rows, shares = table.weight_table
+            for root in range(table.n_trees):
+                leaves = table.apply(X, root)
+                counts_q = count[leaves]
+                # ragged gather of each query's leaf slice into one flat batch
+                excl = np.cumsum(counts_q) - counts_q
+                pos = np.arange(counts_q.sum()) + np.repeat(start[leaves] - excl, counts_q)
+                # a query meets each distinct row at most once per tree, so the
+                # flat indices are duplicate-free and += accumulates correctly
+                flat = np.repeat(np.arange(nq) * n_train, counts_q) + rows[pos]
+                w_flat[flat] += per_tree * shares[pos]
         return w
 
     def quantiles(self, X, levels: tuple[float, ...]) -> list[np.ndarray]:
@@ -431,9 +395,10 @@ class _Forest:
     def means(self, X) -> np.ndarray:
         X = as_matrix(X, self.n_features_in_)
         acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.leaf_mean[tree.apply(X)]
-        return acc / len(self.trees)
+        for table in self.tables:
+            for root in range(table.n_trees):
+                acc += table.leaf_mean[table.apply(X, root)]
+        return acc / self.config.n_trees
 
 
 class QuantileForestRegressor(QuantileRegressor):
@@ -451,12 +416,7 @@ class QuantileForestRegressor(QuantileRegressor):
         self._levels: tuple[float, float] | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileForestRegressor":
-        check_level(alpha_lo)
-        check_level(alpha_hi)
-        if not alpha_lo < alpha_hi:
-            raise ValueError(
-                f"alpha_lo must be below alpha_hi, got ({alpha_lo}, {alpha_hi})"
-            )
+        check_level_pair(alpha_lo, alpha_hi)
         self._forest = _Forest(X, y, self.config)
         self._levels = (alpha_lo, alpha_hi)
         return self

@@ -11,6 +11,7 @@ predictions are returned in original units.
 import numpy as np
 
 from ..losses import PinballLoss
+from ..quantiles import check_level_pair
 from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
 
 __all__ = ["LinearPinballModel", "LinearQuantilePair", "LinearMedianRegressor"]
@@ -69,10 +70,7 @@ class LinearQuantilePair(QuantileRegressor):
         self._hi: LinearPinballModel | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "LinearQuantilePair":
-        if not alpha_lo < alpha_hi:
-            raise ValueError(
-                f"alpha_lo must be below alpha_hi, got ({alpha_lo}, {alpha_hi})"
-            )
+        check_level_pair(alpha_lo, alpha_hi)
         self._lo = LinearPinballModel(alpha_lo, self.epochs, self.learning_rate).fit(X, y)
         self._hi = LinearPinballModel(alpha_hi, self.epochs, self.learning_rate).fit(X, y)
         return self

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..losses import PinballLoss
+from ..quantiles import check_level_pair
 from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
 
 __all__ = [
@@ -99,10 +100,7 @@ class _PinballPairHead:
     n_outputs = 2
 
     def __init__(self, alpha_lo: float, alpha_hi: float):
-        if not alpha_lo < alpha_hi:
-            raise ValueError(
-                f"alpha_lo must be below alpha_hi, got ({alpha_lo}, {alpha_hi})"
-            )
+        check_level_pair(alpha_lo, alpha_hi)
         self._lo = PinballLoss(alpha_lo)
         self._hi = PinballLoss(alpha_hi)
 
@@ -309,13 +307,8 @@ class MlpQuantilePair(QuantileRegressor):
         self._net: MlpNetwork | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "MlpQuantilePair":
-        self._net = _fit_network(
-            X,
-            y,
-            lambda: _PinballPairHead(alpha_lo, alpha_hi),
-            self.config,
-            self.cv_folds,
-        )
+        head = _PinballPairHead(alpha_lo, alpha_hi)  # checks the levels first
+        self._net = _fit_network(X, y, lambda: head, self.config, self.cv_folds)
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:

@@ -218,8 +218,8 @@ def _boundary_quantile_cases_agree(n_cases: int, rng) -> bool:
     return True
 
 
-def _route_to_leaf(tree, x):
-    node = 0
+def _route_to_leaf(tree, root, x):
+    node = root
     while tree.feature[node] >= 0:
         node = int(
             tree.left[node] if x[tree.feature[node]] <= tree.threshold[node]
@@ -230,10 +230,11 @@ def _route_to_leaf(tree, x):
 
 def _oracle_forest_quantiles(model, x, levels):
     forest = model._forest
-    n_trees = len(forest.trees)
+    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    n_trees = len(trees)
     weight: dict[int, Fraction] = {}
-    for tree in forest.trees:
-        leaf = _route_to_leaf(tree, x)
+    for tree, root in trees:
+        leaf = _route_to_leaf(tree, root, x)
         start = int(tree.leaf_start[leaf])
         count = int(tree.leaf_count[leaf])
         share = Fraction(1, count * n_trees)

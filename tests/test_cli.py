@@ -196,6 +196,21 @@ def test_demo_writes_plottable_band_csv(capsys, tmp_path):
     assert "demo output must be a .csv path" in err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--n", "30", "n must be >= 40, got 30"),
+    ("--grid-size", "0", "grid_size must be >= 1, got 0"),
+    ("--grid-size", "-3", "grid_size must be >= 1, got -3"),
+])
+def test_demo_rejects_too_few_rows_and_an_empty_grid(capsys, tmp_path, option, value, message):
+    out_path = tmp_path / "bands.csv"
+    code, out, err = _run(capsys, [
+        "demo-fig1", "--n", "200", "--n-trees", "10", option, value, "--out", str(out_path),
+    ])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_coverage_audit_prints_and_writes_json(capsys, tmp_path):
     code, out, _ = _run(capsys, [
         "coverage-audit", "--trials", "5", "--engine", "oracle", "--seed", "1",

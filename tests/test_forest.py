@@ -163,8 +163,8 @@ def _trees_differ(tree, ref, node=0, ref_node=0):
     )
 
 
-def _route_to_leaf(tree, x):
-    node = 0
+def _route_to_leaf(tree, root, x):
+    node = root
     while tree.feature[node] >= 0:
         if x[tree.feature[node]] <= tree.threshold[node]:
             node = int(tree.left[node])
@@ -182,10 +182,11 @@ def _oracle_quantiles(model, x, levels):
     level times the total weight.
     """
     forest = model._forest
-    n_trees = len(forest.trees)
+    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    n_trees = len(trees)
     weight: dict[int, Fraction] = {}
-    for tree in forest.trees:
-        leaf = _route_to_leaf(tree, x)
+    for tree, root in trees:
+        leaf = _route_to_leaf(tree, root, x)
         start = int(tree.leaf_start[leaf])
         count = int(tree.leaf_count[leaf])
         rows = tree.leaf_rows[start : start + count]
@@ -307,11 +308,39 @@ def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, in
     n_trees = min(per_batch, 40) if n_batches == 1 else (n_batches - 1) * per_batch + 3
     config = ForestConfig(n_trees=n_trees, min_leaf_size=min_leaf, bootstrap=bootstrap, seed=p)
     forest = QuantileForestRegressor(config).fit(X, y, 0.1, 0.9)._forest
-    assert len(forest.trees) == n_trees
+    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    assert len(trees) == n_trees
     seqs = np.random.SeedSequence(config.seed).spawn(n_trees)
-    for i, (tree, seq) in enumerate(zip(forest.trees, seqs)):
+    for i, ((tree, root), seq) in enumerate(zip(trees, seqs)):
         rows0 = np.random.default_rng(seq).integers(0, n, size=n) if bootstrap else np.arange(n)
-        assert _trees_differ(tree, _grow_tree(X, y, rows0, min_leaf)) is None, f"tree {i}"
+        assert _trees_differ(tree, _grow_tree(X, y, rows0, min_leaf), root) is None, f"tree {i}"
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_a_forest_grown_in_several_batches_reads_the_exact_references(bootstrap):
+    rng = np.random.default_rng(1500)
+    X = rng.normal(size=(1500, 2))
+    y = X[:, 0] + rng.normal(size=1500)
+    config = ForestConfig(n_trees=50, min_leaf_size=10, bootstrap=bootstrap, seed=6)
+    # levels off every k / leaf-size boundary, where the readout's float
+    # slack (_CDF_RTOL) and the exact oracle may rightly disagree
+    levels = (0.0731, 0.9137, 0.4719)
+    pair = QuantileForestRegressor(config).fit(X, y, *levels[:2])
+    mean = ForestMeanRegressor(config).fit(X, y)
+    assert len(pair._forest.tables) >= 2
+    X_query = rng.normal(size=(4, 2))
+    lo, hi = pair.predict_pair(X_query)
+    mid = pair.predict_quantile(X_query, levels[2])
+    got_mean = mean.predict(X_query)
+    forest = mean._forest
+    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    for i, x in enumerate(X_query):
+        assert [lo[i], hi[i], mid[i]] == _oracle_quantiles(pair, x, levels)
+        # the mean readout adds the leaf means in tree order, then divides
+        want = 0.0
+        for table, root in trees:
+            want += table.leaf_mean[_route_to_leaf(table, root, x)]
+        assert got_mean[i].tobytes() == np.float64(want / len(trees)).tobytes()
 
 
 def _frozen(value):
@@ -323,13 +352,13 @@ def _frozen(value):
 
 
 def _forest_state(model):
-    """Every attribute of a fitted forest model, its forest and its trees."""
+    """Every attribute of a fitted forest model, its forest and its node tables."""
     forest = model._forest
-    names = type(forest.trees[0]).__slots__
+    names = type(forest.tables[0])._fields
     return (
         {k: _frozen(v) for k, v in vars(model).items() if k != "_forest"},
-        {k: _frozen(v) for k, v in vars(forest).items() if k != "trees"},
-        [[_frozen(getattr(tree, name)) for name in names] for tree in forest.trees],
+        {k: _frozen(v) for k, v in vars(forest).items() if k != "tables"},
+        [[_frozen(getattr(table, name)) for name in names] for table in forest.tables],
     )
 
 

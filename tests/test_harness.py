@@ -202,7 +202,7 @@ def test_the_run_loop_band_is_the_public_calibrator_band(engine, method):
     assert band.correction == correction
     lo, hi = band.predict_interval(Xt)
     # the run loop's band on the test rows, from the bundle's shared reads
-    test = plugin_values(method, lambda role: bundle.read(role, "Xt"), cfg.gamma)
+    test = plugin_values(method, bundle.read, "Xt", cfg.gamma)
     run_lo, run_hi = apply_correction(correction, *test)
     assert lo.tobytes() == run_lo.tobytes() and hi.tobytes() == run_hi.tobytes()
     assert (row.coverage, row.avg_length, row.tail_lo_miss, row.tail_hi_miss) == (

@@ -1,8 +1,11 @@
 """Checks shared by every regression engine."""
 
+import re
+
 import numpy as np
 import pytest
 
+from confband.datagen import OracleQuantileRegressor, OracleQuantiles
 from confband.regressors import (
     ForestConfig,
     ForestMeanRegressor,
@@ -44,3 +47,16 @@ def test_predict_rejects_a_feature_count_other_than_the_fitted_one(engine):
     for width in (5, 2):
         with pytest.raises(ValueError, match=f"has {width} features, but the model was fitted on 3"):
             predict(rng.normal(size=(4, width)))
+
+
+@pytest.mark.parametrize("engine", ["forest-pair", "linear-pair", "mlp-pair", "oracle-pair"])
+@pytest.mark.parametrize("levels", [(0.9, 0.1), (0.5, 0.5)])
+def test_every_pair_engine_rejects_levels_out_of_order(engine, levels):
+    if engine == "oracle-pair":
+        model = OracleQuantileRegressor(OracleQuantiles(noise_scale=1.0))
+    else:
+        model = _ENGINES[engine][0]()
+    X = np.linspace(0.5, 4.5, 30)[:, None]
+    want = f"alpha_lo must be below alpha_hi, got {levels}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        model.fit(X, X[:, 0], *levels)
