@@ -17,6 +17,7 @@ and bit-identical to one ``scipy.optimize.brentq`` call per point.
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,8 +289,9 @@ def load_csv(path: str, target_column: str) -> Dataset:
     Rows containing any cell that does not parse as a finite number are
     dropped; a single warning reports how many. Raises FileNotFoundError
     for a missing file, ValueError("target column not found...") for a bad
-    target name, and ValueError("no usable rows...") when every row is
-    dropped.
+    target name, ValueError("duplicate column names...") when two header
+    names are equal once stripped, and ValueError("no usable rows...") when
+    every row is dropped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -298,6 +300,9 @@ def load_csv(path: str, target_column: str) -> Dataset:
         except StopIteration:
             raise ValueError(f"no usable rows in {path}: file is empty") from None
         header = [name.strip() for name in header]
+        duplicates = sorted(name for name, n in Counter(header).items() if n > 1)
+        if duplicates:
+            raise ValueError(f"duplicate column names in {path}: {duplicates}")
         if target_column not in header:
             raise ValueError(
                 f"target column not found: {target_column!r} (columns: {header})"

@@ -16,8 +16,10 @@ stay sorted. The per-node sums are numpy's own sums of the same values in
 the same order, so every tree is bit for bit the tree a node-by-node grower
 would produce. A fitted forest is one flat node table per batch, holding
 the batch's trees with their leaf rows and leaf weight table, and is never
-written to after growth; a readout walks every tree from its root in its
-table, batch after batch.
+written to after growth. A readout routes every tree of a table together:
+all (tree, query) pairs step down one depth level at a time, and a pair
+drops out of the walk when it reaches its leaf. Tables are read in growth
+order, and each table's trees in tree order.
 
 A query point x collects weight 1/n_trees from every tree, split uniformly
 over the rows in the leaf that x reaches. Quantiles are read off the
@@ -46,8 +48,14 @@ __all__ = [
 _CDF_RTOL = 1e-9
 
 # bootstrap samples (rows x trees) grown together in one batch; bounds the
-# working set of growth as the query chunk bounds the readout's
+# working set of growth as the two bounds below bound the readout's
 _GROW_BATCH = 2**16
+
+# (tree, query) pairs routed together in one walk
+_ROUTE_PAIRS = 2**20
+
+# weight-matrix cells (queries x training rows) of one quantile readout block
+_READ_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -102,20 +110,26 @@ class _NodeTable(NamedTuple):
     leaf_mean: np.ndarray
     weight_table: tuple
 
-    def apply(self, X: np.ndarray, root: int) -> np.ndarray:
-        """Leaf node index reached from ``root`` by each row of X (route left on <=)."""
-        node = np.full(X.shape[0], root)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                return node
-            rows = np.flatnonzero(active)
-            x = X[rows, feat[rows]]
-            go_left = x <= self.threshold[node[rows]]
-            node[rows] = np.where(
-                go_left, self.left[node[rows]], self.right[node[rows]]
-            )
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node reached by each row of X in each tree (route left on <=).
+
+        Returns an ``(n_trees, rows)`` array. Every (tree, query) pair walks
+        down together, one numpy step per depth level, and a pair leaves the
+        walk once it stands on a leaf.
+        """
+        n_rows = X.shape[0]
+        # pair p is tree p // n_rows with query row p % n_rows
+        node = np.repeat(np.arange(self.n_trees), n_rows)
+        walking = np.arange(node.size)
+        while walking.size:
+            at = node[walking]
+            split = np.flatnonzero(self.feature[at] >= 0)
+            if split.size < walking.size:  # some pairs stand on their leaf
+                walking = walking[split]
+                at = at[split]
+            go_left = X[walking % n_rows, self.feature[at]] <= self.threshold[at]
+            node[walking] = np.where(go_left, self.left[at], self.right[at])
+        return node.reshape(self.n_trees, n_rows)
 
 
 def _ranges(start, size):
@@ -353,24 +367,35 @@ class _Forest:
         self._order = np.argsort(y, kind="stable")
         self._y_sorted = y[self._order]
 
+    def _leaves(self, X: np.ndarray):
+        """Yield ``(block, table, by_tree)`` table after table, ``by_tree`` being
+        ``table.apply(X[block])`` on a block of at most ``_ROUTE_PAIRS`` pairs."""
+        for table in self.tables:
+            step = max(1, _ROUTE_PAIRS // table.n_trees)
+            for start in range(0, X.shape[0], step):
+                block = slice(start, start + step)
+                yield block, table, table.apply(X[block])
+
     def weights(self, X: np.ndarray) -> np.ndarray:
         """Per-query weights over training rows; each row sums to 1."""
-        nq = X.shape[0]
         n_train = self.y_train.size
-        w = np.zeros((nq, n_train))
-        w_flat = w.ravel()
+        w = np.zeros((X.shape[0], n_train))
         per_tree = 1.0 / self.config.n_trees
-        for table in self.tables:
+        for block, table, by_tree in self._leaves(X):
             start, count, rows, shares = table.weight_table
-            for root in range(table.n_trees):
-                leaves = table.apply(X, root)
+            # the block's rows of w are contiguous, so this flat view writes through
+            w_flat = w[block].reshape(-1)
+            query_base = np.arange(by_tree.shape[1]) * n_train
+            # trees are added one at a time in growth order, so each weight
+            # sums its trees' shares in the same order whatever the blocks
+            for leaves in by_tree:
                 counts_q = count[leaves]
                 # ragged gather of each query's leaf slice into one flat batch
                 excl = np.cumsum(counts_q) - counts_q
                 pos = np.arange(counts_q.sum()) + np.repeat(start[leaves] - excl, counts_q)
                 # a query meets each distinct row at most once per tree, so the
                 # flat indices are duplicate-free and += accumulates correctly
-                flat = np.repeat(np.arange(nq) * n_train, counts_q) + rows[pos]
+                flat = np.repeat(query_base, counts_q) + rows[pos]
                 w_flat[flat] += per_tree * shares[pos]
         return w
 
@@ -380,8 +405,7 @@ class _Forest:
         for level in levels:
             check_level(level)
         out = [np.empty(X.shape[0]) for _ in levels]
-        # chunk queries so the weight matrix stays modest
-        chunk = max(1, int(2**22 // max(1, self.y_train.size)))
+        chunk = max(1, _READ_CELLS // self.y_train.size)
         for start in range(0, X.shape[0], chunk):
             block = slice(start, start + chunk)
             cumw = np.cumsum(self.weights(X[block])[:, self._order], axis=1)
@@ -395,9 +419,9 @@ class _Forest:
     def means(self, X) -> np.ndarray:
         X = as_matrix(X, self.n_features_in_)
         acc = np.zeros(X.shape[0])
-        for table in self.tables:
-            for root in range(table.n_trees):
-                acc += table.leaf_mean[table.apply(X, root)]
+        for block, table, by_tree in self._leaves(X):
+            for leaves in by_tree:
+                acc[block] += table.leaf_mean[leaves]
         return acc / self.config.n_trees
 
 

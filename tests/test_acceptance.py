@@ -28,6 +28,7 @@ from confband.regressors import (
     QuantileForestRegressor,
     RidgeRegressor,
 )
+from confband.regressors.forest import _CDF_RTOL
 from confband.regressors.mlp import MlpNetwork, _PinballPairHead, _SquaredErrorHead
 
 
@@ -244,7 +245,8 @@ def _oracle_forest_quantiles(model, x, levels):
     total = sum(w for _, w in pairs)
     out = []
     for level in levels:
-        thresh = Fraction(level) * total
+        # the readout's documented slack: within _CDF_RTOL of the level counts
+        thresh = Fraction(level) * total - Fraction(_CDF_RTOL) * max(total, 1)
         cum = Fraction(0)
         for value, w in pairs:
             cum += w

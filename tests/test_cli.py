@@ -60,6 +60,18 @@ def test_run_on_a_csv_dataset(capsys, tmp_path):
     assert json.loads(out)["config"]["n_rows"] == 60
 
 
+def test_run_rejects_a_csv_with_duplicate_column_names(capsys, tmp_path):
+    rows = ["x,y,y"] + [f"{i / 10.0},{i % 7},{i % 3}" for i in range(60)]
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, [
+        "run", "--data", str(data_path), "--target", "y",
+        "--method", "split", "--engine", "ridge", "--reps", "2",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error: duplicate column names") and "['y']" in err
+
+
 def test_run_requires_exactly_one_data_source(capsys, tmp_path):
     code, _, err = _run(capsys, ["run", "--method", "split"])
     assert code == 2

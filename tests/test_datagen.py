@@ -302,6 +302,21 @@ def test_load_csv_error_cases(tmp_path):
         load_csv(str(tmp_path / "missing.csv"), "target")
 
 
+@pytest.mark.parametrize(
+    "header, duplicates",
+    [
+        ("x,y,y", "['y']"),  # a second target column
+        ("x,y,x", "['x']"),  # a feature column twice
+        ("x, y,y ,x", "['x', 'y']"),  # equal only once stripped
+    ],
+)
+def test_load_csv_rejects_duplicate_column_names(tmp_path, header, duplicates):
+    n_cols = header.count(",") + 1
+    path = _write(tmp_path / "dup.csv", header + "\n" + ",".join(["1"] * n_cols) + "\n")
+    with pytest.raises(ValueError, match=rf"duplicate column names in .*: \{duplicates}"):
+        load_csv(path, "y")
+
+
 def test_standardize_fit_apply_round_trip():
     rng = np.random.default_rng(6)
     X = rng.normal(loc=3.0, scale=2.0, size=(200, 3))

@@ -12,6 +12,7 @@ import pytest
 from confband.conformal import cqr_calibrate
 from confband.regressors import forest as forest_module
 from confband.regressors.forest import (
+    _CDF_RTOL,
     ForestConfig,
     ForestMeanRegressor,
     QuantileForestRegressor,
@@ -179,7 +180,8 @@ def _oracle_quantiles(model, x, levels):
     Each tree contributes weight 1/n_trees to the leaf x lands in, split
     over the leaf's rows with bootstrap multiplicity. The quantile at a
     level is the smallest stored response whose cumulative weight reaches
-    level times the total weight.
+    level times the total weight, less the readout's documented slack of
+    ``_CDF_RTOL`` times ``max(total, 1)``.
     """
     forest = model._forest
     trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
@@ -197,7 +199,7 @@ def _oracle_quantiles(model, x, levels):
     total = sum(w for _, w in pairs)
     out = []
     for level in levels:
-        thresh = Fraction(level) * total
+        thresh = Fraction(level) * total - Fraction(_CDF_RTOL) * max(total, 1)
         cum = Fraction(0)
         for value, w in pairs:
             cum += w
@@ -316,15 +318,11 @@ def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, in
         assert _trees_differ(tree, _grow_tree(X, y, rows0, min_leaf), root) is None, f"tree {i}"
 
 
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_a_forest_grown_in_several_batches_reads_the_exact_references(bootstrap):
+def _check_multi_batch_readouts(bootstrap, levels):
     rng = np.random.default_rng(1500)
     X = rng.normal(size=(1500, 2))
     y = X[:, 0] + rng.normal(size=1500)
     config = ForestConfig(n_trees=50, min_leaf_size=10, bootstrap=bootstrap, seed=6)
-    # levels off every k / leaf-size boundary, where the readout's float
-    # slack (_CDF_RTOL) and the exact oracle may rightly disagree
-    levels = (0.0731, 0.9137, 0.4719)
     pair = QuantileForestRegressor(config).fit(X, y, *levels[:2])
     mean = ForestMeanRegressor(config).fit(X, y)
     assert len(pair._forest.tables) >= 2
@@ -341,6 +339,75 @@ def test_a_forest_grown_in_several_batches_reads_the_exact_references(bootstrap)
         for table, root in trees:
             want += table.leaf_mean[_route_to_leaf(table, root, x)]
         assert got_mean[i].tobytes() == np.float64(want / len(trees)).tobytes()
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_a_forest_grown_in_several_batches_reads_the_exact_references(bootstrap):
+    _check_multi_batch_readouts(bootstrap, (0.0731, 0.9137, 0.4719))
+
+
+def test_levels_on_a_leaf_size_fraction_read_the_exact_references():
+    # without bootstrap a 10-row leaf gives each of its rows weight 1/10 per
+    # tree, so 0.1 and 0.9 fall exactly on cumulative weights; the readout
+    # counts a weight within _CDF_RTOL of the level as reaching it
+    _check_multi_batch_readouts(False, (0.1, 0.9, 0.5))
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["bootstrap", "no-bootstrap"])
+def three_batch_forest(request):
+    rng = np.random.default_rng(140)
+    X = rng.normal(size=(1000, 2))
+    y = X[:, 0] + rng.normal(size=1000)
+    config = ForestConfig(n_trees=140, min_leaf_size=5, bootstrap=request.param, seed=11)
+    forest = ForestMeanRegressor(config).fit(X, y)._forest
+    assert [table.n_trees for table in forest.tables] == [65, 65, 10]
+    return forest
+
+
+def test_lockstep_routing_equals_the_per_tree_walk(three_batch_forest):
+    rng = np.random.default_rng(12)
+    forest = three_batch_forest
+    queries, root_ties = [rng.normal(size=2) for _ in range(10)], []
+    for table in forest.tables:
+        root_ties.append([])
+        # rows exactly on a split threshold: on a root, which every row
+        # reaches, and on split nodes anywhere in the table
+        split = np.flatnonzero(table.feature >= 0)
+        for node in [*range(5), *rng.choice(split, size=10).tolist()]:
+            x = rng.normal(size=2)
+            x[table.feature[node]] = table.threshold[node]
+            if node < table.n_trees:
+                root_ties[-1].append((node, len(queries)))
+            queries.append(x)
+    Q = np.array(queries)
+    wide = np.full((Q.shape[0], 4), 99.0)
+    wide[:, ::2] = Q
+    layouts = [Q, np.asfortranarray(Q), wide[:, ::2], Q[:1], Q[:0]]
+    assert not layouts[1].flags.c_contiguous and not layouts[2].flags.c_contiguous
+    for b, table in enumerate(forest.tables):
+        want = np.array([[_route_to_leaf(table, t, x) for x in Q] for t in range(table.n_trees)])
+        for X in layouts:
+            leaves = table.apply(X)
+            assert leaves.shape == (table.n_trees, X.shape[0])
+            assert np.array_equal(leaves, want[:, : X.shape[0]])
+        # a tie routes left
+        for root, i in root_ties[b]:
+            assert want[root, i] == _route_to_leaf(table, table.left[root], Q[i])
+
+
+@pytest.mark.parametrize("bound, value", [("_ROUTE_PAIRS", 7), ("_READ_CELLS", 3000)])
+def test_chunked_readouts_equal_the_unchunked_readout(three_batch_forest, monkeypatch, bound, value):
+    forest = three_batch_forest
+    X = np.random.default_rng(13).normal(size=(25, 2))
+
+    def readouts():
+        return [forest.means(X), *forest.quantiles(X, (0.1, 0.9)), *forest.quantiles(X, (0.37,))]
+
+    want = readouts()
+    monkeypatch.setattr(forest_module, bound, value)
+    got = readouts()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def _frozen(value):
