@@ -36,7 +36,7 @@ reads the plug-in on the calibration rows and scores the values read
 (``apply_correction``). Neither step reads a model. The public calibrators
 read their fitted models afresh on every call; the experiment harness reads
 each fitted model once per row set and feeds ``plugin_values`` from those
-reads, then runs the same two pure steps.
+reads, then runs the same two pure steps (so do its tuning and audit).
 """
 
 from collections.abc import Callable
@@ -125,10 +125,6 @@ class ConformalBand:
 
     plugin: Callable
     correction: float | tuple[float, float]
-
-    def apply(self, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
-        """The band around given plug-in values; the inputs are not modified."""
-        return apply_correction(self.correction, lo, hi, scale)
 
     def predict_interval(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Interval endpoints (lo, hi) for each row of X: read the plug-in, then apply."""

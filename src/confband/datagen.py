@@ -284,7 +284,7 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
 
 
 def load_csv(path: str, target_column: str) -> Dataset:
-    """Read a numeric CSV with a header row into a dataset.
+    """Read a numeric UTF-8 CSV with a header row into a dataset; a byte-order mark is skipped.
 
     Rows containing any cell that does not parse as a finite number are
     dropped; a single warning reports how many. Raises FileNotFoundError
@@ -293,7 +293,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
     names are equal once stripped, and ValueError("no usable rows...") when
     every row is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

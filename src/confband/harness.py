@@ -6,13 +6,13 @@ statistics only, fits the requested engine, calibrates, and scores
 coverage and average interval length on the test rows. Each fitted model
 is read once per row set (proper-training, calibration, test), and every
 method scores from those shared reads: split and local share the mean
-reads, cqr and cqr-asym the quantile pair reads. The conformal module's
-``plugin_values`` turns the reads into a method's plug-in values, and its
-two pure steps do the rest: ``conformal_correction`` on the calibration
-rows, ``apply_correction`` on the test rows. A repetition adds the
-rows of all its methods or, when any method fails, none. Summaries
-average over repetitions. Interval lengths are reported in standardized
-response units unless configured otherwise.
+reads, cqr and cqr-asym the quantile pair reads. In ``_band``, the one
+band step of repetitions, tuning folds and audit trials, the conformal
+module's ``plugin_values`` turns reads into plug-in values, and its two
+pure steps do the rest: ``conformal_correction`` on the calibration rows,
+``apply_correction`` on the new rows. A repetition adds the rows of all
+its methods or, when any method fails, none. Summaries average over
+repetitions. Lengths are in standardized response units by default.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
 fills the three model roles:
@@ -43,7 +43,6 @@ from .conformal import (
     PAIR_METHODS,
     apply_correction,
     conformal_correction,
-    cqr_calibrate,
     plugin_values,
 )
 from .datagen import (
@@ -74,7 +73,7 @@ from .regressors import (
     RidgeRegressor,
     cross_validate_l2,
 )
-from .regressors.base import check_count, check_real
+from .regressors.base import as_matrix, as_vector, check_count, check_real
 
 __all__ = [
     "METHODS",
@@ -206,9 +205,11 @@ class ExperimentConfig:
         check_level(self.alpha)
         if not self.methods:
             raise ValueError("methods must be non-empty")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} is listed more than once")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         if _ENGINES[self.engine].pair is None:
@@ -442,6 +443,21 @@ class _EngineBundle:
         return self._reads[key]
 
 
+def _band(method: str, read, cal, y_cal, new, alpha: float, gamma: float | None):
+    """``(correction, lo, hi)``: ``method`` calibrated on rows ``cal``, applied to rows ``new``.
+
+    cqr-asym scores each tail at alpha / 2; the others score both ends at once.
+    """
+    levels = (alpha / 2.0, alpha / 2.0) if method == "cqr-asym" else (alpha, None)
+    correction = conformal_correction(*plugin_values(method, read, cal, gamma), y_cal, *levels)
+    return correction, *apply_correction(correction, *plugin_values(method, read, new, gamma))
+
+
+def _pair_reader(pair: QuantileRegressor):
+    """``_band``'s ``read`` over a fitted pair: crossings fixed, read afresh on every call."""
+    return lambda role, X: fix_crossing(*pair.predict_pair(X))
+
+
 def _evaluate(lo, hi, y_test, length_scale: float):
     """(coverage, mean length, lower-tail miss rate, upper-tail miss rate)."""
     n = y_test.size
@@ -479,15 +495,9 @@ def _run_repetition(
     Xt, yt = standardize_apply(params, dataset.X[test_idx], dataset.y[test_idx])
     length_scale = params.response_scale if cfg.report_original_units else 1.0
     bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params, {"X2": X2, "Xt": Xt})
-    half = cfg.alpha / 2.0
     rows, corrections = [], []
     for method in cfg.methods:
-        # cqr-asym scores each tail at alpha / 2; the others score both ends at once
-        levels = (half, half) if method == "cqr-asym" else (cfg.alpha, None)
-        cal = plugin_values(method, bundle.read, "X2", cfg.gamma)
-        correction = conformal_correction(*cal, y2, *levels)
-        test = plugin_values(method, bundle.read, "Xt", cfg.gamma)
-        lo, hi = apply_correction(correction, *test)
+        correction, lo, hi = _band(method, bundle.read, "X2", y2, "Xt", cfg.alpha, cfg.gamma)
         coverage, avg_len, miss_lo, miss_hi = _evaluate(lo, hi, yt, length_scale)
         pair = method in PAIR_METHODS
         rows.append(
@@ -602,36 +612,33 @@ def tune_quantile_levels(
     Each grid point alpha_nom maps to the symmetric pair
     (alpha_nom / 2, 1 - alpha_nom / 2). Per fold, the non-validation rows
     are halved into fit and calibration parts, the pair is conformalized at
-    the target ``alpha``, and the mean interval length on the validation
-    fold is recorded. Ties go to the grid point nearest ``alpha``.
+    the target ``alpha`` by ``_band``, and the mean interval length on the
+    validation fold is recorded. Ties go to the grid point nearest ``alpha``.
     """
     if not grid:
         raise ValueError("tuning grid must be non-empty")
     check_level(alpha)
+    for nominal in grid:
+        check_level(nominal)
     check_count("cv_folds", cv_folds, minimum=2)
-    X1 = np.asarray(X1, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
+    X1 = as_matrix(X1)
+    y1 = as_vector(y1, X1.shape[0])
     n = X1.shape[0]
     order = rng.permutation(n)
-    folds = [order[f::cv_folds] for f in range(cv_folds)]
-    halves = [rng.permutation(n - f.size) for f in folds]
+    folds = []  # (fit, calibration, validation) rows of each fold
+    for val in (order[f::cv_folds] for f in range(cv_folds)):
+        rest = np.delete(np.arange(n), val)[rng.permutation(n - val.size)]
+        folds.append((rest[: rest.size // 2], rest[rest.size // 2 :], val))
 
     best: tuple[float, float, float] | None = None  # (score, |nom-alpha|, nom)
     for nominal in grid:
-        check_level(nominal)
         levels = (nominal / 2.0, 1.0 - nominal / 2.0)
         total = 0.0
-        for f, val_idx in enumerate(folds):
-            rest_mask = np.ones(n, dtype=bool)
-            rest_mask[val_idx] = False
-            rest = np.flatnonzero(rest_mask)
-            shuffled = rest[halves[f]]
-            cut = shuffled.size // 2
-            fit_idx, cal_idx = shuffled[:cut], shuffled[cut:]
-            pair = CrossingFixPair(make_pair())
-            pair.fit(X1[fit_idx], y1[fit_idx], *levels)
-            band = cqr_calibrate(pair, X1[cal_idx], y1[cal_idx], alpha)
-            total += _evaluate(*band.predict_interval(X1[val_idx]), y1[val_idx], 1.0)[1]
+        for fit, cal, val in folds:
+            pair = make_pair()
+            pair.fit(X1[fit], y1[fit], *levels)
+            _, lo, hi = _band("cqr", _pair_reader(pair), X1[cal], y1[cal], X1[val], alpha, None)
+            total += _evaluate(lo, hi, y1[val], 1.0)[1]
         key = (total / cv_folds, abs(nominal - alpha), nominal)
         if best is None or key < best:
             best = key
@@ -695,7 +702,7 @@ def coverage_audit(
     """Monte Carlo check of the finite-sample coverage guarantee.
 
     One quantile pair is fitted once; each trial redraws calibration and
-    test rows from the same law, recalibrates, and scores coverage. For
+    test rows from the same law, recalibrates with ``_band`` and scores coverage. For
     continuous data the pooled coverage should land in
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
     """
@@ -715,14 +722,14 @@ def coverage_audit(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
     bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
-    fixed = CrossingFixPair(bundle.quantile_model())
+    read = _pair_reader(bundle.quantile_model())
 
     per_trial = np.empty(n_trials)
     base = SyntheticSpec(kind=kind, n=n_calibration + n_test)
     for t in range(n_trials):
         ds, _ = generate(replace(base, seed=int(rng.integers(2**63))))
-        band = cqr_calibrate(fixed, ds.X[:n_calibration], ds.y[:n_calibration], alpha)
-        lo, hi = band.predict_interval(ds.X[n_calibration:])
+        cal_X, cal_y = ds.X[:n_calibration], ds.y[:n_calibration]
+        _, lo, hi = _band("cqr", read, cal_X, cal_y, ds.X[n_calibration:], alpha, None)
         per_trial[t] = _evaluate(lo, hi, ds.y[n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))

@@ -15,8 +15,8 @@ padded blocks of nodes, and then partitions the orders stably, so children
 stay sorted. The per-node sums are numpy's own sums of the same values in
 the same order, so every tree is bit for bit the tree a node-by-node grower
 would produce. A fitted forest is one flat node table per batch, holding
-the batch's trees with their leaf rows and leaf weight table, and is never
-written to after growth. A readout routes every tree of a table together:
+the batch's trees with their leaf sizes and leaf weight table, and is
+never written to after growth. A readout routes every tree of a table together:
 all (tree, query) pairs step down one depth level at a time, and a pair
 drops out of the walk when it reaches its leaf. Tables are read in growth
 order, and each table's trees in tree order.
@@ -90,13 +90,12 @@ class _NodeTable(NamedTuple):
 
     ``feature[node] == -1`` marks a leaf. Node ids run level by level, so
     the batch's ``n_trees`` roots come first, in tree order.
-    ``leaf_rows[leaf_start[node]:leaf_start[node] + leaf_count[node]]`` are
-    the training-row indices (with bootstrap multiplicity) that reached a
-    node; ``leaf_rows`` is every leaf's rows, leaf after leaf.
+    ``leaf_count[node]`` is the number of bootstrap samples (training rows
+    with multiplicity) that reached a node, the leaf size at a leaf.
     ``weight_table`` is ``(start, count, rows, weights)``: for a leaf node,
     ``rows[start[node]:start[node] + count[node]]`` are its distinct training
     rows in ascending order and ``weights`` their multiplicity divided by
-    the leaf size.
+    the leaf size. The table is the only record of a leaf's rows.
     """
 
     n_trees: int
@@ -104,9 +103,7 @@ class _NodeTable(NamedTuple):
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    leaf_start: np.ndarray
     leaf_count: np.ndarray
-    leaf_rows: np.ndarray
     leaf_mean: np.ndarray
     weight_table: tuple
 
@@ -261,7 +258,7 @@ def _grow_batch(X, y, R, min_leaf) -> _NodeTable:
     one iteration splits every splittable node of the level in all trees,
     and stable partitioning keeps each child's segment sorted, so the sort
     happens once per feature. The leaves end up tiling the feature-0
-    order, which becomes the batch's ``leaf_rows``.
+    order, from which the batch's leaf weight table is built.
     """
     n_trees, n = R.shape
     rows = R.ravel()
@@ -332,8 +329,8 @@ def _build_table(levels, leaf_rows, leaf_y, n) -> _NodeTable:
     w_start[leaves] = np.cumsum(per_leaf) - per_leaf
     w_count[leaves] = per_leaf
     weight_table = (w_start, w_count, uniq - leaf_of * n, mult / leaf_size[leaf_of])
-    return _NodeTable(int(level_size[0]), feature, threshold, left, right, start, size,
-                      leaf_rows, leaf_mean, weight_table)
+    return _NodeTable(int(level_size[0]), feature, threshold, left, right, size,
+                      leaf_mean, weight_table)
 
 
 class _Forest:

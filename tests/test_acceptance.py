@@ -229,18 +229,21 @@ def _route_to_leaf(tree, root, x):
     return node
 
 
-def _oracle_forest_quantiles(model, x, levels):
+def _oracle_forest_quantiles(model, X, x, levels):
+    config, n = model.config, X.shape[0]
     forest = model._forest
     trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
     n_trees = len(trees)
     weight: dict[int, Fraction] = {}
-    for tree, root in trees:
+    for (tree, root), seq in zip(trees, np.random.SeedSequence(config.seed).spawn(n_trees)):
+        # the leaf's rows from the QRF definition: the tree's bootstrap draw
+        # (every row once without bootstrap) routed down the tree
+        drawn = np.random.default_rng(seq).integers(0, n, size=n) if config.bootstrap else np.arange(n)
         leaf = _route_to_leaf(tree, root, x)
-        start = int(tree.leaf_start[leaf])
-        count = int(tree.leaf_count[leaf])
-        share = Fraction(1, count * n_trees)
-        for r in tree.leaf_rows[start : start + count]:
-            weight[int(r)] = weight.get(int(r), Fraction(0)) + share
+        rows = [int(r) for r in drawn if _route_to_leaf(tree, root, X[r]) == leaf]
+        share = Fraction(1, len(rows) * n_trees)
+        for r in rows:
+            weight[r] = weight.get(r, Fraction(0)) + share
     pairs = sorted((float(forest.y_train[r]), w) for r, w in weight.items())
     total = sum(w for _, w in pairs)
     out = []
@@ -274,7 +277,7 @@ def _forest_readouts_agree(n_forests: int, rng) -> bool:
         X_query = rng.normal(size=(3, p))
         lo, hi = model.predict_pair(X_query)
         for i in range(3):
-            want = _oracle_forest_quantiles(model, X_query[i], (lo_level, hi_level))
+            want = _oracle_forest_quantiles(model, X, X_query[i], (lo_level, hi_level))
             if lo[i] != want[0] or hi[i] != want[1]:
                 return False
     return True

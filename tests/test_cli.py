@@ -60,6 +60,22 @@ def test_run_on_a_csv_dataset(capsys, tmp_path):
     assert json.loads(out)["config"]["n_rows"] == 60
 
 
+def test_run_on_a_csv_with_a_byte_order_mark(capsys, tmp_path):
+    rows = ["y,x"] + [f"{(i % 7) - 3.0},{i / 10.0}" for i in range(60)]
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        data_path = tmp_path / f"{encoding}.csv"
+        data_path.write_text("\n".join(rows) + "\n", encoding=encoding)
+        code, out, err = _run(capsys, [
+            "run", "--data", str(data_path), "--target", "y",
+            "--method", "split", "--engine", "ridge", "--reps", "2",
+        ])
+        assert code == 0, err
+        reports.append(out)
+    # the mark is not part of the first column's name, so the reports agree
+    assert reports[0] == reports[1]
+
+
 def test_run_rejects_a_csv_with_duplicate_column_names(capsys, tmp_path):
     rows = ["x,y,y"] + [f"{i / 10.0},{i % 7},{i % 3}" for i in range(60)]
     data_path = tmp_path / "data.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from confband.conformal import (
     DataSplit,
+    apply_correction,
     cqr_asym_calibrate,
     cqr_calibrate,
     local_conformal_calibrate,
@@ -271,9 +272,9 @@ def test_predict_interval_is_apply_on_the_plugin_values():
         lo, hi = band.predict_interval(X)
         values = band.plugin(X)
         kept = [np.copy(v) for v in values]
-        lo_again, hi_again = band.apply(*values)
+        lo_again, hi_again = apply_correction(band.correction, *values)
         assert lo.tobytes() == lo_again.tobytes() and hi.tobytes() == hi_again.tobytes()
-        # apply leaves its inputs alone, so plug-in values can be shared
+        # apply_correction leaves its inputs alone, so plug-in values can be shared
         for before, after in zip(kept, values):
             assert np.array_equal(before, after)
     crossed = bands[5][0]

@@ -274,6 +274,18 @@ def test_load_csv_reads_numeric_rows(tmp_path):
     assert np.array_equal(data.y, [3.0, 6.0])
 
 
+@pytest.mark.parametrize("header", ["target,a", "a,target"])
+def test_load_csv_reads_a_file_with_a_byte_order_mark(tmp_path, header):
+    # spreadsheet "CSV UTF-8" exports start with a BOM before the first name
+    path = tmp_path / "excel.csv"
+    path.write_text(header + "\n3,1\n6,4\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    data = load_csv(str(path), "target")
+    assert data.feature_names == ("a",)
+    first_is_target = header.startswith("target")
+    assert np.array_equal(data.y, [3.0, 6.0] if first_is_target else [1.0, 4.0])
+
+
 def test_load_csv_drops_bad_rows_with_a_warning(tmp_path):
     path = _write(
         tmp_path / "data.csv",

@@ -143,12 +143,13 @@ def _trees_differ(tree, ref, node=0, ref_node=0):
     if tree.feature[node] != ref.feature[ref_node]:
         return f"node {node}: feature {tree.feature[node]} != {ref.feature[ref_node]}"
     if tree.feature[node] < 0:
-        rows, ref_rows = _leaf_rows(tree, node), _leaf_rows(ref, ref_node)
-        if not np.array_equal(np.sort(rows), np.sort(ref_rows)):
-            return f"leaf {node}: rows differ"
+        ref_rows = _leaf_rows(ref, ref_node)
+        if tree.leaf_count[node] != ref_rows.size:
+            return f"leaf {node}: size {tree.leaf_count[node]} != {ref_rows.size}"
         if tree.leaf_mean[node].tobytes() != ref.leaf_mean[ref_node].tobytes():
             return f"leaf {node}: mean {tree.leaf_mean[node]!r} != {ref.leaf_mean[ref_node]!r}"
-        # weight table: distinct rows, ascending, with multiplicity / leaf size
+        # weight table: distinct rows, ascending, with multiplicity / leaf size;
+        # with the leaf size these pin the leaf's row multiset
         start, count, table_rows, shares = tree.weight_table
         distinct, mult = np.unique(ref_rows, return_counts=True)
         span = slice(int(start[node]), int(start[node] + count[node]))
@@ -174,38 +175,56 @@ def _route_to_leaf(tree, root, x):
     return node
 
 
-def _oracle_quantiles(model, x, levels):
-    """Exact weighted-CDF quantiles via rational arithmetic.
+def _leaf_multisets(model, X):
+    """Every tree's ``(table, root, {leaf: rows})``, rebuilt from the QRF definition.
 
-    Each tree contributes weight 1/n_trees to the leaf x lands in, split
-    over the leaf's rows with bootstrap multiplicity. The quantile at a
-    level is the smallest stored response whose cumulative weight reaches
-    level times the total weight, less the readout's documented slack of
-    ``_CDF_RTOL`` times ``max(total, 1)``.
+    A tree's samples are its bootstrap draw from the forest's seed (every
+    row once without bootstrap), and a leaf holds the samples that routing
+    sends to it. Nothing the fit stored about leaf rows is read.
     """
-    forest = model._forest
-    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
-    n_trees = len(trees)
-    weight: dict[int, Fraction] = {}
-    for tree, root in trees:
-        leaf = _route_to_leaf(tree, root, x)
-        start = int(tree.leaf_start[leaf])
-        count = int(tree.leaf_count[leaf])
-        rows = tree.leaf_rows[start : start + count]
-        share = Fraction(1, count * n_trees)
-        for r in rows:
-            weight[int(r)] = weight.get(int(r), Fraction(0)) + share
-    pairs = sorted((float(forest.y_train[r]), w) for r, w in weight.items())
-    total = sum(w for _, w in pairs)
+    config, n = model.config, X.shape[0]
+    trees = [(table, root) for table in model._forest.tables for root in range(table.n_trees)]
     out = []
-    for level in levels:
-        thresh = Fraction(level) * total - Fraction(_CDF_RTOL) * max(total, 1)
-        cum = Fraction(0)
-        for value, w in pairs:
-            cum += w
-            if cum >= thresh:
-                out.append(value)
-                break
+    for (table, root), seq in zip(trees, np.random.SeedSequence(config.seed).spawn(len(trees))):
+        rows = np.random.default_rng(seq).integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        leaf_of = {r: _route_to_leaf(table, root, X[r]) for r in set(rows.tolist())}
+        leaves: dict[int, list[int]] = {}
+        for r in rows.tolist():
+            leaves.setdefault(leaf_of[r], []).append(r)
+        out.append((table, root, leaves))
+    return out
+
+
+def _oracle_quantiles(model, X, queries, levels):
+    """Exact weighted-CDF quantiles of each query row via rational arithmetic.
+
+    ``X`` is the training features. Each tree contributes weight 1/n_trees
+    to the leaf a query lands in, split over the leaf's rows with bootstrap
+    multiplicity. The quantile at a level is the smallest stored response
+    whose cumulative weight reaches level times the total weight, less the
+    readout's documented slack of ``_CDF_RTOL`` times ``max(total, 1)``.
+    """
+    trees = _leaf_multisets(model, X)
+    y_train = model._forest.y_train
+    out = []
+    for x in queries:
+        weight: dict[int, Fraction] = {}
+        for tree, root, leaves in trees:
+            rows = leaves[_route_to_leaf(tree, root, x)]
+            share = Fraction(1, len(rows) * len(trees))
+            for r in rows:
+                weight[r] = weight.get(r, Fraction(0)) + share
+        pairs = sorted((float(y_train[r]), w) for r, w in weight.items())
+        total = sum(w for _, w in pairs)
+        out.append([])
+        for level in levels:
+            thresh = Fraction(level) * total - Fraction(_CDF_RTOL) * max(total, 1)
+            cum = Fraction(0)
+            for value, w in pairs:
+                cum += w
+                if cum >= thresh:
+                    out[-1].append(value)
+                    break
     return out
 
 
@@ -250,12 +269,9 @@ def test_quantile_readout_matches_weighted_cdf_oracle():
         model = QuantileForestRegressor(config).fit(X, y, lo_level, hi_level)
         X_query = rng.normal(size=(3, p))
         lo, hi = model.predict_pair(X_query)
+        want = _oracle_quantiles(model, X, X_query, (lo_level, hi_level))
         for i in range(3):
-            want_lo, want_hi = _oracle_quantiles(
-                model, X_query[i], (lo_level, hi_level)
-            )
-            assert lo[i] == want_lo
-            assert hi[i] == want_hi
+            assert [lo[i], hi[i]] == want[i]
 
 
 def test_quantile_curves_are_monotone_in_level():
@@ -332,8 +348,9 @@ def _check_multi_batch_readouts(bootstrap, levels):
     got_mean = mean.predict(X_query)
     forest = mean._forest
     trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    exact = _oracle_quantiles(pair, X, X_query, levels)
     for i, x in enumerate(X_query):
-        assert [lo[i], hi[i], mid[i]] == _oracle_quantiles(pair, x, levels)
+        assert [lo[i], hi[i], mid[i]] == exact[i]
         # the mean readout adds the leaf means in tree order, then divides
         want = 0.0
         for table, root in trees:

@@ -44,7 +44,12 @@ from confband.harness import (
     summarize,
     tune_quantile_levels,
 )
-from confband.regressors import ForestConfig, ForestMeanRegressor, QuantileForestRegressor
+from confband.regressors import (
+    ForestConfig,
+    ForestMeanRegressor,
+    LinearQuantilePair,
+    QuantileForestRegressor,
+)
 
 
 class _ConstantPair:
@@ -394,6 +399,96 @@ def test_quantile_level_tuning_grid_and_ties():
             tune_quantile_levels(_ConstantPair, X1, y1, 0.1, folds, np.random.default_rng(0))
 
 
+def _tune_by_the_public_calibrator(make_pair, X1, y1, alpha, cv_folds, rng, grid):
+    """The per-grid-point tuning loop the band step replaced, kept as the referee.
+
+    It rebuilds each fold's rows for every grid point and scores through
+    ``CrossingFixPair``, ``cqr_calibrate`` and ``predict_interval``.
+    """
+    X1 = np.asarray(X1, dtype=float)
+    y1 = np.asarray(y1, dtype=float)
+    n = X1.shape[0]
+    order = rng.permutation(n)
+    folds = [order[f::cv_folds] for f in range(cv_folds)]
+    halves = [rng.permutation(n - f.size) for f in folds]
+    best = None
+    for nominal in grid:
+        levels = (nominal / 2.0, 1.0 - nominal / 2.0)
+        total = 0.0
+        for f, val_idx in enumerate(folds):
+            rest_mask = np.ones(n, dtype=bool)
+            rest_mask[val_idx] = False
+            shuffled = np.flatnonzero(rest_mask)[halves[f]]
+            cut = shuffled.size // 2
+            fit_idx, cal_idx = shuffled[:cut], shuffled[cut:]
+            pair = CrossingFixPair(make_pair())
+            pair.fit(X1[fit_idx], y1[fit_idx], *levels)
+            band = cqr_calibrate(pair, X1[cal_idx], y1[cal_idx], alpha)
+            total += harness._evaluate(*band.predict_interval(X1[val_idx]), y1[val_idx], 1.0)[1]
+        key = (total / cv_folds, abs(nominal - alpha), nominal)
+        if best is None or key < best:
+            best = key
+    return best[2] / 2.0, 1.0 - best[2] / 2.0
+
+
+def _recorded_bands(monkeypatch):
+    """Record the bytes of every band the harness scores, with its response rows."""
+    bands = []
+    score = harness._evaluate
+
+    def evaluate(lo, hi, y, length_scale):
+        bands.append((lo.tobytes(), hi.tobytes(), y.tobytes()))
+        return score(lo, hi, y, length_scale)
+
+    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    return bands
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        lambda: LinearQuantilePair(epochs=100),
+        lambda: QuantileForestRegressor(ForestConfig(n_trees=15, min_leaf_size=5, seed=4)),
+        _CrossedPair,
+    ],
+    ids=["linear-q", "qrf", "crossed"],
+)
+def test_tuning_scores_every_fold_like_the_public_calibrator(monkeypatch, make_pair):
+    rng = np.random.default_rng(9)
+    X1 = rng.uniform(-2.0, 2.0, size=(90, 1))
+    y1 = X1[:, 0] + (0.5 + np.abs(X1[:, 0])) * rng.normal(size=90)
+    bands = _recorded_bands(monkeypatch)
+    args = (make_pair, X1, y1, 0.1, 3)
+    got = tune_quantile_levels(*args, np.random.default_rng(5), QUANTILE_TUNING_GRID)
+    ours = list(bands)
+    bands.clear()
+    want = _tune_by_the_public_calibrator(*args, np.random.default_rng(5), QUANTILE_TUNING_GRID)
+    assert got == want
+    # every fold of every grid point gets the same band, bit for bit
+    assert len(ours) == 3 * len(QUANTILE_TUNING_GRID)
+    assert ours == bands
+
+
+def test_tuning_checks_every_input_before_the_first_fit():
+    rng = np.random.default_rng(2)
+    X1 = rng.normal(size=(40, 1))
+    y1 = rng.normal(size=40)
+    fits = []
+
+    def make_pair():
+        fits.append(None)
+        return _ConstantPair()
+
+    with pytest.raises(ValueError, match="1.5"):
+        tune_quantile_levels(make_pair, X1, y1, 0.1, 3, np.random.default_rng(0), grid=(0.1, 1.5))
+    with pytest.raises(ValueError, match="response has 39 rows, features have 40"):
+        tune_quantile_levels(make_pair, X1, y1[:39], 0.1, 3, np.random.default_rng(0))
+    y1[7] = np.nan
+    with pytest.raises(ValueError, match="response vector contains non-finite entries"):
+        tune_quantile_levels(make_pair, X1, y1, 0.1, 3, np.random.default_rng(0))
+    assert fits == []
+
+
 def test_tuned_runs_record_the_nominal_level():
     rng = np.random.default_rng(11)
     X = rng.uniform(0.0, 5.0, size=(80, 1))
@@ -425,6 +520,9 @@ def test_config_validation_rejects_bad_settings():
         ExperimentConfig(methods=("bogus",))
     with pytest.raises(ValueError, match="methods must be non-empty"):
         ExperimentConfig(methods=())
+    # a repeated method would be scored twice and summarized as one
+    with pytest.raises(ValueError, match="method 'split' is listed more than once"):
+        ExperimentConfig(methods=("split", "cqr", "split"))
     with pytest.raises(ValueError, match="unknown engine"):
         ExperimentConfig(engine="bogus")
     with pytest.raises(ValueError):
@@ -512,6 +610,41 @@ def test_a_failed_repetition_adds_no_rows(monkeypatch):
         (1, "split"), (1, "cqr"), (2, "split"), (2, "cqr"),
     ]
     assert [s.n_reps for s in report.summaries] == [2, 2]
+
+
+@pytest.mark.parametrize("engine", [*harness.PAIR_ENGINES, "crossed"])
+def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
+    if engine == "crossed":
+        # the crossed pair gives every read crossings to repair
+        crossed = replace(harness._ENGINES["linear-q"], pair=lambda b, seed: _CrossedPair())
+        monkeypatch.setitem(harness._ENGINES, "linear-q", crossed)
+        engine = "linear-q"
+    pairs, datasets = [], []
+    quantile_model, draw = harness._EngineBundle.quantile_model, harness.generate
+
+    def fitted_pair(bundle):
+        pairs.append(quantile_model(bundle))
+        return pairs[-1]
+
+    def generate(spec):
+        drawn = draw(spec)
+        datasets.append(drawn[0])
+        return drawn
+
+    monkeypatch.setattr(harness._EngineBundle, "quantile_model", fitted_pair)
+    monkeypatch.setattr(harness, "generate", generate)
+    bands = _recorded_bands(monkeypatch)
+    n_cal = 19
+    coverage_audit(
+        n_trials=2, n_calibration=n_cal, n_test=30, n_train=40, engine=engine,
+        kind="heteroscedastic_outliers", seed=6,
+    )
+    assert len(pairs) == 1 and len(datasets) == 3 and len(bands) == 2
+    fixed = CrossingFixPair(pairs[0])
+    for ds, got in zip(datasets[1:], bands):
+        band = cqr_calibrate(fixed, ds.X[:n_cal], ds.y[:n_cal], 0.1)
+        lo, hi = band.predict_interval(ds.X[n_cal:])
+        assert got == (lo.tobytes(), hi.tobytes(), ds.y[n_cal:].tobytes())
 
 
 def test_coverage_audit_arguments_and_light_run():
