@@ -27,7 +27,9 @@ that it left every byte alone. The matrix covers:
   wrapped in ``CrossingFixPair``;
 - ``forest``: the mean, the quantile pair and three single-level quantiles
   read from forests of 140 trees on 1000 rows, which grow in 3 batches,
-  with bootstrap on and off;
+  with bootstrap on and off; and the mean and the pair read on 2000 rows
+  from a forest of 300 trees on 400 rows, which both read in five blocks of
+  queries at the default bounds;
 - ``demo``: the demo-fig1 CSV and its stdout for every synthetic kind;
 - ``cli``: ``confband run`` to stdout and to a CSV, and
   ``confband coverage-audit`` to stdout.
@@ -37,7 +39,7 @@ build, so they hold between two checkouts on one machine, not across
 machines. That is why this script is not part of the test suite, and why
 CI only runs it on its own checkout, comparing nothing, so that a change
 that breaks the script shows.
-The 104 outputs take about 23 s per checkout on a 2-vCPU VM.
+The 106 outputs take about 25 s per checkout on a 2-vCPU VM.
 """
 
 import argparse
@@ -170,6 +172,16 @@ def multi_batch_forests():
         yield f"{name}/pair", _sha(lo.tobytes() + hi.tobytes())
         for level in (0.1, 0.5, 0.83):
             yield f"{name}/quantile-{level}", _sha(pair.predict_quantile(X_new, level).tobytes())
+
+    # 2000 queries x 300 trees: over four times forest._ROUTE_PAIRS (query, tree) pairs
+    X_train, X_many = rng.normal(size=(400, 2)), rng.normal(size=(2000, 2))
+    y_train = X_train[:, 0] + rng.normal(size=400)
+    config = ForestConfig(n_trees=300, min_leaf_size=5, seed=4)
+    yield "forest/blocks/mean", _sha(
+        ForestMeanRegressor(config).fit(X_train, y_train).predict(X_many).tobytes()
+    )
+    lo, hi = QuantileForestRegressor(config).fit(X_train, y_train, 0.05, 0.95).predict_pair(X_many)
+    yield "forest/blocks/pair", _sha(lo.tobytes() + hi.tobytes())
 
 
 def matrix():

@@ -171,9 +171,9 @@ def conformal_correction(
     ``alpha_hi`` None, one inflated quantile of max(below, above) at
     ``alpha_lo`` serves both ends; otherwise each tail gets its own.
     """
-    check_level(alpha_lo)
+    alpha_lo = check_level(alpha_lo)
     if alpha_hi is not None:
-        check_level(alpha_hi)
+        alpha_hi = check_level(alpha_hi)
     below = (lo - y_cal) / scale
     above = (y_cal - hi) / scale
     if alpha_hi is None:
@@ -206,6 +206,9 @@ def apply_correction(correction, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]
 
 def _calibrate(method, models: dict, X_cal, y_cal, alpha_lo, alpha_hi=None, gamma=None):
     """Read the method's fitted models on the calibration rows, then score them."""
+    # bad levels fail before any model is read
+    for level in (alpha_lo,) if alpha_hi is None else (alpha_lo, alpha_hi):
+        check_level(level)
     X_cal = as_matrix(X_cal)
     y_cal = as_vector(y_cal, X_cal.shape[0])
     # a band reads the method's fitted models afresh on every X

@@ -438,8 +438,7 @@ class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
     _levels: tuple[float, float] | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "OracleQuantileRegressor":
-        check_level_pair(alpha_lo, alpha_hi)
-        self._levels = (alpha_lo, alpha_hi)
+        self._levels = check_level_pair(alpha_lo, alpha_hi)
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:

@@ -31,20 +31,27 @@ _BOUNDARY_RTOL = 1e-9
 def check_level(alpha: float) -> float:
     """Validate a quantile/miscoverage level, returning it as a float.
 
-    Raises ValueError unless 0 < alpha < 1 strictly.
+    Raises ValueError unless 0 < alpha < 1 strictly; a string, bytes or a
+    bool is not a level, whatever ``float`` makes of it.
     """
+    if isinstance(alpha, (str, bytes, bool)):
+        raise ValueError(f"level must be a real number, got {alpha!r}")
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"level must be in the open interval (0, 1), got {alpha}")
     return alpha
 
 
-def check_level_pair(alpha_lo: float, alpha_hi: float) -> None:
-    """Validate the levels of a quantile pair: both valid, the lower below the upper."""
-    check_level(alpha_lo)
-    check_level(alpha_hi)
+def check_level_pair(alpha_lo: float, alpha_hi: float) -> tuple[float, float]:
+    """Validate the levels of a quantile pair: both valid, the lower below the upper.
+
+    Returns the pair as floats.
+    """
+    alpha_lo = check_level(alpha_lo)
+    alpha_hi = check_level(alpha_hi)
     if not alpha_lo < alpha_hi:
         raise ValueError(f"alpha_lo must be below alpha_hi, got ({alpha_lo}, {alpha_hi})")
+    return alpha_lo, alpha_hi
 
 
 def _snap(x: float) -> float:

@@ -15,18 +15,26 @@ padded blocks of nodes, and then partitions the orders stably, so children
 stay sorted. The per-node sums are numpy's own sums of the same values in
 the same order, so every tree is bit for bit the tree a node-by-node grower
 would produce. A fitted forest is one flat node table per batch, holding
-the batch's trees with their leaf sizes and leaf weight table, and is
-never written to after growth. A readout routes every tree of a table together:
-all (tree, query) pairs step down one depth level at a time, and a pair
-drops out of the walk when it reaches its leaf. Tables are read in growth
-order, and each table's trees in tree order.
+the batch's trees with their leaf sizes, plus one forest-wide leaf weight
+block, and is never written to after growth.
 
-A query point x collects weight 1/n_trees from every tree, split uniformly
-over the rows in the leaf that x reaches. Quantiles are read off the
-resulting weighted empirical CDF by the left-quantile rule: the smallest
-stored response whose cumulative weight reaches the requested level. The
-mean readout averages leaf means across trees, which is the expectation of
-the same weighted CDF.
+A query point x collects weight 1/n_trees from every tree, split over the
+rows in the leaf that x reaches in proportion to their multiplicity. These
+are Meinshausen's QRF weights (JMLR 2006), read as the sparse product
+W = E·D: E (queries x leaves) has one entry per tree in each row, and D
+(leaves x training rows) holds each leaf's weights. A readout routes every
+tree of a table together: all (tree, query) pairs step down one depth
+level at a time, and a pair drops out of the walk when it reaches its leaf.
+E's entries are stored in tree order, and ``scipy.sparse`` multiplies CSR
+by CSR row by row (Gustavson, ACM TOMS 1978), adding each weight's terms in
+that order, so a weight is the same sum however the queries are blocked.
+D's columns run in response-rank order, so each row of W is already in CDF
+order. Quantiles are read off the weighted empirical CDF by the
+left-quantile rule: the smallest stored response whose cumulative weight
+reaches the requested level. The mean readout adds the leaf means in tree
+order and divides by the number of trees, which is the expectation of the
+same weighted CDF. ``scipy.sparse`` is imported where a forest is read, not
+with the package.
 """
 
 from dataclasses import dataclass
@@ -51,8 +59,9 @@ _CDF_RTOL = 1e-9
 # working set of growth as the two bounds below bound the readout's
 _GROW_BATCH = 2**16
 
-# (tree, query) pairs routed together in one walk
-_ROUTE_PAIRS = 2**20
+# (query, tree) pairs routed together, the entries of one block of E; the
+# block's product with D is a near-dense queries x training rows block too
+_ROUTE_PAIRS = 2**17
 
 # weight-matrix cells (queries x training rows) of one quantile readout block
 _READ_CELLS = 2**22
@@ -92,10 +101,8 @@ class _NodeTable(NamedTuple):
     the batch's ``n_trees`` roots come first, in tree order.
     ``leaf_count[node]`` is the number of bootstrap samples (training rows
     with multiplicity) that reached a node, the leaf size at a leaf.
-    ``weight_table`` is ``(start, count, rows, weights)``: for a leaf node,
-    ``rows[start[node]:start[node] + count[node]]`` are its distinct training
-    rows in ascending order and ``weights`` their multiplicity divided by
-    the leaf size. The table is the only record of a leaf's rows.
+    ``leaf[node]`` is a leaf's row in the forest's leaf weight block D, -1
+    at a split node; D is the only record of a leaf's rows.
     """
 
     n_trees: int
@@ -104,8 +111,7 @@ class _NodeTable(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     leaf_count: np.ndarray
-    leaf_mean: np.ndarray
-    weight_table: tuple
+    leaf: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node reached by each row of X in each tree (route left on <=).
@@ -250,7 +256,7 @@ def _partition(orders, start, size, k, feature):
         order[np.where(g, left_base + c, right_base - c)] = samples
 
 
-def _grow_batch(X, y, R, min_leaf) -> _NodeTable:
+def _grow_batch(X, y, R, min_leaf, first_leaf):
     """Grow one tree per row of R, the tree's bootstrap rows, level by level.
 
     Sample ``u`` of the batch is training row ``R.flat[u]``. Each node is a
@@ -258,7 +264,8 @@ def _grow_batch(X, y, R, min_leaf) -> _NodeTable:
     one iteration splits every splittable node of the level in all trees,
     and stable partitioning keeps each child's segment sorted, so the sort
     happens once per feature. The leaves end up tiling the feature-0
-    order, from which the batch's leaf weight table is built.
+    order, from which the batch's rows of the leaf weight block are built;
+    they are numbered from ``first_leaf``. Returns what ``_build_table`` does.
     """
     n_trees, n = R.shape
     rows = R.ravel()
@@ -287,16 +294,19 @@ def _grow_batch(X, y, R, min_leaf) -> _NodeTable:
         _partition(orders, s, m, k, feature[split])
         start = np.column_stack((s, s + k)).ravel()
         size = np.column_stack((k, m - k)).ravel()
-    return _build_table(levels, rows[orders[0]], y_s[orders[0]], n)
+    return _build_table(levels, rows[orders[0]], y_s[orders[0]], n, first_leaf)
 
 
-def _build_table(levels, leaf_rows, leaf_y, n) -> _NodeTable:
-    """The node table, with its leaf weight table, of a grown batch.
+def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
+    """The node table of a grown batch, and its leaves' rows of the weight block.
 
     ``levels`` holds each level's ``(start, size, feature, threshold)``
     node arrays, the first level being the roots in tree order; ``leaf_rows``
     and ``leaf_y`` are the training rows and responses of the final
-    feature-0 order, in which every node's segment holds its rows.
+    feature-0 order, in which every node's segment holds its rows. Returns
+    ``(table, (count, rows, shares, means))``: leaf by leaf in tree order,
+    the number of distinct rows, those rows in ascending order with their
+    multiplicity divided by the leaf size, and the leaf's mean response.
     """
     # node ids run level by level, and by position within a level; a split
     # node's children are consecutive ids in the next level
@@ -309,13 +319,16 @@ def _build_table(levels, leaf_rows, leaf_y, n) -> _NodeTable:
     left = np.where(is_split, next_level + 2 * rank, -1)
     right = np.where(is_split, left + 1, -1)
 
+    # leaf segments tile the batch tree by tree, so sorted by start the
+    # leaves run in tree order
     leaves = np.flatnonzero(~is_split)
-    leaves = leaves[np.argsort(start[leaves])]  # leaf segments tile the batch
+    leaves = leaves[np.argsort(start[leaves])]
     leaf_size = size[leaves]
-    leaf_mean = np.zeros(start.size)
-    leaf_mean[leaves] = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
+    means = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
+    leaf = np.full(start.size, -1)
+    leaf[leaves] = first_leaf + np.arange(leaves.size)
 
-    # weight table: run-length encode (leaf, row) pairs in one batch sort
+    # run-length encode (leaf, row) pairs in one batch sort
     key = np.sort(np.repeat(np.arange(leaves.size), leaf_size) * n + leaf_rows)
     first = np.empty(key.size, dtype=bool)
     first[0] = True
@@ -323,18 +336,21 @@ def _build_table(levels, leaf_rows, leaf_y, n) -> _NodeTable:
     uniq = key[first]
     mult = np.diff(np.flatnonzero(np.append(first, True)))
     leaf_of = uniq // n
-    per_leaf = np.bincount(leaf_of, minlength=leaves.size)
-    w_start = np.zeros(start.size, dtype=np.int64)
-    w_count = np.zeros(start.size, dtype=np.int64)
-    w_start[leaves] = np.cumsum(per_leaf) - per_leaf
-    w_count[leaves] = per_leaf
-    weight_table = (w_start, w_count, uniq - leaf_of * n, mult / leaf_size[leaf_of])
-    return _NodeTable(int(level_size[0]), feature, threshold, left, right, size,
-                      leaf_mean, weight_table)
+    count = np.bincount(leaf_of, minlength=leaves.size)
+    table = _NodeTable(int(level_size[0]), feature, threshold, left, right, size, leaf)
+    return table, (count, uniq - leaf_of * n, mult / leaf_size[leaf_of], means)
 
 
 class _Forest:
-    """Grown node tables, one per growth batch, plus the training responses they index into."""
+    """Grown node tables, one per growth batch, and the leaf weight block D they share.
+
+    D (leaves x training rows, CSR) holds in row l the weight leaf l gives
+    each training row: its multiplicity over the leaf size, over the number
+    of trees. Its rows are the leaves in tree order, its columns the
+    training rows in response-rank order, and it is kept as the plain arrays
+    ``leaf_weights = (data, indices, indptr)``; ``leaf_mean`` holds each
+    leaf's mean response, by D row.
+    """
 
     def __init__(self, X, y, config: ForestConfig):
         X = as_matrix(X)
@@ -350,9 +366,21 @@ class _Forest:
         self.y_train = y
         self.n_features_in_ = X.shape[1]
         self.config = config
+        # number the training rows by response rank, so leaf rows are D's
+        # columns in CDF order; the trees see the same values either way
+        order = np.argsort(y, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        X, y = X[order], y[order]
+        self._y_sorted = y
         self.tables: list[_NodeTable] = []
+        # a tree holds at most n distinct rows, so D has at most n_trees * n entries
+        index = np.int32 if config.n_trees * n <= np.iinfo(np.int32).max else np.int64
+        per_tree = 1.0 / config.n_trees
+        blocks = []
         seqs = np.random.SeedSequence(config.seed).spawn(config.n_trees)
         per_batch = max(1, _GROW_BATCH // n)
+        n_leaves = 0
         for b in range(0, len(seqs), per_batch):
             # draw a batch's bootstrap rows only when the batch is grown
             batch = seqs[b : b + per_batch]
@@ -360,52 +388,55 @@ class _Forest:
                 R = np.stack([np.random.default_rng(s).integers(0, n, size=n) for s in batch])
             else:
                 R = np.broadcast_to(np.arange(n), (len(batch), n))
-            self.tables.append(_grow_batch(X, y, R, config.min_leaf_size))
-        self._order = np.argsort(y, kind="stable")
-        self._y_sorted = y[self._order]
+            table, (count, rows, shares, means) = _grow_batch(
+                X, y, rank[R], config.min_leaf_size, n_leaves
+            )
+            self.tables.append(table)
+            # each tree gives a query weight 1/n_trees, shared over its leaf's rows
+            blocks.append((count, rows.astype(index), per_tree * shares, means))
+            n_leaves += count.size
+        count, rows, data, self.leaf_mean = (np.concatenate(a) for a in zip(*blocks))
+        indptr = np.zeros(n_leaves + 1, dtype=index)
+        np.cumsum(count, out=indptr[1:])
+        self.leaf_weights = (data, rows, indptr)
 
-    def _leaves(self, X: np.ndarray):
-        """Yield ``(block, table, by_tree)`` table after table, ``by_tree`` being
-        ``table.apply(X[block])`` on a block of at most ``_ROUTE_PAIRS`` pairs."""
-        for table in self.tables:
-            step = max(1, _ROUTE_PAIRS // table.n_trees)
-            for start in range(0, X.shape[0], step):
-                block = slice(start, start + step)
-                yield block, table, table.apply(X[block])
+    def _routes(self, X: np.ndarray, step: int):
+        """Yield ``(block, E)`` for blocks of at most ``step`` rows of X.
 
-    def weights(self, X: np.ndarray) -> np.ndarray:
-        """Per-query weights over training rows; each row sums to 1."""
-        n_train = self.y_train.size
-        w = np.zeros((X.shape[0], n_train))
-        per_tree = 1.0 / self.config.n_trees
-        for block, table, by_tree in self._leaves(X):
-            start, count, rows, shares = table.weight_table
-            # the block's rows of w are contiguous, so this flat view writes through
-            w_flat = w[block].reshape(-1)
-            query_base = np.arange(by_tree.shape[1]) * n_train
-            # trees are added one at a time in growth order, so each weight
-            # sums its trees' shares in the same order whatever the blocks
-            for leaves in by_tree:
-                counts_q = count[leaves]
-                # ragged gather of each query's leaf slice into one flat batch
-                excl = np.cumsum(counts_q) - counts_q
-                pos = np.arange(counts_q.sum()) + np.repeat(start[leaves] - excl, counts_q)
-                # a query meets each distinct row at most once per tree, so the
-                # flat indices are duplicate-free and += accumulates correctly
-                flat = np.repeat(query_base, counts_q) + rows[pos]
-                w_flat[flat] += per_tree * shares[pos]
-        return w
+        E (the block's queries x leaves, CSR) holds in row q a 1 at the D
+        row of the leaf q reaches in each tree, stored in tree order: the
+        tables in growth order, each table's trees in tree order.
+        """
+        from scipy import sparse  # only a forest read needs it
+
+        n_trees, n_leaves = self.config.n_trees, self.leaf_mean.size
+        index = self.leaf_weights[2].dtype
+        for start in range(0, X.shape[0], step):
+            rows = X[start : start + step]
+            leaf = np.concatenate(
+                [table.leaf[table.apply(rows)].T for table in self.tables], axis=1, dtype=index
+            )
+            indptr = np.arange(0, leaf.size + 1, n_trees, dtype=index)
+            E = sparse.csr_array(
+                (np.ones(leaf.size), leaf.ravel(), indptr), shape=(len(rows), n_leaves)
+            )
+            yield slice(start, start + step), E
 
     def quantiles(self, X, levels: tuple[float, ...]) -> list[np.ndarray]:
         """Left empirical quantiles of the weighted CDF, one array per level."""
+        from scipy import sparse
+
+        levels = [check_level(level) for level in levels]
         X = as_matrix(X, self.n_features_in_)
-        for level in levels:
-            check_level(level)
+        n_train = self._y_sorted.size
+        D = sparse.csr_array(self.leaf_weights, shape=(self.leaf_mean.size, n_train))
         out = [np.empty(X.shape[0]) for _ in levels]
-        chunk = max(1, _READ_CELLS // self.y_train.size)
-        for start in range(0, X.shape[0], chunk):
-            block = slice(start, start + chunk)
-            cumw = np.cumsum(self.weights(X[block])[:, self._order], axis=1)
+        step = max(1, min(_ROUTE_PAIRS // self.config.n_trees, _READ_CELLS // n_train))
+        for block, E in self._routes(X, step):
+            # Gustavson's row-wise product adds each weight's terms in E's
+            # stored order, tree order, so the CDF is the same whatever the blocks
+            cumw = (E @ D).toarray()
+            np.cumsum(cumw, axis=1, out=cumw)
             total = cumw[:, -1]
             for i, level in enumerate(levels):
                 thresh = level * total - _CDF_RTOL * np.maximum(total, 1.0)
@@ -414,11 +445,11 @@ class _Forest:
         return out
 
     def means(self, X) -> np.ndarray:
+        """Leaf means summed in tree order, over the number of trees."""
         X = as_matrix(X, self.n_features_in_)
-        acc = np.zeros(X.shape[0])
-        for block, table, by_tree in self._leaves(X):
-            for leaves in by_tree:
-                acc[block] += table.leaf_mean[leaves]
+        acc = np.empty(X.shape[0])
+        for block, E in self._routes(X, max(1, _ROUTE_PAIRS // self.config.n_trees)):
+            acc[block] = E @ self.leaf_mean
         return acc / self.config.n_trees
 
 
@@ -437,9 +468,9 @@ class QuantileForestRegressor(QuantileRegressor):
         self._levels: tuple[float, float] | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileForestRegressor":
-        check_level_pair(alpha_lo, alpha_hi)
+        levels = check_level_pair(alpha_lo, alpha_hi)
         self._forest = _Forest(X, y, self.config)
-        self._levels = (alpha_lo, alpha_hi)
+        self._levels = levels
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:

@@ -70,7 +70,7 @@ class LinearQuantilePair(QuantileRegressor):
         self._hi: LinearPinballModel | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "LinearQuantilePair":
-        check_level_pair(alpha_lo, alpha_hi)
+        alpha_lo, alpha_hi = check_level_pair(alpha_lo, alpha_hi)
         self._lo = LinearPinballModel(alpha_lo, self.epochs, self.learning_rate).fit(X, y)
         self._hi = LinearPinballModel(alpha_hi, self.epochs, self.learning_rate).fit(X, y)
         return self

@@ -100,7 +100,7 @@ class _PinballPairHead:
     n_outputs = 2
 
     def __init__(self, alpha_lo: float, alpha_hi: float):
-        check_level_pair(alpha_lo, alpha_hi)
+        alpha_lo, alpha_hi = check_level_pair(alpha_lo, alpha_hi)
         self._lo = PinballLoss(alpha_lo)
         self._hi = PinballLoss(alpha_hi)
 

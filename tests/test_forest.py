@@ -5,6 +5,7 @@ import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -138,30 +139,52 @@ def _leaf_rows(tree, node):
     return tree.leaf_rows[start : start + int(tree.leaf_count[node])]
 
 
-def _trees_differ(tree, ref, node=0, ref_node=0):
-    """First difference between two grown trees, walked from the root, or None."""
+class _LeafRecord(NamedTuple):
+    """A fitted forest's leaf weight block, plus the rank of each training row."""
+
+    weights: tuple
+    mean: np.ndarray
+    rank: np.ndarray
+    n_trees: int
+
+
+def _leaf_record(forest) -> _LeafRecord:
+    rank = np.empty(forest.y_train.size, dtype=np.int64)
+    rank[np.argsort(forest.y_train, kind="stable")] = np.arange(forest.y_train.size)
+    return _LeafRecord(forest.leaf_weights, forest.leaf_mean, rank, forest.config.n_trees)
+
+
+def _trees_differ(record, tree, ref, node=0, ref_node=0):
+    """First difference between two grown trees, walked from the root, or None.
+
+    ``record`` is the grown tree's ``_LeafRecord``.
+    """
     if tree.feature[node] != ref.feature[ref_node]:
         return f"node {node}: feature {tree.feature[node]} != {ref.feature[ref_node]}"
     if tree.feature[node] < 0:
         ref_rows = _leaf_rows(ref, ref_node)
         if tree.leaf_count[node] != ref_rows.size:
             return f"leaf {node}: size {tree.leaf_count[node]} != {ref_rows.size}"
-        if tree.leaf_mean[node].tobytes() != ref.leaf_mean[ref_node].tobytes():
-            return f"leaf {node}: mean {tree.leaf_mean[node]!r} != {ref.leaf_mean[ref_node]!r}"
-        # weight table: distinct rows, ascending, with multiplicity / leaf size;
-        # with the leaf size these pin the leaf's row multiset
-        start, count, table_rows, shares = tree.weight_table
+        d_row = int(tree.leaf[node])
+        if record.mean[d_row].tobytes() != ref.leaf_mean[ref_node].tobytes():
+            return f"leaf {node}: mean {record.mean[d_row]!r} != {ref.leaf_mean[ref_node]!r}"
+        # the leaf's row of D: its distinct rows, ascending by response rank,
+        # with weight multiplicity / leaf size / n_trees; with the leaf size
+        # these pin the leaf's row multiset
+        data, columns, indptr = record.weights
+        span = slice(int(indptr[d_row]), int(indptr[d_row + 1]))
         distinct, mult = np.unique(ref_rows, return_counts=True)
-        span = slice(int(start[node]), int(start[node] + count[node]))
-        if not np.array_equal(table_rows[span], distinct):
-            return f"leaf {node}: weight-table rows differ"
-        if shares[span].tobytes() != (mult / ref_rows.size).tobytes():
-            return f"leaf {node}: weight-table shares differ"
+        by_rank = np.argsort(record.rank[distinct])
+        if not np.array_equal(columns[span], record.rank[distinct][by_rank]):
+            return f"leaf {node}: weight-block rows differ"
+        want = (1.0 / record.n_trees) * (mult / ref_rows.size)
+        if data[span].tobytes() != want[by_rank].tobytes():
+            return f"leaf {node}: weight-block shares differ"
         return None
     if tree.threshold[node].tobytes() != ref.threshold[ref_node].tobytes():
         return f"node {node}: threshold {tree.threshold[node]!r} != {ref.threshold[ref_node]!r}"
-    return _trees_differ(tree, ref, tree.left[node], ref.left[ref_node]) or _trees_differ(
-        tree, ref, tree.right[node], ref.right[ref_node]
+    return _trees_differ(record, tree, ref, tree.left[node], ref.left[ref_node]) or _trees_differ(
+        record, tree, ref, tree.right[node], ref.right[ref_node]
     )
 
 
@@ -226,6 +249,49 @@ def _oracle_quantiles(model, X, queries, levels):
                     out[-1].append(value)
                     break
     return out
+
+
+# The per-tree ragged gather the sparse product E·D replaced, kept as the
+# referee for the product's accumulation order, which comes from scipy's
+# implementation rather than its documented contract. It adds one tree at a
+# time, in growth order, into dense weight rows (columns in response-rank
+# order, as D's), reading the leaf weight block as plain arrays.
+def _referee_weights(forest, X):
+    n_train = forest.y_train.size
+    data, columns, indptr = forest.leaf_weights
+    w = np.zeros((X.shape[0], n_train))
+    w_flat = w.reshape(-1)
+    query_base = np.arange(X.shape[0]) * n_train
+    for table in forest.tables:
+        for leaves in table.leaf[table.apply(X)]:
+            start = indptr[leaves]
+            counts_q = indptr[leaves + 1] - start
+            # ragged gather of each query's leaf slice into one flat batch
+            excl = np.cumsum(counts_q) - counts_q
+            pos = np.arange(counts_q.sum()) + np.repeat(start - excl, counts_q)
+            # a query meets each distinct row at most once per tree, so the
+            # flat indices are duplicate-free and += accumulates correctly
+            flat = np.repeat(query_base, counts_q) + columns[pos]
+            w_flat[flat] += data[pos]
+    return w
+
+
+def _referee_quantiles(forest, X, levels):
+    cumw = np.cumsum(_referee_weights(forest, X), axis=1)
+    total = cumw[:, -1]
+    out = []
+    for level in levels:
+        thresh = level * total - _CDF_RTOL * np.maximum(total, 1.0)
+        out.append(forest._y_sorted[(cumw >= thresh[:, None]).argmax(axis=1)])
+    return out
+
+
+def _referee_means(forest, X):
+    acc = np.zeros(X.shape[0])
+    for table in forest.tables:
+        for leaves in table.leaf[table.apply(X)]:
+            acc += forest.leaf_mean[leaves]
+    return acc / forest.config.n_trees
 
 
 def test_constant_targets_give_degenerate_pair():
@@ -328,10 +394,46 @@ def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, in
     forest = QuantileForestRegressor(config).fit(X, y, 0.1, 0.9)._forest
     trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
     assert len(trees) == n_trees
+    record = _leaf_record(forest)
     seqs = np.random.SeedSequence(config.seed).spawn(n_trees)
     for i, ((tree, root), seq) in enumerate(zip(trees, seqs)):
         rows0 = np.random.default_rng(seq).integers(0, n, size=n) if bootstrap else np.arange(n)
-        assert _trees_differ(tree, _grow_tree(X, y, rows0, min_leaf), root) is None, f"tree {i}"
+        ref = _grow_tree(X, y, rows0, min_leaf)
+        assert _trees_differ(record, tree, ref, root) is None, f"tree {i}"
+
+
+def test_the_grower_referee_pins_each_leaf_multiset():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(300, 2))
+    y = X[:, 0] + rng.normal(size=300)
+    config = ForestConfig(n_trees=3, min_leaf_size=8, seed=2)
+    forest = ForestMeanRegressor(config).fit(X, y)._forest
+    table = forest.tables[0]
+    rows0 = np.random.default_rng(np.random.SeedSequence(2).spawn(3)[0]).integers(0, 300, size=300)
+    ref = _grow_tree(X, y, rows0, 8)  # tree 0, rooted at node 0 of the first table
+    record = _leaf_record(forest)
+    assert _trees_differ(record, table, ref) is None
+    data, columns, indptr = record.weights
+    # a leaf of tree 0 (D's first rows) holding rows with unequal multiplicity
+    for d_row in range(int(np.count_nonzero(ref.feature < 0))):
+        span = slice(int(indptr[d_row]), int(indptr[d_row + 1]))
+        if np.unique(data[span]).size > 1:
+            break
+    else:
+        pytest.fail("every leaf of tree 0 holds its rows equally often")
+    most, least = span.start + np.argmax(data[span]), span.start + np.argmin(data[span])
+
+    moved = data.copy()  # a copy of one row moved onto another row of the leaf
+    moved[[most, least]] = moved[[least, most]]
+    wrong = record._replace(weights=(moved, columns, indptr))
+    assert "shares differ" in _trees_differ(wrong, table, ref)
+    swapped = columns.copy()  # a row of the leaf replaced by a row outside it
+    swapped[least] = np.setdiff1d(np.arange(300), columns[span])[0]
+    swapped[span] = np.sort(swapped[span])
+    wrong = record._replace(weights=(data, swapped, indptr))
+    assert "rows differ" in _trees_differ(wrong, table, ref)
+    resized = table._replace(leaf_count=table.leaf_count + 1)
+    assert "size" in _trees_differ(record, resized, ref)
 
 
 def _check_multi_batch_readouts(bootstrap, levels):
@@ -354,7 +456,7 @@ def _check_multi_batch_readouts(bootstrap, levels):
         # the mean readout adds the leaf means in tree order, then divides
         want = 0.0
         for table, root in trees:
-            want += table.leaf_mean[_route_to_leaf(table, root, x)]
+            want += forest.leaf_mean[table.leaf[_route_to_leaf(table, root, x)]]
         assert got_mean[i].tobytes() == np.float64(want / len(trees)).tobytes()
 
 
@@ -427,6 +529,37 @@ def test_chunked_readouts_equal_the_unchunked_readout(three_batch_forest, monkey
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n_queries", [0, 1, 25])
+@pytest.mark.parametrize(
+    "bounds",
+    [{}, {"_ROUTE_PAIRS": 7}, {"_READ_CELLS": 3000}, {"_ROUTE_PAIRS": 300, "_READ_CELLS": 3000}],
+    ids=["default", "route-7", "read-3000", "both"],
+)
+def test_the_sparse_product_reads_what_the_per_tree_loop_reads(
+    three_batch_forest, monkeypatch, bounds, n_queries
+):
+    from scipy import sparse
+
+    forest = three_batch_forest
+    for name, value in bounds.items():
+        monkeypatch.setattr(forest_module, name, value)
+    X = np.random.default_rng(14).normal(size=(n_queries, 2))
+    levels = (0.1, 0.9, 0.37)
+    for got, want in zip(forest.quantiles(X, levels), _referee_quantiles(forest, X, levels)):
+        assert got.tobytes() == want.tobytes()
+    assert forest.means(X).tobytes() == _referee_means(forest, X).tobytes()
+    # the weight rows themselves, E·D block by block
+    D = sparse.csr_array(forest.leaf_weights, shape=(forest.leaf_mean.size, forest.y_train.size))
+    want = _referee_weights(forest, X)
+    step = max(1, forest_module._ROUTE_PAIRS // forest.config.n_trees)
+    blocks = 0
+    for block, E in forest._routes(X, step):
+        assert np.array_equal(E.sum(axis=1), np.full(E.shape[0], forest.config.n_trees))
+        assert (E @ D).toarray().tobytes() == want[block].tobytes()
+        blocks += 1
+    assert blocks == -(-n_queries // step)
+
+
 def _frozen(value):
     if isinstance(value, np.ndarray):
         return (value.dtype.str, value.shape, value.tobytes())
@@ -481,9 +614,10 @@ def test_mean_readout_averages_the_weighted_cdf():
     y = X[:, 0] ** 2 + rng.normal(size=60)
     model = ForestMeanRegressor(ForestConfig(n_trees=25, seed=9)).fit(X, y)
     grid = rng.normal(size=(8, 2))
-    w = model._forest.weights(grid)
+    forest = model._forest
+    w = _referee_weights(forest, grid)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(model.predict(grid), w @ y, rtol=1e-10)
+    np.testing.assert_allclose(model.predict(grid), w @ forest._y_sorted, rtol=1e-10)
 
 
 def test_mean_regressor_reproduces_constants():

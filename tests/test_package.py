@@ -28,6 +28,19 @@ def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # only a forest read needs the sparse product; the audits and the CLI's
+    # start-up do not pay for its import
+    code = "import sys, confband.cli; print('scipy.sparse' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"
+
+
 def _quick_start_block() -> str:
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library quick start", 1)[1]

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from confband.conformal import split_conformal_calibrate
 from confband.datagen import OracleQuantileRegressor, OracleQuantiles
+from confband.quantiles import check_level
 from confband.regressors import (
     ForestConfig,
     ForestMeanRegressor,
@@ -60,3 +62,30 @@ def test_every_pair_engine_rejects_levels_out_of_order(engine, levels):
     want = f"alpha_lo must be below alpha_hi, got {levels}"
     with pytest.raises(ValueError, match=re.escape(want)):
         model.fit(X, X[:, 0], *levels)
+
+
+class _Unread:
+    """Rows that fail the test if anything reads them."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("rows were read before the levels were checked")
+
+
+@pytest.mark.parametrize("bad", ["0.1", np.str_("0.1"), b"0.1", True])
+def test_a_level_that_is_not_a_real_number_fails_before_any_work(bad):
+    with pytest.raises(ValueError, match="level must be a real number"):
+        check_level(bad)
+    rows = _Unread()
+    pairs = [_ENGINES[e][0]() for e in ("forest-pair", "linear-pair", "mlp-pair")]
+    pairs.append(OracleQuantileRegressor(OracleQuantiles(noise_scale=1.0)))
+    for pair in pairs:
+        for levels in ((bad, 0.9), (0.1, bad)):
+            with pytest.raises(ValueError, match="level must be a real number"):
+                pair.fit(rows, rows, *levels)
+    X = np.linspace(0.5, 4.5, 30)[:, None]
+    forest = QuantileForestRegressor(_FOREST).fit(X, X[:, 0], *_PAIR_LEVELS)
+    with pytest.raises(ValueError, match="level must be a real number"):
+        forest.predict_quantile(rows, bad)
+    mean = RidgeRegressor(0.1).fit(X, X[:, 0])
+    with pytest.raises(ValueError, match="level must be a real number"):
+        split_conformal_calibrate(mean, rows, rows, bad)
