@@ -20,7 +20,9 @@ that it left every byte alone. The matrix covers:
   four in both orders; pair methods only where the engine has a pair) x
   quantile tuning off/on (on only for sets with a pair method), plus
   reports in original units and with a non-default gamma;
-- ``audit``: the coverage audit with every pair engine;
+- ``audit``: the coverage audit with every pair engine, plus a linear-q
+  audit of 250 trials that runs in three blocks of trials and an oracle
+  audit whose corrections are infinite;
 - ``calibrate``: ``predict_interval`` of the band each public calibrator
   makes from fitted qrf and linear-q models on fixed rows, and of cqr and
   cqr-asym on the linear-q pair tilted to cross on part of the rows,
@@ -39,7 +41,7 @@ build, so they hold between two checkouts on one machine, not across
 machines. That is why this script is not part of the test suite, and why
 CI only runs it on its own checkout, comparing nothing, so that a change
 that breaks the script shows.
-The 106 outputs take about 25 s per checkout on a 2-vCPU VM.
+The 108 outputs take about 25 s per checkout on a 2-vCPU VM.
 """
 
 import argparse
@@ -231,6 +233,15 @@ def matrix():
             n_trials=4, n_calibration=49, n_test=50, n_train=200, engine=engine, seed=5
         )
         yield f"audit/{engine}", _sha(json.dumps(audit, sort_keys=True))
+    # 250 trials of 99 + 200 rows: three blocks of trials at the default
+    # harness._AUDIT_ROWS, the last one partial
+    audit = coverage_audit(n_trials=250, n_train=200, engine="linear-q", seed=7)
+    yield "audit/blocks/linear-q", _sha(json.dumps(audit, sort_keys=True))
+    # 5 calibration rows are too few for a finite correction at alpha = 0.1
+    audit = coverage_audit(
+        n_trials=3, n_calibration=5, n_test=50, n_train=200, engine="oracle", seed=8
+    )
+    yield "audit/infinite/oracle", _sha(json.dumps(audit, sort_keys=True))
 
     yield from calibrated_bands(dataset)
     yield from multi_batch_forests()

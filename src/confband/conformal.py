@@ -37,6 +37,13 @@ reads the plug-in on the calibration rows and scores the values read
 read their fitted models afresh on every call; the experiment harness reads
 each fitted model once per row set and feeds ``plugin_values`` from those
 reads, then runs the same two pure steps (so do its tuning and audit).
+
+Both pure steps also work along a leading trials axis: given (trials x n)
+plug-in values and responses, ``conformal_correction`` returns one
+correction per trial (an array, or a pair of arrays for cqr-asym) and
+``apply_correction`` applies row t's correction to row t. Every row gets
+the bits the 1-D call on that row gives; the coverage audit calibrates a
+whole block of trials this way.
 """
 
 from collections.abc import Callable
@@ -45,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .quantiles import SortedSample, check_level
+from .quantiles import SortedSample, check_level, inflated_quantiles
 from .regressors.base import (
     DispersionRegressor,
     MeanRegressor,
@@ -162,14 +169,23 @@ def _read_fitted(models: dict, role: str, X):
     return q_lo, q_hi
 
 
+def _inflated(scores, alpha: float):
+    """One sample's inflated quantile as a float, or one per row of a (trials x n) block."""
+    if np.ndim(scores) < 2:
+        return SortedSample(scores).inflated_quantile(alpha)
+    return inflated_quantiles(scores, alpha)
+
+
 def conformal_correction(
     lo, hi, scale, y_cal, alpha_lo: float, alpha_hi: float | None = None
-) -> float | tuple[float, float]:
+) -> float | np.ndarray | tuple:
     """Frozen correction from plug-in values on the calibration rows.
 
     The scoring step of every calibrator: it reads no model. With
     ``alpha_hi`` None, one inflated quantile of max(below, above) at
-    ``alpha_lo`` serves both ends; otherwise each tail gets its own.
+    ``alpha_lo`` serves both ends; otherwise each tail gets its own. 1-D
+    values give float corrections; (trials x n) values give one correction
+    per row, as arrays.
     """
     alpha_lo = check_level(alpha_lo)
     if alpha_hi is not None:
@@ -177,11 +193,8 @@ def conformal_correction(
     below = (lo - y_cal) / scale
     above = (y_cal - hi) / scale
     if alpha_hi is None:
-        return SortedSample(np.maximum(below, above)).inflated_quantile(alpha_lo)
-    return (
-        SortedSample(below).inflated_quantile(alpha_lo),
-        SortedSample(above).inflated_quantile(alpha_hi),
-    )
+        return _inflated(np.maximum(below, above), alpha_lo)
+    return _inflated(below, alpha_lo), _inflated(above, alpha_hi)
 
 
 def apply_correction(correction, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +202,11 @@ def apply_correction(correction, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]
 
     The band step of every calibrator, the twin of ``conformal_correction``:
     it reads no model and leaves its inputs alone, so plug-in values can be
-    shared between methods.
+    shared between methods. Per-row corrections, one per trial, apply along
+    the rows of (trials x n) plug-in values.
     """
     c_lo, c_hi = correction if isinstance(correction, tuple) else (correction, correction)
+    c_lo, c_hi = (np.expand_dims(c, -1) if np.ndim(c) else c for c in (c_lo, c_hi))
     lo = lo - c_lo * scale
     hi = hi + c_hi * scale
     # a negative correction can push the ends past each other; collapse

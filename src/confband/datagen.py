@@ -43,6 +43,7 @@ __all__ = [
     "OracleQuantileRegressor",
     "OracleDispersionRegressor",
     "generate",
+    "draw_rows",
     "load_csv",
     "StandardizationParams",
     "standardize_fit",
@@ -264,11 +265,14 @@ def _brentq_lockstep(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
-    """Draw a dataset from the synthetic law along with its exact quantiles."""
-    rng = np.random.default_rng(spec.seed)
-    x = rng.uniform(0.0, 5.0, size=spec.n)
-    eps = rng.standard_normal(spec.n)
+def draw_rows(spec: SyntheticSpec, seeds) -> tuple[np.ndarray, np.ndarray, OracleQuantiles]:
+    """``spec.n`` rows per seed from the synthetic law, with its exact quantiles.
+
+    Returns ``(x, y, oracle)``: x and y have shape (len(seeds), spec.n), and
+    row t is the sample ``generate`` draws with ``seed=seeds[t]`` (``spec.seed``
+    is not read). Each seed's draws come from its own generator, in the same
+    order as ``generate``; the response is then computed on the whole block.
+    """
     outlier_prob = spec.outlier_prob if spec.kind == "heteroscedastic_outliers" else 0.0
     oracle = OracleQuantiles(
         noise_scale=spec.noise_scale,
@@ -276,11 +280,25 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
         outlier_prob=outlier_prob,
         outlier_scale=spec.outlier_scale,
     )
+    n = spec.n
+    x, eps, hit, jump = (np.empty((len(seeds), n)) for _ in range(4))
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        x[t] = rng.uniform(0.0, 5.0, size=n)
+        eps[t] = rng.standard_normal(n)
+        if outlier_prob > 0.0:
+            hit[t] = rng.random(n)
+            jump[t] = rng.standard_normal(n)
     y = oracle.mean(x) + oracle.scale(x) * eps
     if outlier_prob > 0.0:
-        hit = rng.random(spec.n) < outlier_prob
-        y = y + np.where(hit, spec.outlier_scale * rng.standard_normal(spec.n), 0.0)
-    return Dataset(X=x[:, None], y=y, feature_names=("x",)), oracle
+        y = y + np.where(hit < outlier_prob, spec.outlier_scale * jump, 0.0)
+    return x, y, oracle
+
+
+def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
+    """Draw a dataset from the synthetic law along with its exact quantiles."""
+    x, y, oracle = draw_rows(spec, [spec.seed])
+    return Dataset(X=x.reshape(-1, 1), y=y[0], feature_names=("x",)), oracle
 
 
 def load_csv(path: str, target_column: str) -> Dataset:
@@ -343,14 +361,16 @@ class StandardizationParams:
     """Affine feature map and response divisor fitted on proper-training rows.
 
     ``kept_features`` indexes the original columns that survive (constant
-    columns are dropped). Sums are accumulated with ``math.fsum`` so the
-    parameters do not depend on row order.
+    columns are dropped) out of ``n_features_in``, the fitted width. Sums
+    are accumulated with ``math.fsum`` so the parameters do not depend on
+    row order.
     """
 
     feature_mean: np.ndarray
     feature_std: np.ndarray
     kept_features: np.ndarray
     response_scale: float
+    n_features_in: int
 
 
 def standardize_fit(X, y) -> StandardizationParams:
@@ -378,12 +398,16 @@ def standardize_fit(X, y) -> StandardizationParams:
         feature_std=stds[kept],
         kept_features=kept,
         response_scale=response_scale,
+        n_features_in=X.shape[1],
     )
 
 
 def standardize_apply(params: StandardizationParams, X, y=None):
-    """Map features to z-scores and divide the response by its fitted scale."""
-    X = as_matrix(X)
+    """Map features to z-scores and divide the response by its fitted scale.
+
+    X must have the width the parameters were fitted on.
+    """
+    X = as_matrix(X, params.n_features_in)
     Xs = (X[:, params.kept_features] - params.feature_mean) / params.feature_std
     if y is None:
         return Xs
@@ -392,8 +416,11 @@ def standardize_apply(params: StandardizationParams, X, y=None):
 
 
 def standardize_invert(params: StandardizationParams, X_std, y_std=None):
-    """Undo ``standardize_apply`` (for the kept feature columns)."""
-    X_std = as_matrix(X_std)
+    """Undo ``standardize_apply`` (for the kept feature columns).
+
+    X_std must have one column per kept feature.
+    """
+    X_std = as_matrix(X_std, params.kept_features.size)
     X = X_std * params.feature_std + params.feature_mean
     if y_std is None:
         return X
@@ -402,7 +429,7 @@ def standardize_invert(params: StandardizationParams, X_std, y_std=None):
 
 
 class _OracleReadout:
-    """Reads the oracle at the feature of X's single column.
+    """Reads the oracle at the feature of X's single column; any other width is rejected.
 
     With ``params`` the oracle is composed with that standardization: X is
     in standardized feature units and predictions come back in standardized
@@ -414,9 +441,10 @@ class _OracleReadout:
         self.params = params
 
     def _raw_x(self, X) -> np.ndarray:
-        if self.params is None:
-            return as_matrix(X)[:, 0]
-        return standardize_invert(self.params, X)[:, 0]
+        X = as_matrix(X, 1)
+        if self.params is not None:
+            X = standardize_invert(self.params, X)
+        return X[:, 0]
 
     def _units(self, y: np.ndarray) -> np.ndarray:
         return y if self.params is None else y / self.params.response_scale

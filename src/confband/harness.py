@@ -7,11 +7,13 @@ coverage and average interval length on the test rows. Each fitted model
 is read once per row set (proper-training, calibration, test), and every
 method scores from those shared reads: split and local share the mean
 reads, cqr and cqr-asym the quantile pair reads. In ``_band``, the one
-band step of repetitions, tuning folds and audit trials, the conformal
-module's ``plugin_values`` turns reads into plug-in values, and its two
-pure steps do the rest: ``conformal_correction`` on the calibration rows,
-``apply_correction`` on the new rows. A repetition adds the rows of all
-its methods or, when any method fails, none. Summaries average over
+band step of repetitions, tuning folds and coverage-audit blocks, the
+conformal module's ``plugin_values`` turns reads into plug-in values, and
+its two pure steps do the rest: ``conformal_correction`` on the
+calibration rows, ``apply_correction`` on the new rows. The audit hands
+``_band`` a whole block of trials as (trials x n) arrays, and each trial
+gets the band it would get alone. A repetition adds the rows of all its
+methods or, when any method fails, none. Summaries average over
 repetitions. Lengths are in standardized response units by default.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
@@ -53,6 +55,7 @@ from .datagen import (
     OracleQuantiles,
     StandardizationParams,
     SyntheticSpec,
+    draw_rows,
     generate,
     standardize_apply,
     standardize_fit,
@@ -98,6 +101,9 @@ __all__ = [
 QUANTILE_TUNING_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
 # the fewest dataset rows the split protocol runs on
 _MIN_SPLIT_ROWS = 40
+# the most (trial, row) pairs one block of coverage-audit trials holds, so a
+# block's arrays stay small whatever the trial count
+_AUDIT_ROWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,10 @@ class _Engine:
     dispersion: Callable
     pair: Callable | None = None  # None: no quantile pair, so no pair methods
     tune_levels: bool = True  # whether quantile-level tuning applies
+    # whether a row's read is the same bits whatever rows are read with it, so
+    # the coverage audit may read a block of trials at once (the mlp's BLAS
+    # products sum in an order that depends on the row count)
+    rowwise_reads: bool = True
 
 
 def _ridge_mean(b, seed):
@@ -132,6 +142,7 @@ _ENGINES = {
         mean=lambda b, seed: MlpMeanRegressor(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
         dispersion=_clamped_mean_dispersion,
         pair=lambda b, seed: MlpQuantilePair(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
+        rowwise_reads=False,
     ),
     "qrf": _Engine(
         mean=lambda b, seed: ForestMeanRegressor(replace(b.cfg.forest, seed=seed())),
@@ -446,7 +457,8 @@ class _EngineBundle:
 def _band(method: str, read, cal, y_cal, new, alpha: float, gamma: float | None):
     """``(correction, lo, hi)``: ``method`` calibrated on rows ``cal``, applied to rows ``new``.
 
-    cqr-asym scores each tail at alpha / 2; the others score both ends at once.
+    cqr-asym scores each tail at alpha / 2; the others score both ends at
+    once. Reads and ``y_cal`` may be (trials x n) blocks, one trial a row.
     """
     levels = (alpha / 2.0, alpha / 2.0) if method == "cqr-asym" else (alpha, None)
     correction = conformal_correction(*plugin_values(method, read, cal, gamma), y_cal, *levels)
@@ -456,6 +468,24 @@ def _band(method: str, read, cal, y_cal, new, alpha: float, gamma: float | None)
 def _pair_reader(pair: QuantileRegressor):
     """``_band``'s ``read`` over a fitted pair: crossings fixed, read afresh on every call."""
     return lambda role, X: fix_crossing(*pair.predict_pair(X))
+
+
+def _read_trials(pair: QuantileRegressor, x: np.ndarray, rows: dict, stacked: bool) -> dict:
+    """The crossing-fixed pair read on each row set of a block of trials.
+
+    ``x`` holds one trial's feature values per row, and ``rows`` maps a row
+    set's name to its columns. Each row set's read is a pair of (trials x m)
+    arrays. ``stacked`` reads the whole block at once; otherwise each trial's
+    row set is read alone, in the shape a lone trial reads it.
+    """
+    if stacked:
+        lo, hi = (v.reshape(x.shape) for v in fix_crossing(*pair.predict_pair(x.reshape(-1, 1))))
+        return {at: (lo[:, r], hi[:, r]) for at, r in rows.items()}
+    reads = {}
+    for at, r in rows.items():
+        per_trial = [fix_crossing(*pair.predict_pair(xt[r, None])) for xt in x]
+        reads[at] = tuple(np.stack(v) for v in zip(*per_trial))
+    return reads
 
 
 def _evaluate(lo, hi, y_test, length_scale: float):
@@ -702,8 +732,12 @@ def coverage_audit(
     """Monte Carlo check of the finite-sample coverage guarantee.
 
     One quantile pair is fitted once; each trial redraws calibration and
-    test rows from the same law, recalibrates with ``_band`` and scores coverage. For
-    continuous data the pooled coverage should land in
+    test rows from the same law, recalibrates and scores coverage. Trials
+    run in blocks of at most ``_AUDIT_ROWS`` rows: a block draws every
+    trial's rows from that trial's seed (``draw_rows``), reads the fitted
+    pair once on all of them, and calibrates and bands every trial at once
+    in ``_band``, each trial getting the band its own rows would give it
+    alone. For continuous data the pooled coverage should land in
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
     """
     for name, count in (
@@ -722,15 +756,23 @@ def coverage_audit(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
     bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
-    read = _pair_reader(bundle.quantile_model())
-
+    pair = bundle.quantile_model()
+    trial = SyntheticSpec(kind=kind, n=n_calibration + n_test)
+    rows = {"cal": slice(None, n_calibration), "test": slice(n_calibration, None)}
     per_trial = np.empty(n_trials)
-    base = SyntheticSpec(kind=kind, n=n_calibration + n_test)
-    for t in range(n_trials):
-        ds, _ = generate(replace(base, seed=int(rng.integers(2**63))))
-        cal_X, cal_y = ds.X[:n_calibration], ds.y[:n_calibration]
-        _, lo, hi = _band("cqr", read, cal_X, cal_y, ds.X[n_calibration:], alpha, None)
-        per_trial[t] = _evaluate(lo, hi, ds.y[n_calibration:], 1.0)[0]
+    block = max(1, _AUDIT_ROWS // trial.n)
+    for start in range(0, n_trials, block):
+        # the trials' seeds come from the audit RNG in trial order
+        seeds = [int(rng.integers(2**63)) for _ in range(min(block, n_trials - start))]
+        x, y, _ = draw_rows(trial, seeds)
+        reads = _read_trials(pair, x, rows, _ENGINES[engine].rowwise_reads)
+        _, lo, hi = _band(
+            "cqr", lambda role, at: reads[at], "cal", y[:, rows["cal"]], "test", alpha, None
+        )
+        y_test = y[:, rows["test"]]
+        # an exact count over n_test rounds like np.mean of the boolean mask
+        covered = np.count_nonzero((y_test >= lo) & (y_test <= hi), axis=1)
+        per_trial[start : start + len(seeds)] = covered / n_test
 
     pooled = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0

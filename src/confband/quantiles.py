@@ -13,13 +13,18 @@ For a sorted sample z_(1) <= ... <= z_(n):
 * inflated quantile at miscoverage a:   left quantile at (1 - a)(1 + 1/n),
   or +inf when that level exceeds 1 (the calibration set is too small to
   support the guarantee, so the only valid interval is infinite).
+
+``SortedSample`` answers these queries for one sample. A Monte Carlo
+audit calibrates a whole block of samples at once: ``inflated_quantiles``
+sorts every row of a (trials x n) array in one call and takes the same
+order statistic from each, by the same index rule (``_inflated_rank``).
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["SortedSample", "check_level", "check_level_pair"]
+__all__ = ["SortedSample", "check_level", "check_level_pair", "inflated_quantiles"]
 
 # Levels are floats, so products like 0.9 * (n + 1) can land a hair above
 # or below an exact integer boundary. Indices snap to the boundary when
@@ -62,6 +67,45 @@ def _snap(x: float) -> float:
     return x
 
 
+def _checked_scores(values) -> np.ndarray:
+    """Scores as a float array; empty or non-finite scores are rejected."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empty sample")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample contains non-finite values")
+    return arr
+
+
+def _inflated_rank(n: int, alpha: float) -> int | None:
+    """1-based rank of the inflated quantile in a sample of n; None when it is +inf.
+
+    The inflated level (1 - alpha)(1 + 1/n) exceeds 1 when the sample is too
+    small to certify 1 - alpha coverage with any finite value.
+    """
+    # (1 - alpha)(1 + 1/n) * n == (1 - alpha)(n + 1); the single-product
+    # form keeps exact integer boundaries exact.
+    scaled = _snap((1.0 - alpha) * (n + 1))
+    if scaled > n:
+        return None
+    return max(int(math.ceil(scaled)), 1)
+
+
+def inflated_quantiles(scores, alpha: float) -> np.ndarray:
+    """The inflated quantile of each sample along the last axis of ``scores``.
+
+    Row t of a (trials x n) array gives entry t of the result, the value
+    ``SortedSample(scores[t]).inflated_quantile(alpha)`` returns; one sort
+    serves every row. Raises ValueError for empty or non-finite scores.
+    """
+    alpha = check_level(alpha)
+    scores = _checked_scores(scores)
+    k = _inflated_rank(scores.shape[-1], alpha)
+    if k is None:
+        return np.full(scores.shape[:-1], math.inf)
+    return np.sort(scores, axis=-1)[..., k - 1].copy()
+
+
 class SortedSample:
     """An immutable ordered multiset of real scores with order-statistic queries.
 
@@ -75,14 +119,7 @@ class SortedSample:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size == 0:
-            raise ValueError("empty sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample contains non-finite values")
-        arr = np.sort(arr)
+        arr = np.sort(_checked_scores(values).reshape(-1))
         arr.flags.writeable = False
         self._values = arr
 
@@ -117,14 +154,8 @@ class SortedSample:
         the inflated level exceeds 1 the sample is too small to certify
         1 - alpha coverage with any finite value, and +inf is returned.
         """
-        alpha = check_level(alpha)
-        # (1 - alpha)(1 + 1/n) * n == (1 - alpha)(n + 1); the single-product
-        # form keeps exact integer boundaries exact.
-        scaled = _snap((1.0 - alpha) * (self.n + 1))
-        if scaled > self.n:
-            return math.inf
-        k = max(int(math.ceil(scaled)), 1)
-        return self.order_statistic(k)
+        k = _inflated_rank(self.n, check_level(alpha))
+        return math.inf if k is None else self.order_statistic(k)
 
     def cdf(self, z):
         """Empirical CDF: fraction of values <= z. Accepts scalars or arrays."""

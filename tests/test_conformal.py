@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from confband.conformal import (
+    METHODS,
     DataSplit,
     apply_correction,
+    conformal_correction,
     cqr_asym_calibrate,
     cqr_calibrate,
     local_conformal_calibrate,
+    plugin_values,
     split_conformal_calibrate,
 )
 from confband.regressors import (
@@ -153,6 +156,71 @@ def test_asymmetric_corrections_with_all_points_below_lower_curve():
     assert band.correction == (3.0, -2.5)
     lo, hi = band.predict_interval(np.zeros((1, 1)))
     assert (lo[0], hi[0]) == (-1.0, 1.5)
+
+
+def _block_reads(rng, n_trials, n_rows, n_wide):
+    """(trials x rows) model outputs on a 0.1 grid, so scores tie.
+
+    Trial 0's pair is wide on its first ``n_wide`` rows and narrow after
+    them, so a correction calibrated on those rows is negative and crosses
+    the ends of the later rows.
+    """
+    grid = lambda *shape: np.round(rng.normal(size=shape), 1)  # noqa: E731
+    center = grid(n_trials, n_rows)
+    half = 0.5 + np.abs(grid(n_trials, n_rows))
+    half[0, :n_wide], half[0, n_wide:] = 5.0, 0.5
+    reads = {
+        "mean": center,
+        "dispersion": np.abs(grid(n_trials, n_rows)),
+        "pair": (center - half, center + half),
+    }
+    return reads, center + grid(n_trials, n_rows)
+
+
+@pytest.mark.parametrize("n_cal", [19, 5], ids=["finite", "infinite"])
+def test_a_block_of_trials_is_calibrated_and_banded_like_each_trial_alone(n_cal):
+    # at alpha = 0.1 (0.05 a tail), 5 calibration rows give infinite corrections
+    rng = np.random.default_rng(21)
+    reads, y = _block_reads(rng, n_trials=5, n_rows=n_cal + 8, n_wide=n_cal)
+    cal, new = slice(None, n_cal), slice(n_cal, None)
+    ties = [np.unique(np.abs(y[t, cal] - reads["mean"][t, cal])).size < n_cal for t in range(5)]
+    assert any(ties)
+
+    def read(role, rows, t=slice(None)):
+        out = reads[role]
+        return tuple(v[t, rows] for v in out) if role == "pair" else out[t, rows]
+
+    collapsed = False
+    for method in METHODS:
+        levels = (0.05, 0.05) if method == "cqr-asym" else (0.1, None)
+        block = conformal_correction(*plugin_values(method, read, cal, 0.5), y[:, cal], *levels)
+        lo, hi = apply_correction(block, *plugin_values(method, read, new, 0.5))
+        for t in range(5):
+            one_read = lambda role, rows: read(role, rows, t)  # noqa: E731
+            one = conformal_correction(
+                *plugin_values(method, one_read, cal, 0.5), y[t, cal], *levels
+            )
+            pairs = zip(one, block) if isinstance(one, tuple) else [(one, block)]
+            for c, cs in pairs:
+                assert type(c) is float
+                assert np.float64(c).tobytes() == cs[t].tobytes()
+                assert np.isinf(c) == (n_cal == 5)
+            one_lo, one_hi = apply_correction(one, *plugin_values(method, one_read, new, 0.5))
+            assert (one_lo.tobytes(), one_hi.tobytes()) == (lo[t].tobytes(), hi[t].tobytes())
+        collapsed |= method == "cqr" and bool(np.any(lo[0] == hi[0]))
+    assert collapsed == (n_cal == 19)
+
+
+def test_one_non_finite_score_in_a_block_is_rejected():
+    reads, y = _block_reads(np.random.default_rng(3), n_trials=4, n_rows=12, n_wide=6)
+    y[2, 7] = np.nan
+    for levels in ((0.1, None), (0.05, 0.05)):
+        with pytest.raises(ValueError, match="non-finite"):
+            conformal_correction(*reads["pair"], 1.0, y, *levels)
+        with pytest.raises(ValueError, match="non-finite"):
+            conformal_correction(reads["pair"][0][2], reads["pair"][1][2], 1.0, y[2], *levels)
+    with pytest.raises(ValueError, match="empty sample"):
+        conformal_correction(np.zeros((4, 0)), np.zeros((4, 0)), 1.0, np.zeros((4, 0)), 0.1)
 
 
 def test_unit_dispersion_collapses_local_onto_split():

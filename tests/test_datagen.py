@@ -11,7 +11,9 @@ from confband.datagen import (
     OracleMeanRegressor,
     OracleQuantileRegressor,
     OracleQuantiles,
+    SYNTHETIC_KINDS,
     SyntheticSpec,
+    draw_rows,
     generate,
     load_csv,
     standardize_apply,
@@ -182,6 +184,19 @@ def test_generation_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.y, c.y)
 
 
+@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+def test_each_drawn_row_is_the_sample_generate_draws_from_its_seed(kind):
+    spec = SyntheticSpec(kind=kind, n=37, seed=0, outlier_prob=0.2)
+    seeds = [5, 2**62 + 3, 5, 11]
+    x, y, oracle = draw_rows(spec, seeds)
+    assert x.shape == y.shape == (4, 37)
+    for t, seed in enumerate(seeds):
+        ds, want_oracle = generate(SyntheticSpec(kind=kind, n=37, seed=seed, outlier_prob=0.2))
+        assert x[t].tobytes() == ds.X[:, 0].tobytes()
+        assert y[t].tobytes() == ds.y.tobytes()
+        assert oracle == want_oracle
+
+
 def test_outlier_settings_only_apply_to_the_outlier_kind():
     plain_spec = SyntheticSpec(
         kind="heteroscedastic", n=300, seed=9, outlier_prob=0.3, outlier_scale=25.0
@@ -256,6 +271,23 @@ def test_oracle_regressors_expose_the_exact_law():
         OracleDispersionRegressor(oracle).predict(X),
         oracle.mean_abs_deviation(X[:, 0]),
     )
+
+
+@pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardized"])
+def test_oracle_readouts_reject_a_second_column(standardized):
+    oracle = OracleQuantiles(noise_scale=1.0)
+    x = np.linspace(0.5, 4.5, 9)
+    wide = np.column_stack([x, x + 1.0])
+    params = standardize_fit(x[:, None], 2.0 * np.sin(x)) if standardized else None
+    readouts = (
+        OracleMeanRegressor(oracle, params).predict,
+        OracleQuantileRegressor(oracle, params).fit(x[:, None], x, 0.05, 0.95).predict_pair,
+        OracleDispersionRegressor(oracle, params).predict,
+    )
+    for read in readouts:
+        read(wide[:, :1])
+        with pytest.raises(ValueError, match="X has 2 features, but the model was fitted on 1"):
+            read(wide)
 
 
 def _write(path, text):
@@ -373,3 +405,21 @@ def test_standardize_degenerate_inputs_are_rejected():
     X = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ValueError, match="mean absolute value is zero"):
         standardize_fit(X, np.zeros(10))
+
+
+def test_standardization_rejects_a_width_other_than_the_fitted_one():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(20, 3))
+    X[:, 1] = 4.0  # dropped, yet still part of the fitted width
+    with pytest.warns(UserWarning, match="dropped 1 constant feature"):
+        params = standardize_fit(X, rng.normal(size=20))
+    assert standardize_apply(params, X[:3]).shape == (3, 2)
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=f"X has {width} features, but the model was fitted on 3"):
+            standardize_apply(params, rng.normal(size=(3, width)))
+    # the standardized features are the two kept ones
+    assert standardize_invert(params, np.zeros((3, 2))).shape == (3, 2)
+    for width in (1, 3):
+        with pytest.raises(ValueError, match=f"X has {width} features, but the model was fitted on 2"):
+            standardize_invert(params, np.zeros((3, width)))
+    assert params.n_features_in == 3

@@ -1,5 +1,6 @@
 """Tests for the repeated-split experiment harness."""
 
+import copy
 import json
 import math
 import sys
@@ -612,6 +613,21 @@ def test_a_failed_repetition_adds_no_rows(monkeypatch):
     assert [s.n_reps for s in report.summaries] == [2, 2]
 
 
+def _audit_by_the_public_calibrator(pair, rng, n_trials, n_cal, n_test, kind, alpha):
+    """The per-trial audit loop the batched audit replaced, kept as the referee.
+
+    Each trial draws its rows with ``generate`` from the next seed of the
+    audit RNG and is scored through ``CrossingFixPair``, ``cqr_calibrate``
+    and ``predict_interval``. Yields each trial's (rows, lo, hi).
+    """
+    fixed = CrossingFixPair(pair)
+    base = SyntheticSpec(kind=kind, n=n_cal + n_test)
+    for _ in range(n_trials):
+        ds, _ = generate(replace(base, seed=int(rng.integers(2**63))))
+        band = cqr_calibrate(fixed, ds.X[:n_cal], ds.y[:n_cal], alpha)
+        yield ds, *band.predict_interval(ds.X[n_cal:])
+
+
 @pytest.mark.parametrize("engine", [*harness.PAIR_ENGINES, "crossed"])
 def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
     if engine == "crossed":
@@ -619,32 +635,66 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
         crossed = replace(harness._ENGINES["linear-q"], pair=lambda b, seed: _CrossedPair())
         monkeypatch.setitem(harness._ENGINES, "linear-q", crossed)
         engine = "linear-q"
-    pairs, datasets = [], []
-    quantile_model, draw = harness._EngineBundle.quantile_model, harness.generate
+    fitted, datasets, blocks, bands = [], [], [], []
+    quantile_model, draw, draw_rows, band = (
+        harness._EngineBundle.quantile_model, harness.generate, harness.draw_rows, harness._band
+    )
 
     def fitted_pair(bundle):
-        pairs.append(quantile_model(bundle))
-        return pairs[-1]
+        pair = quantile_model(bundle)
+        # the audit RNG as the trials find it
+        fitted.append((pair, copy.deepcopy(bundle.rng)))
+        return pair
 
     def generate(spec):
         drawn = draw(spec)
         datasets.append(drawn[0])
         return drawn
 
+    def recorded_draw(spec, seeds):
+        blocks.append(draw_rows(spec, seeds))
+        return blocks[-1]
+
+    def recorded_band(*args):
+        bands.append(band(*args))
+        return bands[-1]
+
     monkeypatch.setattr(harness._EngineBundle, "quantile_model", fitted_pair)
     monkeypatch.setattr(harness, "generate", generate)
-    bands = _recorded_bands(monkeypatch)
-    n_cal = 19
-    coverage_audit(
-        n_trials=2, n_calibration=n_cal, n_test=30, n_train=40, engine=engine,
-        kind="heteroscedastic_outliers", seed=6,
-    )
-    assert len(pairs) == 1 and len(datasets) == 3 and len(bands) == 2
-    fixed = CrossingFixPair(pairs[0])
-    for ds, got in zip(datasets[1:], bands):
-        band = cqr_calibrate(fixed, ds.X[:n_cal], ds.y[:n_cal], 0.1)
-        lo, hi = band.predict_interval(ds.X[n_cal:])
-        assert got == (lo.tobytes(), hi.tobytes(), ds.y[n_cal:].tobytes())
+    monkeypatch.setattr(harness, "draw_rows", recorded_draw)
+    monkeypatch.setattr(harness, "_band", recorded_band)
+    n_test, n_trials = 30, 7
+    # n_cal = 5 is too few rows for a finite correction at alpha = 0.1
+    for n_cal in (19, 5):
+        # three trials a block: blocks of 3, 3 and 1 trials
+        monkeypatch.setattr(harness, "_AUDIT_ROWS", 3 * (n_cal + n_test) + 2)
+        for log in (fitted, datasets, blocks, bands):
+            log.clear()
+        audit = coverage_audit(
+            n_trials=n_trials, n_calibration=n_cal, n_test=n_test, n_train=40, engine=engine,
+            kind="heteroscedastic_outliers", seed=6,
+        )
+        # one generated dataset (the training rows), one draw and one band per block
+        assert len(fitted) == 1 and len(datasets) == 1
+        assert [x.shape[0] for x, _, _ in blocks] == [3, 3, 1] and len(bands) == 3
+        rows_x = np.concatenate([x for x, _, _ in blocks])
+        rows_y = np.concatenate([y for _, y, _ in blocks])
+        corrections = np.concatenate([c for c, _, _ in bands])
+        assert np.all(np.isinf(corrections)) == (n_cal == 5)
+        lo = np.concatenate([lo for _, lo, _ in bands])
+        hi = np.concatenate([hi for _, _, hi in bands])
+        pair, rng = fitted[0]
+        want = _audit_by_the_public_calibrator(pair, rng, n_trials, n_cal, n_test,
+                                               "heteroscedastic_outliers", 0.1)
+        coverages = []
+        for t, (ds, want_lo, want_hi) in enumerate(want):
+            assert rows_x[t].tobytes() == ds.X[:, 0].tobytes()
+            assert rows_y[t].tobytes() == ds.y.tobytes()
+            assert (lo[t].tobytes(), hi[t].tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
+            y_test = ds.y[n_cal:]
+            coverages.append(np.mean((y_test >= want_lo) & (y_test <= want_hi)))
+        assert t == n_trials - 1
+        assert audit["pooled_coverage"] == float(np.mean(coverages))
 
 
 def test_coverage_audit_arguments_and_light_run():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confband.quantiles import SortedSample, check_level
+from confband.quantiles import SortedSample, check_level, inflated_quantiles
 
 
 def _oracle_left_quantile(values, level):
@@ -144,6 +144,25 @@ def test_inflated_quantile_coverage_is_exact_order_statistic_rate():
     expected = k / (n + 1)
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(rate - expected) <= 4 * se
+
+
+def test_inflated_quantiles_take_each_rows_inflated_quantile():
+    # integer-valued rows tie often; n = 9 and n = 99 put alpha = 0.1 on an
+    # exact index boundary, and n = 8 asks for more than the sample holds
+    rng = np.random.default_rng(17)
+    for n in (1, 8, 9, 10, 99):
+        rows = rng.integers(-4, 5, size=(6, n)).astype(float)
+        for alpha in (0.1, 0.25, 0.5, 0.9):
+            got = inflated_quantiles(rows, alpha)
+            assert got.shape == (6,)
+            want = [SortedSample(row).inflated_quantile(alpha) for row in rows]
+            assert got.tolist() == want
+    with pytest.raises(ValueError, match="non-finite"):
+        inflated_quantiles([[1.0, 2.0], [3.0, np.inf]], 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        inflated_quantiles(np.zeros((3, 0)), 0.5)
+    with pytest.raises(ValueError, match="level"):
+        inflated_quantiles(np.zeros((3, 4)), 1.0)
 
 
 def test_empty_sample_is_rejected():
