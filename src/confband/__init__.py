@@ -11,7 +11,6 @@ repeated-split evaluation protocol.
 
 from .conformal import (
     ConformalBand,
-    DataSplit,
     cqr_asym_calibrate,
     cqr_calibrate,
     local_conformal_calibrate,
@@ -67,7 +66,6 @@ __all__ = [
     "check_level",
     "PinballLoss",
     "ConformalBand",
-    "DataSplit",
     "split_conformal_calibrate",
     "local_conformal_calibrate",
     "cqr_calibrate",

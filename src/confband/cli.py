@@ -10,7 +10,8 @@ Three subcommands:
 
 Every option can also be supplied through ``--config FILE``, a plain text
 file of ``key = value`` lines (``#`` starts a comment; keys match the long
-option names with either dashes or underscores; booleans are true/false).
+option names of the chosen subcommand with either dashes or underscores;
+booleans are true/false).
 Explicit command line flags win over file values.
 """
 
@@ -50,18 +51,14 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
     )
 
 
-def _config_converters(parser: argparse.ArgumentParser) -> dict:
-    """Option dest -> text converter, over every subcommand but ``--config``."""
-    return {
+def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The values of a config file; a key must name an option of subcommand ``sub``."""
+    # option dest -> text converter, over the subcommand's options but --config
+    converters = {
         a.dest: _to_bool if isinstance(a, argparse._StoreTrueAction) else a.type or str
-        for sub in _subcommands(parser).values()
         for a in sub._actions
         if a.dest not in ("help", "config")
     }
-
-
-def _load_config_file(path: str, parser: argparse.ArgumentParser | None = None) -> dict:
-    converters = _config_converters(parser or build_parser())
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -241,8 +238,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # file values become the subcommand's defaults, so flags still win
-            file_values = _load_config_file(args.config, parser)
-            _subcommands(parser)[args.command].set_defaults(**file_values)
+            sub = _subcommands(parser)[args.command]
+            sub.set_defaults(**_load_config_file(args.config, sub))
             args = parser.parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)

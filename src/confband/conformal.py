@@ -65,7 +65,6 @@ from .regressors.base import (
 __all__ = [
     "METHODS",
     "PAIR_METHODS",
-    "DataSplit",
     "ConformalBand",
     "plugin_values",
     "conformal_correction",
@@ -79,45 +78,6 @@ __all__ = [
 METHODS = ("split", "local", "cqr", "cqr-asym")
 # the methods whose plug-in is a fitted quantile pair
 PAIR_METHODS = ("cqr", "cqr-asym")
-
-
-@dataclass(frozen=True)
-class DataSplit:
-    """Disjoint proper-training and calibration index sets covering a dataset.
-
-    Attributes
-    ----------
-    i1 : ndarray of int
-        Proper training rows (predictors are fitted here).
-    i2 : ndarray of int
-        Calibration rows (scores and corrections come from here).
-    """
-
-    i1: np.ndarray
-    i2: np.ndarray
-
-    def __post_init__(self):
-        i1 = np.asarray(self.i1, dtype=np.int64)
-        i2 = np.asarray(self.i2, dtype=np.int64)
-        object.__setattr__(self, "i1", i1)
-        object.__setattr__(self, "i2", i2)
-        if i1.size == 0 or i2.size == 0:
-            raise ValueError("both index sets must be non-empty")
-        merged = np.concatenate([i1, i2])
-        union = np.sort(merged)
-        if union.size != np.unique(union).size:
-            raise ValueError("index sets must be disjoint")
-        if union[0] != 0 or union[-1] != union.size - 1:
-            raise ValueError("index sets must cover 0..n-1 exactly")
-
-    @staticmethod
-    def random_halves(n: int, rng) -> "DataSplit":
-        """Random split into two halves (first half larger when n is odd)."""
-        if n < 2:
-            raise ValueError(f"need at least 2 rows to split, got {n}")
-        order = rng.permutation(n)
-        cut = (n + 1) // 2
-        return DataSplit(order[:cut], order[cut:])
 
 
 @dataclass(frozen=True)

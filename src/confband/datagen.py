@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .quantiles import check_level, check_level_pair
+from .quantiles import as_real, check_level, check_level_pair
 from .regressors.base import (
     DispersionRegressor,
     MeanRegressor,
@@ -99,11 +99,12 @@ class SyntheticSpec:
             )
         check_count("n", self.n)
         check_real("noise_scale", self.noise_scale, positive=True)
-        if not 0.0 <= self.outlier_prob < 1.0:
+        if not 0.0 <= as_real("outlier_prob", self.outlier_prob) < 1.0:
             raise ValueError(
                 f"outlier_prob must be in [0, 1), got {self.outlier_prob}"
             )
         check_real("outlier_scale", self.outlier_scale, positive=True)
+        check_count("seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,6 @@ class OracleQuantiles:
             grow = grow[miss]
             radius[grow] *= 2.0
         return _brentq_lockstep(cdf_minus_level, m - radius, m + radius).reshape(shape)
-
-    def band(self, x, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """Central (1 - alpha) interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]."""
-        levels = np.array([alpha / 2.0, 1.0 - alpha / 2.0]).reshape((2,) + (1,) * np.ndim(x))
-        lo, hi = self.quantile(x, levels)
-        return lo, hi
 
     def mean_abs_deviation(self, x) -> np.ndarray:
         """E|Y - m(x)| given X = x; each mixture component is half-normal."""
@@ -378,6 +373,8 @@ def standardize_fit(X, y) -> StandardizationParams:
     X = as_matrix(X)
     y = as_vector(y, X.shape[0])
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("need at least one row to standardize")
     means = np.array([math.fsum(X[:, j]) / n for j in range(X.shape[1])])
     stds = np.array(
         [

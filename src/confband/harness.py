@@ -60,7 +60,7 @@ from .datagen import (
     standardize_apply,
     standardize_fit,
 )
-from .quantiles import check_level
+from .quantiles import as_real, check_level
 from .regressors import (
     ForestConfig,
     ForestMeanRegressor,
@@ -76,7 +76,7 @@ from .regressors import (
     RidgeRegressor,
     cross_validate_l2,
 )
-from .regressors.base import as_matrix, as_vector, check_count, check_real
+from .regressors.base import as_matrix, as_vector, check_count, check_flag, check_real
 
 __all__ = [
     "METHODS",
@@ -231,16 +231,17 @@ class ExperimentConfig:
                         f"method {m!r}; use one of {PAIR_ENGINES}"
                     )
         check_count("n_repetitions", self.n_repetitions)
-        for name, frac in (
-            ("test_fraction", self.test_fraction),
-            ("calibration_fraction_of_train", self.calibration_fraction_of_train),
-        ):
-            if not 0.0 < frac < 1.0:
+        for name in ("test_fraction", "calibration_fraction_of_train"):
+            frac = getattr(self, name)
+            if not 0.0 < as_real(name, frac) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {frac}")
         check_real("gamma", self.gamma)
+        check_count("seed", self.seed, minimum=0)
         check_count("cv_folds", self.cv_folds, minimum=2)
         check_count("knn_k", self.knn_k)
         check_count("linear_epochs", self.linear_epochs)
+        check_flag("tune_quantiles", self.tune_quantiles)
+        check_flag("report_original_units", self.report_original_units)
 
 
 @dataclass(frozen=True)
@@ -313,21 +314,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentReport":
-        d = json.loads(text)
-        return ExperimentReport(
-            config=d["config"],
-            summaries=tuple(
-                MethodSummary(**_columns(MethodSummary, s, float)) for s in d["summaries"]
-            ),
-            repetitions=tuple(
-                RepetitionResult(**_columns(RepetitionResult, r, float))
-                for r in d["repetitions"]
-            ),
-            failures=tuple(d["failures"]),
-        )
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -745,6 +731,7 @@ def coverage_audit(
         ("n_train", n_train),
     ):
         check_count(name, count)
+    check_count("seed", seed, minimum=0)
     if engine not in PAIR_ENGINES:
         raise ValueError(
             f"engine {engine!r} cannot produce quantile pairs; use one of {PAIR_ENGINES}"

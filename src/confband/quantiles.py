@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SortedSample", "check_level", "check_level_pair", "inflated_quantiles"]
+__all__ = ["SortedSample", "as_real", "check_level", "check_level_pair", "inflated_quantiles"]
 
 # Levels are floats, so products like 0.9 * (n + 1) can land a hair above
 # or below an exact integer boundary. Indices snap to the boundary when
@@ -33,15 +33,27 @@ __all__ = ["SortedSample", "check_level", "check_level_pair", "inflated_quantile
 _BOUNDARY_RTOL = 1e-9
 
 
+def as_real(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is one real number.
+
+    A string, bytes or a bool is not a real number, whatever ``float``
+    makes of it; neither is None or an array of more than one value.
+    """
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_level(alpha: float) -> float:
     """Validate a quantile/miscoverage level, returning it as a float.
 
-    Raises ValueError unless 0 < alpha < 1 strictly; a string, bytes or a
-    bool is not a level, whatever ``float`` makes of it.
+    Raises ValueError unless alpha is a real number (see ``as_real``) with
+    0 < alpha < 1 strictly.
     """
-    if isinstance(alpha, (str, bytes, bool)):
-        raise ValueError(f"level must be a real number, got {alpha!r}")
-    alpha = float(alpha)
+    alpha = as_real("level", alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"level must be in the open interval (0, 1), got {alpha}")
     return alpha
@@ -157,8 +169,3 @@ class SortedSample:
         k = _inflated_rank(self.n, check_level(alpha))
         return math.inf if k is None else self.order_statistic(k)
 
-    def cdf(self, z):
-        """Empirical CDF: fraction of values <= z. Accepts scalars or arrays."""
-        counts = np.searchsorted(self._values, z, side="right")
-        out = counts / self.n
-        return float(out) if np.isscalar(z) else out

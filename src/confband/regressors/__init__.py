@@ -6,8 +6,6 @@ from .base import (
     MeanRegressor,
     NonNegativeDispersion,
     QuantileRegressor,
-    as_matrix,
-    as_vector,
 )
 from .forest import ForestConfig, ForestMeanRegressor, QuantileForestRegressor
 from .knn import KnnDispersion
@@ -21,8 +19,6 @@ __all__ = [
     "DispersionRegressor",
     "ConstantDispersion",
     "NonNegativeDispersion",
-    "as_matrix",
-    "as_vector",
     "RidgeRegressor",
     "cross_validate_l2",
     "DEFAULT_L2_GRID",

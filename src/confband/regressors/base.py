@@ -17,6 +17,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..quantiles import as_real
+
 __all__ = [
     "MeanRegressor",
     "QuantileRegressor",
@@ -26,6 +28,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "check_count",
+    "check_flag",
     "check_real",
 ]
 
@@ -68,11 +71,20 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def check_flag(name: str, value) -> bool:
+    """Reject a flag that is not a Python or numpy bool (a truthy string is not one)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def check_real(name: str, value, positive: bool = False) -> float:
-    """Reject a real that is not finite, or is negative (zero too when ``positive``)."""
-    if not ((value > 0 if positive else value >= 0) and math.isfinite(value)):
+    """Reject a value that is not a real number (see ``as_real``), is not finite,
+    or is negative (zero too when ``positive``); returns it as a float."""
+    x = as_real(name, value)
+    if not ((x > 0 if positive else x >= 0) and math.isfinite(x)):
         raise ValueError(f"{name} must be {'>' if positive else '>='} 0 and finite, got {value}")
-    return float(value)
+    return x
 
 
 class MeanRegressor(ABC):

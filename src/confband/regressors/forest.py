@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..quantiles import check_level, check_level_pair
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count
+from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_flag
 
 __all__ = [
     "ForestConfig",
@@ -92,6 +92,8 @@ class ForestConfig:
     def __post_init__(self):
         for name in ("n_trees", "min_leaf_size"):
             check_count(name, getattr(self, name))
+        check_flag("bootstrap", self.bootstrap)
+        check_count("seed", self.seed, minimum=0)
 
 
 class _NodeTable(NamedTuple):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..losses import PinballLoss
-from ..quantiles import check_level_pair
+from ..quantiles import as_real, check_level_pair
 from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
 
 __all__ = [
@@ -76,7 +76,8 @@ class MlpConfig:
             check_count(name, getattr(self, name))
         check_real("learning_rate", self.learning_rate, positive=True)
         check_real("weight_decay", self.weight_decay)
-        if not 0.0 < self.dropout_keep_prob <= 1.0:
+        check_count("seed", self.seed, minimum=0)
+        if not 0.0 < as_real("dropout_keep_prob", self.dropout_keep_prob) <= 1.0:
             raise ValueError(
                 f"dropout_keep_prob must be in (0, 1], got {self.dropout_keep_prob}"
             )

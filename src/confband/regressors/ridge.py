@@ -24,7 +24,7 @@ class RidgeRegressor(MeanRegressor):
     """
 
     def __init__(self, l2_weight: float = 0.0):
-        self.l2_weight = check_real("l2_weight", float(l2_weight))
+        self.l2_weight = check_real("l2_weight", l2_weight)
         self.coef_: np.ndarray | None = None
         self.intercept_: float | None = None
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from confband import cli, harness
-from confband.cli import _load_config_file, build_parser, main
+from confband.cli import _load_config_file, _subcommands, build_parser, main
 from confband.harness import CSV_HEADER
 
 
@@ -201,8 +201,20 @@ def test_config_file_accepts_comments_and_either_separator_style(tmp_path):
         "\n# comment only\nn-trees = 10  # trailing comment\ncv_folds = 3\n",
         encoding="utf-8",
     )
-    values = _load_config_file(str(config))
+    values = _load_config_file(str(config), _subcommands(build_parser())["run"])
     assert values == {"n_trees": 10, "cv_folds": 3}
+
+
+@pytest.mark.parametrize("command, key", [
+    (["run", "--synthetic", "heteroscedastic", "--engine", "oracle", "--reps", "1"], "trials"),
+    (["coverage-audit", "--trials", "2", "--engine", "oracle"], "max_epochs"),
+])
+def test_a_config_key_of_another_subcommand_is_rejected(capsys, tmp_path, command, key):
+    config = tmp_path / "other.conf"
+    config.write_text(f"# set for another subcommand\n{key} = 1\n", encoding="utf-8")
+    code, out, err = _run(capsys, [*command, "--config", str(config)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}:2: unknown config key {key!r}\n"
 
 
 def test_demo_writes_plottable_band_csv(capsys, tmp_path):

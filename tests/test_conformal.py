@@ -5,7 +5,6 @@ import pytest
 
 from confband.conformal import (
     METHODS,
-    DataSplit,
     apply_correction,
     conformal_correction,
     cqr_asym_calibrate,
@@ -447,19 +446,3 @@ def test_fresh_draw_coverage_matches_nominal_rate():
     se = np.sqrt(0.9 * 0.1 / n_trials)
     assert 0.9 - 4 * se <= rate <= 0.9 + 0.01 + 4 * se
 
-
-def test_data_split_validation_and_random_halves():
-    split = DataSplit(np.array([0, 2]), np.array([1, 3]))
-    assert np.array_equal(split.i1, [0, 2])
-    with pytest.raises(ValueError, match="non-empty"):
-        DataSplit(np.array([], dtype=int), np.array([0]))
-    with pytest.raises(ValueError, match="disjoint"):
-        DataSplit(np.array([0, 1]), np.array([1, 2]))
-    with pytest.raises(ValueError, match="cover"):
-        DataSplit(np.array([0, 1]), np.array([3]))
-    rng = np.random.default_rng(0)
-    halves = DataSplit.random_halves(7, rng)
-    assert halves.i1.size == 4 and halves.i2.size == 3
-    assert np.array_equal(np.sort(np.concatenate([halves.i1, halves.i2])), np.arange(7))
-    with pytest.raises(ValueError, match="at least 2 rows"):
-        DataSplit.random_halves(1, rng)

@@ -43,7 +43,7 @@ def test_gaussian_band_width_matches_closed_form():
 def test_vanishing_noise_scale_gives_vanishing_widths():
     oracle = OracleQuantiles(noise_scale=1e-9, heteroscedastic=True)
     x = np.linspace(0.0, 5.0, 10)
-    lo, hi = oracle.band(x, 0.1)
+    lo, hi = oracle.quantile(x, 0.05), oracle.quantile(x, 0.95)
     assert np.all(hi - lo < 1e-7)
     np.testing.assert_allclose(lo, oracle.mean(x), atol=1e-7)
 
@@ -126,8 +126,6 @@ def test_mixture_quantiles_equal_per_point_brentq_bit_for_bit(
     # two levels broadcast against x are solved in one call, bit for bit
     both = oracle.quantile(x, np.array([[0.05], [0.95]]))
     assert np.array_equal(both, np.stack([wants[0.05], wants[0.95]]))
-    lo, hi = oracle.band(x, 0.1)
-    assert np.array_equal(lo, wants[0.05]) and np.array_equal(hi, wants[0.95])
 
 
 def test_quantile_rejects_non_finite_x_and_non_positive_scale():
@@ -148,7 +146,7 @@ def test_oracle_band_covers_at_nominal_rate_within_bins():
         SyntheticSpec(kind="heteroscedastic_outliers", n=12_000, seed=11)
     )
     x = data.X[:, 0]
-    lo, hi = oracle.band(x, 0.1)
+    lo, hi = oracle.quantile(x, 0.05), oracle.quantile(x, 0.95)
     inside = (lo <= data.y) & (data.y <= hi)
     edges = np.linspace(0.0, 5.0, 6)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -405,6 +403,8 @@ def test_standardize_degenerate_inputs_are_rejected():
     X = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ValueError, match="mean absolute value is zero"):
         standardize_fit(X, np.zeros(10))
+    with pytest.raises(ValueError, match="at least one row"):
+        standardize_fit(np.zeros((0, 1)), np.zeros(0))
 
 
 def test_standardization_rejects_a_width_other_than_the_fitted_one():

@@ -345,7 +345,7 @@ def test_csv_rendering_uses_the_exact_header():
     assert empty.to_csv() == CSV_HEADER + "\n"
 
 
-def test_json_round_trip_preserves_infinite_lengths():
+def test_json_writes_infinite_lengths_as_the_string_inf():
     # alpha = 0.01 with a 24-row calibration set overflows the inflated
     # level, so the intervals and their average length are infinite
     dataset, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=3))
@@ -355,8 +355,10 @@ def test_json_round_trip_preserves_infinite_lengths():
     report = run_experiment(cfg, dataset, oracle)
     assert math.isinf(report.summaries[0].avg_length)
     assert report.repetitions[0].coverage == 1.0
-    round_tripped = ExperimentReport.from_json(report.to_json())
-    assert round_tripped == report
+    written = json.loads(report.to_json())
+    assert written["summaries"][0]["avg_length"] == "inf"
+    assert written["repetitions"][0]["avg_length"] == "inf"
+    assert written["repetitions"][0]["coverage"] == 1.0
     assert "inf" in report.to_csv()
 
 

@@ -1,0 +1,107 @@
+"""Every public setting is checked where it is constructed, with a ValueError.
+
+A value of the wrong type fails there too, before any run, fit or draw
+starts: a string, bytes, a bool or None is not a real number, a float is not
+a seed, and a truthy string is not a flag.
+"""
+
+import numpy as np
+import pytest
+
+from confband.conformal import local_conformal_calibrate
+from confband.datagen import SyntheticSpec
+from confband.harness import (
+    ExperimentConfig,
+    band_comparison_demo,
+    coverage_audit,
+    tune_quantile_levels,
+)
+from confband.losses import PinballLoss
+from confband.quantiles import check_level
+from confband.regressors import (
+    ConstantDispersion,
+    ForestConfig,
+    LinearMedianRegressor,
+    LinearPinballModel,
+    LinearQuantilePair,
+    MlpConfig,
+    RidgeRegressor,
+)
+
+# one entry per real-valued setting: a name for the test id and a call that
+# sets it to the given value
+_REAL_SETTINGS = {
+    "check_level": check_level,
+    "ExperimentConfig.alpha": lambda v: ExperimentConfig(alpha=v),
+    "ExperimentConfig.test_fraction": lambda v: ExperimentConfig(test_fraction=v),
+    "ExperimentConfig.calibration_fraction_of_train": (
+        lambda v: ExperimentConfig(calibration_fraction_of_train=v)
+    ),
+    "ExperimentConfig.gamma": lambda v: ExperimentConfig(gamma=v),
+    "SyntheticSpec.noise_scale": lambda v: SyntheticSpec(noise_scale=v),
+    "SyntheticSpec.outlier_prob": lambda v: SyntheticSpec(outlier_prob=v),
+    "SyntheticSpec.outlier_scale": lambda v: SyntheticSpec(outlier_scale=v),
+    "MlpConfig.learning_rate": lambda v: MlpConfig(learning_rate=v),
+    "MlpConfig.weight_decay": lambda v: MlpConfig(weight_decay=v),
+    "MlpConfig.dropout_keep_prob": lambda v: MlpConfig(dropout_keep_prob=v),
+    "LinearPinballModel.alpha": lambda v: LinearPinballModel(v),
+    "LinearPinballModel.learning_rate": lambda v: LinearPinballModel(0.5, learning_rate=v),
+    "LinearQuantilePair.learning_rate": lambda v: LinearQuantilePair(learning_rate=v),
+    "LinearMedianRegressor.learning_rate": lambda v: LinearMedianRegressor(learning_rate=v),
+    "RidgeRegressor.l2_weight": RidgeRegressor,
+    "ConstantDispersion.value": ConstantDispersion,
+    "PinballLoss.alpha": PinballLoss,
+    "local_conformal_calibrate.gamma": (
+        lambda v: local_conformal_calibrate(None, None, None, None, 0.1, gamma=v)
+    ),
+    "tune_quantile_levels.alpha": lambda v: tune_quantile_levels(None, None, None, v, 2, None),
+    "coverage_audit.alpha": lambda v: coverage_audit(1, alpha=v),
+    "band_comparison_demo.gamma": lambda v: band_comparison_demo(gamma=v),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", b"0.5", True, np.True_, None, np.array([0.1, 0.2])],
+                         ids=["str", "bytes", "bool", "numpy-bool", "None", "array"])
+@pytest.mark.parametrize("setting", list(_REAL_SETTINGS))
+def test_a_real_setting_rejects_a_value_that_is_not_a_real_number(setting, bad):
+    with pytest.raises(ValueError, match="must be a real number"):
+        _REAL_SETTINGS[setting](bad)
+
+
+def test_ints_and_numpy_scalars_pass_and_are_stored_as_given():
+    cfg = ExperimentConfig(gamma=2, test_fraction=np.float32(0.25), seed=np.int64(3))
+    assert type(cfg.gamma) is int and cfg.gamma == 2
+    assert type(cfg.test_fraction) is np.float32 and type(cfg.seed) is np.int64
+    spec = SyntheticSpec(noise_scale=np.int64(2), outlier_prob=0, seed=np.uint8(1))
+    assert type(spec.noise_scale) is np.int64 and spec.outlier_prob == 0
+    assert MlpConfig(dropout_keep_prob=1).dropout_keep_prob == 1
+    assert RidgeRegressor(np.int32(3)).l2_weight == 3.0
+    assert check_level(np.float16(0.5)) == 0.5
+
+
+@pytest.mark.parametrize("bad", [1.5, "7", True, -1, None], ids=str)
+@pytest.mark.parametrize("construct", [
+    lambda seed: ExperimentConfig(seed=seed),
+    lambda seed: ForestConfig(seed=seed),
+    lambda seed: MlpConfig(seed=seed),
+    lambda seed: SyntheticSpec(seed=seed),
+    lambda seed: coverage_audit(1, seed=seed),
+    lambda seed: band_comparison_demo(seed=seed),
+], ids=["ExperimentConfig", "ForestConfig", "MlpConfig", "SyntheticSpec", "coverage_audit",
+        "band_comparison_demo"])
+def test_a_seed_must_be_a_non_negative_integer(construct, bad):
+    with pytest.raises(ValueError, match="seed must be"):
+        construct(bad)
+
+
+@pytest.mark.parametrize("bad", ["false", 0, 1.0, None], ids=str)
+@pytest.mark.parametrize("construct", [
+    lambda flag: ExperimentConfig(tune_quantiles=flag),
+    lambda flag: ExperimentConfig(report_original_units=flag),
+    lambda flag: ForestConfig(bootstrap=flag),
+], ids=["tune_quantiles", "report_original_units", "bootstrap"])
+def test_a_flag_must_be_a_bool(construct, bad):
+    with pytest.raises(ValueError, match="must be a bool"):
+        construct(bad)
+    construct(False)
+    construct(np.True_)
