@@ -52,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .quantiles import SortedSample, check_level, inflated_quantiles
+from .quantiles import check_level, inflated_quantiles
 from .regressors.base import (
     DispersionRegressor,
     MeanRegressor,
@@ -130,10 +130,12 @@ def _read_fitted(models: dict, role: str, X):
 
 
 def _inflated(scores, alpha: float):
-    """One sample's inflated quantile as a float, or one per row of a (trials x n) block."""
-    if np.ndim(scores) < 2:
-        return SortedSample(scores).inflated_quantile(alpha)
-    return inflated_quantiles(scores, alpha)
+    """One sample's inflated quantile as a float, or one per row of a (trials x n) block.
+
+    A scalar score is a sample of one.
+    """
+    q = inflated_quantiles(np.atleast_1d(scores), alpha)
+    return q if q.ndim else float(q)
 
 
 def conformal_correction(

@@ -313,7 +313,8 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        # a numpy scalar setting is written as the Python value it equals
+        return json.dumps(self.to_dict(), indent=2, default=lambda v: v.item()) + "\n"
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -379,9 +380,7 @@ class _EngineBundle:
         self.oracle = oracle
         self.params = params
         self.rows = {"X1": X1, **(rows or {})}
-        self._mean = None
-        self._dispersion = None
-        self._pair: QuantileRegressor | None = None
+        self._models: dict[str, object] = {}
         self._reads: dict[tuple[str, str], object] = {}
         self.alpha_nominal: float | None = None
         self.n_crossed = 0  # crossed points among the pair reads, before the fix
@@ -389,37 +388,30 @@ class _EngineBundle:
     def draw_seed(self) -> int:
         return int(self.rng.integers(2**63))
 
-    def mean_model(self):
-        if self._mean is None:
-            self._mean = self.engine.mean(self, self.draw_seed).fit(self.X1, self.y1)
-        return self._mean
+    def model(self, role: str):
+        """The fitted "mean", "dispersion" or "pair" model, fitted at first use."""
+        if role not in self._models:
+            self._models[role] = self._fit(role)
+        return self._models[role]
 
-    def dispersion_model(self):
-        if self._dispersion is None:
-            residuals = np.abs(self.y1 - self.read("mean", "X1"))
-            model = self.engine.dispersion(self, self.draw_seed)
-            self._dispersion = model.fit(self.X1, residuals)
-        return self._dispersion
-
-    def quantile_model(self) -> QuantileRegressor:
-        """Fitted quantile pair, at tuned or default levels."""
-        if self._pair is None:
-            cfg = self.cfg
-            if cfg.tune_quantiles and self.engine.tune_levels:
-                tuning_seed = self.draw_seed()
-                levels = tune_quantile_levels(
-                    lambda: self.engine.pair(self, lambda: tuning_seed),
-                    self.X1,
-                    self.y1,
-                    cfg.alpha,
-                    cfg.cv_folds,
-                    np.random.default_rng(self.draw_seed()),
-                )
-                self.alpha_nominal = round(2.0 * levels[0], 12)
-            else:
-                levels = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
-            self._pair = self.engine.pair(self, self.draw_seed).fit(self.X1, self.y1, *levels)
-        return self._pair
+    def _fit(self, role: str):
+        """Fit a role; the dispersion fits the mean's residuals, the pair tuned levels if asked."""
+        cfg, X1, y1 = self.cfg, self.X1, self.y1
+        if role == "mean":
+            return self.engine.mean(self, self.draw_seed).fit(X1, y1)
+        if role == "dispersion":
+            residuals = np.abs(y1 - self.read("mean", "X1"))
+            return self.engine.dispersion(self, self.draw_seed).fit(X1, residuals)
+        if cfg.tune_quantiles and self.engine.tune_levels:
+            tuning_seed = self.draw_seed()
+            levels = tune_quantile_levels(
+                lambda: self.engine.pair(self, lambda: tuning_seed),
+                X1, y1, cfg.alpha, cfg.cv_folds, np.random.default_rng(self.draw_seed()),
+            )
+            self.alpha_nominal = round(2.0 * levels[0], 12)
+        else:
+            levels = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
+        return self.engine.pair(self, self.draw_seed).fit(X1, y1, *levels)
 
     def read(self, role: str, at: str):
         """The fitted "mean", "dispersion" or "pair" model on row set ``at``, read once.
@@ -431,12 +423,11 @@ class _EngineBundle:
         if key not in self._reads:
             X = self.rows[at]
             if role == "pair":
-                lo, hi = self.quantile_model().predict_pair(X)
+                lo, hi = self.model("pair").predict_pair(X)
                 self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
                 self._reads[key] = fix_crossing(lo, hi)
             else:
-                model = self.mean_model() if role == "mean" else self.dispersion_model()
-                self._reads[key] = model.predict(X)
+                self._reads[key] = self.model(role).predict(X)
         return self._reads[key]
 
 
@@ -475,15 +466,19 @@ def _read_trials(pair: QuantileRegressor, x: np.ndarray, rows: dict, stacked: bo
 
 
 def _evaluate(lo, hi, y_test, length_scale: float):
-    """(coverage, mean length, lower-tail miss rate, upper-tail miss rate)."""
-    n = y_test.size
+    """(coverage, mean length, lower-tail miss rate, upper-tail miss rate) over the last axis.
+
+    A 1-D call gives floats; a (trials x n) block gives each row those bits.
+    """
+    n = y_test.shape[-1]
     # an exact count over n rounds like np.mean of the boolean mask
-    return (
-        float(np.count_nonzero((y_test >= lo) & (y_test <= hi)) / n),
-        float(np.mean(hi - lo) * length_scale),
-        float(np.count_nonzero(y_test < lo) / n),
-        float(np.count_nonzero(y_test > hi) / n),
+    stats = (
+        np.count_nonzero((y_test >= lo) & (y_test <= hi), axis=-1) / n,
+        np.mean(hi - lo, axis=-1) * length_scale,
+        np.count_nonzero(y_test < lo, axis=-1) / n,
+        np.count_nonzero(y_test > hi, axis=-1) / n,
     )
+    return stats if y_test.ndim > 1 else tuple(map(float, stats))
 
 
 def _run_repetition(
@@ -743,7 +738,7 @@ def coverage_audit(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
     bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
-    pair = bundle.quantile_model()
+    pair = bundle.model("pair")
     trial = SyntheticSpec(kind=kind, n=n_calibration + n_test)
     rows = {"cal": slice(None, n_calibration), "test": slice(n_calibration, None)}
     per_trial = np.empty(n_trials)
@@ -756,10 +751,7 @@ def coverage_audit(
         _, lo, hi = _band(
             "cqr", lambda role, at: reads[at], "cal", y[:, rows["cal"]], "test", alpha, None
         )
-        y_test = y[:, rows["test"]]
-        # an exact count over n_test rounds like np.mean of the boolean mask
-        covered = np.count_nonzero((y_test >= lo) & (y_test <= hi), axis=1)
-        per_trial[start : start + len(seeds)] = covered / n_test
+        per_trial[start : start + len(seeds)] = _evaluate(lo, hi, y[:, rows["test"]], 1.0)[0]
 
     pooled = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0

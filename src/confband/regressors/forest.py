@@ -14,9 +14,9 @@ every frontier node of every tree in the batch, with cumulative sums over
 padded blocks of nodes, and then partitions the orders stably, so children
 stay sorted. The per-node sums are numpy's own sums of the same values in
 the same order, so every tree is bit for bit the tree a node-by-node grower
-would produce. A fitted forest is one flat node table per batch, holding
-the batch's trees with their leaf sizes, plus one forest-wide leaf weight
-block, and is never written to after growth.
+would produce. A fitted forest is one flat node table per batch (each
+node's feature, threshold, left child and D row) plus one forest-wide leaf
+weight block D, the only record of leaf sizes; it is never written to.
 
 A query point x collects weight 1/n_trees from every tree, split over the
 rows in the leaf that x reaches in proportion to their multiplicity. These
@@ -100,19 +100,16 @@ class _NodeTable(NamedTuple):
     """One growth batch of trees as flat node arrays; tree t is rooted at node t.
 
     ``feature[node] == -1`` marks a leaf. Node ids run level by level, so
-    the batch's ``n_trees`` roots come first, in tree order.
-    ``leaf_count[node]`` is the number of bootstrap samples (training rows
-    with multiplicity) that reached a node, the leaf size at a leaf.
+    the batch's ``n_trees`` roots come first, in tree order. A split node's
+    children are consecutive: ``left[node]`` and ``left[node] + 1``.
     ``leaf[node]`` is a leaf's row in the forest's leaf weight block D, -1
-    at a split node; D is the only record of a leaf's rows.
+    at a split node; D is the only record of a leaf's rows and size.
     """
 
     n_trees: int
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
-    leaf_count: np.ndarray
     leaf: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -132,8 +129,9 @@ class _NodeTable(NamedTuple):
             if split.size < walking.size:  # some pairs stand on their leaf
                 walking = walking[split]
                 at = at[split]
-            go_left = X[walking % n_rows, self.feature[at]] <= self.threshold[at]
-            node[walking] = np.where(go_left, self.left[at], self.right[at])
+            # X is finite, so > is exactly "not <=": the right child is left + 1
+            go_right = X[walking % n_rows, self.feature[at]] > self.threshold[at]
+            node[walking] = self.left[at] + go_right
         return node.reshape(self.n_trees, n_rows)
 
 
@@ -319,7 +317,6 @@ def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
     rank = np.cumsum(is_split) - is_split
     rank -= np.repeat(rank[np.cumsum(level_size) - level_size], level_size)
     left = np.where(is_split, next_level + 2 * rank, -1)
-    right = np.where(is_split, left + 1, -1)
 
     # leaf segments tile the batch tree by tree, so sorted by start the
     # leaves run in tree order
@@ -339,7 +336,7 @@ def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
     mult = np.diff(np.flatnonzero(np.append(first, True)))
     leaf_of = uniq // n
     count = np.bincount(leaf_of, minlength=leaves.size)
-    table = _NodeTable(int(level_size[0]), feature, threshold, left, right, size, leaf)
+    table = _NodeTable(int(level_size[0]), feature, threshold, left, leaf)
     return table, (count, uniq - leaf_of * n, mult / leaf_size[leaf_of], means)
 
 

@@ -224,7 +224,7 @@ def _route_to_leaf(tree, root, x):
     while tree.feature[node] >= 0:
         node = int(
             tree.left[node] if x[tree.feature[node]] <= tree.threshold[node]
-            else tree.right[node]
+            else tree.left[node] + 1
         )
     return node
 

@@ -13,6 +13,7 @@ from confband.conformal import (
     plugin_values,
     split_conformal_calibrate,
 )
+from confband.quantiles import SortedSample
 from confband.regressors import (
     ConstantDispersion,
     ForestConfig,
@@ -100,6 +101,10 @@ def test_tiny_calibration_set_yields_infinite_intervals():
     lo, hi = band.predict_interval(np.zeros((2, 1)))
     assert np.all(np.isneginf(lo))
     assert np.all(np.isposinf(hi))
+    # scalar plug-in values and response: a calibration sample of one
+    assert conformal_correction(0.0, 0.0, 1.0, 1.0, 0.5) == 1.0
+    assert conformal_correction(0.0, 0.0, 1.0, 1.0, 0.5, 0.5) == (-1.0, 1.0)
+    assert conformal_correction(0.0, 0.0, 1.0, 1.0, 0.1) == np.inf
 
 
 def test_interval_excess_scores_from_hand_calibration():
@@ -199,6 +204,12 @@ def test_a_block_of_trials_is_calibrated_and_banded_like_each_trial_alone(n_cal)
             one = conformal_correction(
                 *plugin_values(method, one_read, cal, 0.5), y[t, cal], *levels
             )
+            # one trial's correction is its scores' inflated quantile, as a float
+            p_lo, p_hi, scale = plugin_values(method, one_read, cal, 0.5)
+            below, above = (p_lo - y[t, cal]) / scale, (y[t, cal] - p_hi) / scale
+            samples = (below, above) if isinstance(one, tuple) else (np.maximum(below, above),)
+            want = [SortedSample(v).inflated_quantile(levels[0]) for v in samples]
+            assert list(one if isinstance(one, tuple) else (one,)) == want
             pairs = zip(one, block) if isinstance(one, tuple) else [(one, block)]
             for c, cs in pairs:
                 assert type(c) is float

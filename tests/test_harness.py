@@ -179,12 +179,12 @@ def _public_band(method, bundle, X2, y2, cfg):
     """The band of ``method``'s public calibrator on the bundle's fitted models."""
     half = cfg.alpha / 2.0
     if method == "split":
-        return split_conformal_calibrate(bundle.mean_model(), X2, y2, cfg.alpha)
+        return split_conformal_calibrate(bundle.model("mean"), X2, y2, cfg.alpha)
     if method == "local":
         return local_conformal_calibrate(
-            bundle.mean_model(), bundle.dispersion_model(), X2, y2, cfg.alpha, cfg.gamma
+            bundle.model("mean"), bundle.model("dispersion"), X2, y2, cfg.alpha, cfg.gamma
         )
-    pair = CrossingFixPair(bundle.quantile_model())
+    pair = CrossingFixPair(bundle.model("pair"))
     if method == "cqr":
         return cqr_calibrate(pair, X2, y2, cfg.alpha)
     return cqr_asym_calibrate(pair, X2, y2, half, half)
@@ -638,12 +638,12 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
         monkeypatch.setitem(harness._ENGINES, "linear-q", crossed)
         engine = "linear-q"
     fitted, datasets, blocks, bands = [], [], [], []
-    quantile_model, draw, draw_rows, band = (
-        harness._EngineBundle.quantile_model, harness.generate, harness.draw_rows, harness._band
+    model, draw, draw_rows, band = (
+        harness._EngineBundle.model, harness.generate, harness.draw_rows, harness._band
     )
 
-    def fitted_pair(bundle):
-        pair = quantile_model(bundle)
+    def fitted_pair(bundle, role):
+        pair = model(bundle, role)
         # the audit RNG as the trials find it
         fitted.append((pair, copy.deepcopy(bundle.rng)))
         return pair
@@ -661,7 +661,7 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
         bands.append(band(*args))
         return bands[-1]
 
-    monkeypatch.setattr(harness._EngineBundle, "quantile_model", fitted_pair)
+    monkeypatch.setattr(harness._EngineBundle, "model", fitted_pair)
     monkeypatch.setattr(harness, "generate", generate)
     monkeypatch.setattr(harness, "draw_rows", recorded_draw)
     monkeypatch.setattr(harness, "_band", recorded_band)
@@ -697,6 +697,13 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
             coverages.append(np.mean((y_test >= want_lo) & (y_test <= want_hi)))
         assert t == n_trials - 1
         assert audit["pooled_coverage"] == float(np.mean(coverages))
+        # the audit's per-trial coverage: a block scores each row like its 1-D call
+        y_test = rows_y[:, n_cal:]
+        block = harness._evaluate(lo, hi, y_test, 2.5)
+        for t in range(n_trials):
+            one = harness._evaluate(lo[t], hi[t], y_test[t], 2.5)
+            assert all(type(v) is float for v in one)
+            assert [np.float64(v).tobytes() for v in one] == [v[t].tobytes() for v in block]
 
 
 def test_coverage_audit_arguments_and_light_run():

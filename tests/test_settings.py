@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from confband.conformal import local_conformal_calibrate
-from confband.datagen import SyntheticSpec
+from confband.datagen import SyntheticSpec, generate
 from confband.harness import (
     ExperimentConfig,
     band_comparison_demo,
     coverage_audit,
+    run_experiment,
     tune_quantile_levels,
 )
 from confband.losses import PinballLoss
@@ -77,6 +78,19 @@ def test_ints_and_numpy_scalars_pass_and_are_stored_as_given():
     assert MlpConfig(dropout_keep_prob=1).dropout_keep_prob == 1
     assert RidgeRegressor(np.int32(3)).l2_weight == 3.0
     assert check_level(np.float16(0.5)) == 0.5
+
+
+def test_numpy_scalar_settings_write_the_report_of_their_python_values():
+    dataset, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=1))
+
+    def report(seed, n_repetitions, original_units):
+        cfg = ExperimentConfig(
+            engine="oracle", seed=seed, n_repetitions=n_repetitions,
+            report_original_units=original_units,
+        )
+        return run_experiment(cfg, dataset, oracle).to_json()
+
+    assert report(np.int64(3), np.int64(1), np.True_) == report(3, 1, True)
 
 
 @pytest.mark.parametrize("bad", [1.5, "7", True, -1, None], ids=str)
