@@ -10,11 +10,13 @@ reads, cqr and cqr-asym the quantile pair reads. In ``_band``, the one
 band step of repetitions, tuning folds and coverage-audit blocks, the
 conformal module's ``plugin_values`` turns reads into plug-in values, and
 its two pure steps do the rest: ``conformal_correction`` on the
-calibration rows, ``apply_correction`` on the new rows. The audit hands
-``_band`` a whole block of trials as (trials x n) arrays, and each trial
-gets the band it would get alone. A repetition adds the rows of all its
-methods or, when any method fails, none. Summaries average over
-repetitions. Lengths are in standardized response units by default.
+calibration rows, ``apply_correction`` on the new rows. The audit reads
+a whole block of trials at once, whatever the engine, since every read is
+row-wise (see ``regressors.base``), and hands ``_band`` the block as
+(trials x n) arrays; each trial gets the band it would get alone. A
+repetition adds the rows of all its methods or, when any method fails,
+none. Summaries average over repetitions. Lengths are in standardized
+response units by default.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
 fills the three model roles:
@@ -35,7 +37,7 @@ deviation for the oracle.
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -118,10 +120,6 @@ class _Engine:
     dispersion: Callable
     pair: Callable | None = None  # None: no quantile pair, so no pair methods
     tune_levels: bool = True  # whether quantile-level tuning applies
-    # whether a row's read is the same bits whatever rows are read with it, so
-    # the coverage audit may read a block of trials at once (the mlp's BLAS
-    # products sum in an order that depends on the row count)
-    rowwise_reads: bool = True
 
 
 def _ridge_mean(b, seed):
@@ -142,7 +140,6 @@ _ENGINES = {
         mean=lambda b, seed: MlpMeanRegressor(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
         dispersion=_clamped_mean_dispersion,
         pair=lambda b, seed: MlpQuantilePair(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
-        rowwise_reads=False,
     ),
     "qrf": _Engine(
         mean=lambda b, seed: ForestMeanRegressor(replace(b.cfg.forest, seed=seed())),
@@ -214,6 +211,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_level(self.alpha)
+        if isinstance(self.methods, str) or not isinstance(self.methods, Sequence):
+            raise ValueError(f"methods must be a sequence of method names, got {self.methods!r}")
+        # a tuple, so the frozen config stays hashable
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for i, m in enumerate(self.methods):
@@ -445,24 +446,6 @@ def _band(method: str, read, cal, y_cal, new, alpha: float, gamma: float | None)
 def _pair_reader(pair: QuantileRegressor):
     """``_band``'s ``read`` over a fitted pair: crossings fixed, read afresh on every call."""
     return lambda role, X: fix_crossing(*pair.predict_pair(X))
-
-
-def _read_trials(pair: QuantileRegressor, x: np.ndarray, rows: dict, stacked: bool) -> dict:
-    """The crossing-fixed pair read on each row set of a block of trials.
-
-    ``x`` holds one trial's feature values per row, and ``rows`` maps a row
-    set's name to its columns. Each row set's read is a pair of (trials x m)
-    arrays. ``stacked`` reads the whole block at once; otherwise each trial's
-    row set is read alone, in the shape a lone trial reads it.
-    """
-    if stacked:
-        lo, hi = (v.reshape(x.shape) for v in fix_crossing(*pair.predict_pair(x.reshape(-1, 1))))
-        return {at: (lo[:, r], hi[:, r]) for at, r in rows.items()}
-    reads = {}
-    for at, r in rows.items():
-        per_trial = [fix_crossing(*pair.predict_pair(xt[r, None])) for xt in x]
-        reads[at] = tuple(np.stack(v) for v in zip(*per_trial))
-    return reads
 
 
 def _evaluate(lo, hi, y_test, length_scale: float):
@@ -716,9 +699,10 @@ def coverage_audit(
     test rows from the same law, recalibrates and scores coverage. Trials
     run in blocks of at most ``_AUDIT_ROWS`` rows: a block draws every
     trial's rows from that trial's seed (``draw_rows``), reads the fitted
-    pair once on all of them, and calibrates and bands every trial at once
-    in ``_band``, each trial getting the band its own rows would give it
-    alone. For continuous data the pooled coverage should land in
+    pair once on all of them, whatever the engine, and calibrates and bands
+    every trial at once in ``_band``. Reads are row-wise (see
+    ``regressors.base``), so each trial gets the band its own rows would
+    give it alone. For continuous data the pooled coverage should land in
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
     """
     for name, count in (
@@ -747,7 +731,8 @@ def coverage_audit(
         # the trials' seeds come from the audit RNG in trial order
         seeds = [int(rng.integers(2**63)) for _ in range(min(block, n_trials - start))]
         x, y, _ = draw_rows(trial, seeds)
-        reads = _read_trials(pair, x, rows, _ENGINES[engine].rowwise_reads)
+        read = [v.reshape(x.shape) for v in fix_crossing(*pair.predict_pair(x.reshape(-1, 1)))]
+        reads = {at: tuple(v[:, r] for v in read) for at, r in rows.items()}
         _, lo, hi = _band(
             "cqr", lambda role, at: reads[at], "cal", y[:, rows["cal"]], "test", alpha, None
         )

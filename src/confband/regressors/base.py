@@ -9,7 +9,10 @@ calibrator can ask for:
 
 All engines fit on the rows they are given and nothing else, and fitted
 predictors are immutable: predictions are deterministic functions of the
-fitted state.
+fitted state. Reads are row-wise: a row's prediction has the same bits
+whatever other rows are read with it and whatever the memory layout of X,
+so a conformal score is a fixed function of its own row and a block of
+rows may be read at once. ``as_matrix`` hands every read C-ordered rows.
 """
 
 import math
@@ -34,11 +37,11 @@ __all__ = [
 
 
 def as_matrix(X, n_features: int | None = None) -> np.ndarray:
-    """Coerce features to a 2-D float array of shape (n_samples, n_features).
+    """Coerce features to a C-ordered 2-D float array of shape (n_samples, n_features).
 
     ``n_features``, when given, is the width a fitted model expects.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=float, order="C")
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.ndim != 2:

@@ -57,7 +57,7 @@ class LinearPinballModel:
         if self.coef_ is None:
             raise RuntimeError("fit() must be called before predict()")
         X = as_matrix(X, self.n_features_in_)
-        return (X @ self.coef_ + self.intercept_) * self._y_scale
+        return ((X * self.coef_).sum(axis=1) + self.intercept_) * self._y_scale
 
 
 class LinearQuantilePair(QuantileRegressor):

@@ -35,6 +35,10 @@ __all__ = [
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# rows per forward pass of a read: BLAS sums a product in an order that can
+# depend on the row count, so a read runs on whole blocks, the last one
+# zero-padded, and gives each row the same bits whatever rows come with it
+_READ_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -218,21 +222,14 @@ class MlpNetwork:
                 self.adam_step(w_grads, b_grads)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out, _ = self.forward(X)
-        return out
-
-    # grad-check support: flat parameter view so tests can perturb entries
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.weights + self.biases])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        expected = sum(p.size for p in self.weights + self.biases)
-        if flat.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {flat.size}")
-        pos = 0
-        for p in self.weights + self.biases:
-            p[...] = flat[pos : pos + p.size].reshape(p.shape)
-            pos += p.size
+        """Evaluation-mode outputs, one row per row of X, read in blocks of ``_READ_ROWS``."""
+        n = X.shape[0]
+        padded = np.zeros((-(-n // _READ_ROWS) * _READ_ROWS, X.shape[1]))
+        padded[:n] = X
+        out = np.empty((padded.shape[0], self.biases[-1].size))
+        for start in range(0, n, _READ_ROWS):
+            out[start : start + _READ_ROWS], _ = self.forward(padded[start : start + _READ_ROWS])
+        return out[:n]
 
 
 def _validation_folds(n: int, n_folds: int, rng) -> list[np.ndarray]:

@@ -58,7 +58,7 @@ class RidgeRegressor(MeanRegressor):
         if self.coef_ is None:
             raise RuntimeError("fit() must be called before predict()")
         X = as_matrix(X, self.n_features_in_)
-        return X @ self.coef_ + self.intercept_
+        return (X * self.coef_).sum(axis=1) + self.intercept_
 
 
 def cross_validate_l2(

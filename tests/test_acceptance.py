@@ -30,6 +30,7 @@ from confband.regressors import (
 )
 from confband.regressors.forest import _CDF_RTOL
 from confband.regressors.mlp import MlpNetwork, _PinballPairHead, _SquaredErrorHead
+from test_mlp import _numeric_gradient
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -311,20 +312,7 @@ def _network_gradients_match(rng_seed: int) -> float:
         net = MlpNetwork(3, head.n_outputs, config, np.random.default_rng(rng_seed + 1))
         _, w_grads, b_grads = net.loss_and_grads(X, y, head)
         analytic = np.concatenate([g.ravel() for g in w_grads + b_grads])
-        flat = net.get_flat_params()
-        numeric = np.empty_like(flat)
-        eps = 1e-6
-        for i in range(flat.size):
-            up = flat.copy()
-            up[i] += eps
-            down = flat.copy()
-            down[i] -= eps
-            net.set_flat_params(up)
-            loss_up, _, _ = net.loss_and_grads(X, y, head)
-            net.set_flat_params(down)
-            loss_down, _, _ = net.loss_and_grads(X, y, head)
-            numeric[i] = (loss_up - loss_down) / (2 * eps)
-        net.set_flat_params(flat)
+        numeric = _numeric_gradient(net, X, y, head)
         worst = max(
             worst, np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         )

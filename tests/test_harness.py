@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from confband import harness
 from confband.conformal import (
@@ -551,6 +552,17 @@ def test_config_validation_rejects_bad_settings():
             ExperimentConfig(methods=("split", method), engine="ridge")
 
 
+def test_methods_must_be_a_sequence_of_names_and_are_kept_as_a_tuple():
+    # a bare string is a sequence of letters, not of method names
+    for bad in ("cqr", "split", 3, None):
+        with pytest.raises(ValueError, match="methods must be a sequence of method names"):
+            ExperimentConfig(methods=bad)
+    cfg = ExperimentConfig(methods=["split", "cqr"])
+    assert cfg.methods == ("split", "cqr")
+    # a list is kept as a tuple, so the frozen config hashes
+    assert hash(cfg) == hash(ExperimentConfig(methods=("split", "cqr")))
+
+
 @pytest.mark.parametrize("field", ["n_repetitions", "cv_folds", "knn_k", "linear_epochs"])
 @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
 def test_non_integer_config_counts_are_rejected(field, value):
@@ -704,6 +716,43 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
             one = harness._evaluate(lo[t], hi[t], y_test[t], 2.5)
             assert all(type(v) is float for v in one)
             assert [np.float64(v).tobytes() for v in one] == [v[t].tobytes() for v in block]
+
+
+def _law_p_value(covered: np.ndarray, law, n_bins: int) -> float:
+    """Pearson chi-square p-value of integer counts against a discrete law.
+
+    The bins are as near equal mass as the law's atoms allow: bin j ends at
+    the law's (j / n_bins) quantile, and the last bin takes the rest.
+    """
+    ends = np.unique(law.ppf(np.arange(1, n_bins) / n_bins))
+    mass = np.diff(law.cdf(ends), prepend=0.0, append=1.0)
+    observed = np.bincount(np.searchsorted(ends, covered), minlength=mass.size)
+    expected = covered.size * mass
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return float(stats.chi2.sf(chi2, mass.size - 1))
+
+
+@pytest.mark.parametrize("engine", ["linear-q", "oracle"])
+def test_each_audit_trial_covers_as_the_beta_binomial_law_says(monkeypatch, engine):
+    # With the fit held fixed and continuous scores, a trial's coverage given
+    # its calibration rows is Beta(k, n + 1 - k), k = ceil((1 - alpha)(n + 1)),
+    # so its covered count among n_test rows is BetaBinomial(n_test, k, n + 1 - k).
+    # Seeds, trial count, bins and threshold were fixed before the first run.
+    n_trials, n_cal, n_test, alpha = 2000, 99, 200, 0.1
+    k = 90  # ceil(0.9 * 100)
+    evaluate, counts = harness._evaluate, []
+
+    def recorded_evaluate(lo, hi, y_test, length_scale):
+        scores = evaluate(lo, hi, y_test, length_scale)
+        counts.append(np.rint(scores[0] * n_test).astype(int))
+        return scores
+
+    monkeypatch.setattr(harness, "_evaluate", recorded_evaluate)
+    coverage_audit(n_trials, alpha, n_cal, n_test, engine=engine, seed=0)
+    covered = np.concatenate(counts)
+    assert covered.size == n_trials
+    law = stats.betabinom(n_test, k, n_cal + 1 - k)
+    assert _law_p_value(covered, law, n_bins=19) > 1e-3
 
 
 def test_coverage_audit_arguments_and_light_run():

@@ -5,8 +5,16 @@ import re
 import numpy as np
 import pytest
 
+from confband import harness
 from confband.conformal import split_conformal_calibrate
-from confband.datagen import OracleQuantileRegressor, OracleQuantiles
+from confband.datagen import (
+    OracleQuantileRegressor,
+    OracleQuantiles,
+    SyntheticSpec,
+    generate,
+    standardize_apply,
+    standardize_fit,
+)
 from confband.quantiles import check_level
 from confband.regressors import (
     ForestConfig,
@@ -89,3 +97,55 @@ def test_a_level_that_is_not_a_real_number_fails_before_any_work(bad):
     mean = RidgeRegressor(0.1).fit(X, X[:, 0])
     with pytest.raises(ValueError, match="level must be a real number"):
         split_conformal_calibrate(mean, rows, rows, bad)
+
+
+# slice sizes from 1 to 299 rows, around the blocks that BLAS kernels and
+# the mlp's read work in
+_ROW_SLICES = (1, 2, 3, 5, 7, 8, 13, 16, 31, 32, 33, 63, 64, 65, 100, 128, 257, 299)
+
+
+def _engine_reads(engine: str, width: int):
+    """``{role: read}`` for every role the harness fills for ``engine``.
+
+    Each model is fitted as a repetition fits it, on standardized
+    ``width``-feature rows, with small settings; a pair read comes back as
+    one (2 x n) array. Also returns 1000 standardized, C-ordered query rows.
+    """
+    train, oracle = generate(SyntheticSpec(kind="heteroscedastic", n=200, seed=0))
+    queries, _ = generate(SyntheticSpec(kind="heteroscedastic", n=1000, seed=1))
+    rng = np.random.default_rng(width)
+    X, Xq = train.X, queries.X
+    if width > 1:
+        X = np.hstack([X, rng.normal(size=(200, width - 1))])
+        Xq = np.hstack([Xq, rng.normal(size=(1000, width - 1))])
+    params = standardize_fit(X, train.y)
+    X1, y1 = standardize_apply(params, X, train.y)
+    cfg = harness.ExperimentConfig(
+        methods=("split",), engine=engine, cv_folds=2,
+        forest=ForestConfig(n_trees=20, min_leaf_size=5),
+        mlp=MlpConfig(hidden_width=16, max_epochs=3), linear_epochs=50,
+    )
+    bundle = harness._EngineBundle(cfg, X1, y1, rng, oracle, params)
+    reads = {
+        "mean": bundle.model("mean").predict,
+        "dispersion": bundle.model("dispersion").predict,
+    }
+    if bundle.engine.pair is not None:
+        reads["pair"] = lambda X: np.stack(bundle.model("pair").predict_pair(X))
+    return reads, np.ascontiguousarray(standardize_apply(params, Xq))
+
+
+@pytest.mark.parametrize(
+    "engine, width",
+    [(e, w) for e in harness.ENGINES for w in (1, 3, 8) if e != "oracle" or w == 1],
+)
+def test_a_read_gives_each_row_the_same_bits_in_any_slice_and_layout(engine, width):
+    # the row-wise read contract of regressors.base, which lets the coverage
+    # audit read a block of trials at once
+    reads, Xq = _engine_reads(engine, width)
+    for role, read in reads.items():
+        want = read(Xq).tobytes()
+        assert read(np.asfortranarray(Xq)).tobytes() == want, role
+        for size in _ROW_SLICES:
+            sliced = [read(Xq[start : start + size]) for start in range(0, Xq.shape[0], size)]
+            assert np.concatenate(sliced, axis=-1).tobytes() == want, (role, size)
