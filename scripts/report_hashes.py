@@ -38,10 +38,11 @@ that it left every byte alone. The matrix covers:
 
 The hashes are not pinned anywhere: MLP and ridge bits depend on the BLAS
 build, so they hold between two checkouts on one machine, not across
-machines. That is why this script is not part of the test suite. On a pull
-request, CI checks out the base commit next to the change and compares the
-two on its own runner; on a push it hashes its own checkout, comparing
-nothing, so that a change that breaks the script shows.
+machines. That is why this script is not part of the test suite. CI checks
+out the pull request's base commit, or on a push the commit pushed over,
+next to the change and compares the two on its own runner; when that commit
+is not in the history (a new branch, rewritten history) it hashes its own
+checkout alone, so that a change that breaks the script still shows.
 The 108 outputs take about 25 s per checkout on a 2-vCPU VM.
 """
 

@@ -79,10 +79,10 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, out: str | None = None) -> None:
+def _add_common(parser: argparse.ArgumentParser, out_help: str, out: str | None = None) -> None:
     parser.add_argument("--config", default=None, help="key = value options file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=out, help="output path (.csv or .json)")
+    parser.add_argument("--out", default=out, help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report lengths in original response units",
     )
-    _add_common(run)
+    _add_common(run, "report path (.csv or .json); JSON to stdout when omitted")
 
     demo = sub.add_parser(
         "demo-fig1", help="three-method synthetic comparison with plottable bands"
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--n-trees", type=int, default=1000)
     demo.add_argument("--grid-size", type=int, default=501)
     demo.add_argument("--kind", default="heteroscedastic_outliers", choices=SYNTHETIC_KINDS)
-    _add_common(demo, out="band_demo.csv")
+    _add_common(demo, "band bounds path (.csv)", out="band_demo.csv")
 
     audit = sub.add_parser(
         "coverage-audit", help="Monte Carlo check of the coverage guarantee"
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--n-test", type=int, default=200)
     audit.add_argument("--engine", default="linear-q", choices=PAIR_ENGINES)
     audit.add_argument("--kind", default="heteroscedastic", choices=SYNTHETIC_KINDS)
-    _add_common(audit)
+    _add_common(audit, "result path (.json); JSON to stdout when omitted")
     return parser
 
 
@@ -213,6 +213,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.out is not None and not args.out.endswith(".json"):
+        raise ValueError(f"audit output must be a .json path, got {args.out!r}")
     result = coverage_audit(
         n_trials=args.trials,
         alpha=args.alpha,

@@ -30,13 +30,12 @@ The calibrators differ only in the plug-in reader and the quantiles taken:
   independent corrections for the two tails
 
 ``plugin_values`` is that table, written once: it turns the outputs of a
-method's fitted models on some rows into ``(lo, hi, scale)``. Calibrating
-reads the plug-in on the calibration rows and scores the values read
+method's fitted models on the rows scored into ``(lo, hi, scale)``.
+Calibrating scores the plug-in values of the calibration rows
 (``conformal_correction``); a band applies its correction to plug-in values
 (``apply_correction``). Neither step reads a model. The public calibrators
-read their fitted models afresh on every call; the experiment harness reads
-each fitted model once per row set and feeds ``plugin_values`` from those
-reads, then runs the same two pure steps (so do its tuning and audit).
+read their fitted models afresh on every X; the harness reads each once on
+[calibration rows; new rows] and runs the two steps on the two parts.
 
 Both pure steps also work along a leading trials axis: given (trials x n)
 plug-in values and responses, ``conformal_correction`` returns one
@@ -98,26 +97,26 @@ class ConformalBand:
         return apply_correction(self.correction, *self.plugin(as_matrix(X)))
 
 
-def plugin_values(method: str, read, rows, gamma: float | None):
-    """A method's plug-in values ``(lo, hi, scale)`` on one set of rows.
+def plugin_values(method: str, read, gamma: float | None):
+    """A method's plug-in values ``(lo, hi, scale)`` on the rows being scored.
 
-    ``read(role, rows)`` is the output on ``rows`` of the method's fitted
+    ``read(role)`` is the output on those rows of the method's fitted
     "mean", "dispersion" or "pair" model, a pair being ``(q_lo, q_hi)``.
     Only the local method reads ``gamma``.
     """
     if method in PAIR_METHODS:
-        lo, hi = read("pair", rows)
+        lo, hi = read("pair")
         return lo, hi, 1.0
-    center = read("mean", rows)
+    center = read("mean")
     if method == "split":
         return center, center, 1.0
-    scale = read("dispersion", rows) + gamma
+    scale = read("dispersion") + gamma
     if np.any(scale <= 0.0):
         raise ValueError("zero scale; set gamma > 0")
     return center, center, scale
 
 
-def _read_fitted(models: dict, role: str, X):
+def _read_fitted(models: dict, X, role: str):
     """The fitted ``role`` model's output on X; a crossed raw pair is rejected."""
     if role != "pair":
         return models[role].predict(X)
@@ -127,6 +126,11 @@ def _read_fitted(models: dict, role: str, X):
     if np.any(q_lo > q_hi):
         raise ValueError("quantile estimates cross; wrap the regressor in a crossing fix")
     return q_lo, q_hi
+
+
+def _fitted_plugin(method: str, models: dict, gamma, X):
+    """``method``'s plug-in values, its fitted models read afresh on X (a band pickles)."""
+    return plugin_values(method, partial(_read_fitted, models, X), gamma)
 
 
 def _inflated(scores, alpha: float):
@@ -188,8 +192,7 @@ def _calibrate(method, models: dict, X_cal, y_cal, alpha_lo, alpha_hi=None, gamm
         check_level(level)
     X_cal = as_matrix(X_cal)
     y_cal = as_vector(y_cal, X_cal.shape[0])
-    # a band reads the method's fitted models afresh on every X
-    plugin = partial(plugin_values, method, partial(_read_fitted, models), gamma=gamma)
+    plugin = partial(_fitted_plugin, method, models, gamma)
     return ConformalBand(plugin, conformal_correction(*plugin(X_cal), y_cal, alpha_lo, alpha_hi))
 
 

@@ -405,7 +405,8 @@ def standardize_apply(params: StandardizationParams, X, y=None):
     X must have the width the parameters were fitted on.
     """
     X = as_matrix(X, params.n_features_in)
-    Xs = (X[:, params.kept_features] - params.feature_mean) / params.feature_std
+    # ``take`` keeps the rows C-ordered, where fancy indexing would not
+    Xs = (X.take(params.kept_features, axis=1) - params.feature_mean) / params.feature_std
     if y is None:
         return Xs
     y = as_vector(y, X.shape[0])

@@ -3,20 +3,17 @@
 Each repetition draws a fresh test split, halves the remaining rows into
 proper-training and calibration sets, standardizes using proper-training
 statistics only, fits the requested engine, calibrates, and scores
-coverage and average interval length on the test rows. Each fitted model
-is read once per row set (proper-training, calibration, test), and every
-method scores from those shared reads: split and local share the mean
-reads, cqr and cqr-asym the quantile pair reads. In ``_band``, the one
-band step of repetitions, tuning folds and coverage-audit blocks, the
-conformal module's ``plugin_values`` turns reads into plug-in values, and
-its two pure steps do the rest: ``conformal_correction`` on the
-calibration rows, ``apply_correction`` on the new rows. The audit reads
-a whole block of trials at once, whatever the engine, since every read is
-row-wise (see ``regressors.base``), and hands ``_band`` the block as
-(trials x n) arrays; each trial gets the band it would get alone. A
-repetition adds the rows of all its methods or, when any method fails,
-none. Summaries average over repetitions. Lengths are in standardized
-response units by default.
+coverage and average interval length on the test rows. Every band has one
+shape: each fitted model is read once on [calibration rows; new rows], all
+methods score from those shared reads, and ``_band`` (the band step of
+repetitions, tuning folds and coverage-audit blocks) turns them into
+plug-in values with the conformal module's ``plugin_values``, scores the
+calibration part with ``conformal_correction`` and bands the rest with
+``apply_correction``. Reads are row-wise (see ``regressors.base``), so a
+row read in the stack gets the bits it gets alone; the audit reads a whole
+block of trials at once, as (trials x n) arrays. A repetition adds the
+rows of all its methods or, when any method fails, none. Summaries average
+over repetitions. Lengths are in standardized response units by default.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
 fills the three model roles:
@@ -357,8 +354,8 @@ class _EngineBundle:
 
     Models are cached so methods sharing a fitted predictor (split and
     local share the point predictor; cqr and cqr-asym share the quantile
-    pair) do not refit. ``read`` reads a fitted model on a named row set
-    once and hands every later caller the same values. Fits and reads
+    pair) do not refit. ``read`` reads a fitted model on the row block
+    ``X`` once and hands every later caller the same values. Fits and reads
     happen at first use, so RNG draws happen in a fixed order and results
     are reproducible for a fixed method list.
     """
@@ -371,7 +368,7 @@ class _EngineBundle:
         rng,
         oracle: OracleQuantiles | None,
         params: StandardizationParams | None,
-        rows: dict[str, np.ndarray] | None = None,
+        X: np.ndarray | None = None,
     ):
         self.cfg = cfg
         self.engine = _ENGINES[cfg.engine]
@@ -380,9 +377,9 @@ class _EngineBundle:
         self.rng = rng
         self.oracle = oracle
         self.params = params
-        self.rows = {"X1": X1, **(rows or {})}
+        self.X = X
         self._models: dict[str, object] = {}
-        self._reads: dict[tuple[str, str], object] = {}
+        self._reads: dict[str, object] = {}
         self.alpha_nominal: float | None = None
         self.n_crossed = 0  # crossed points among the pair reads, before the fix
 
@@ -401,7 +398,7 @@ class _EngineBundle:
         if role == "mean":
             return self.engine.mean(self, self.draw_seed).fit(X1, y1)
         if role == "dispersion":
-            residuals = np.abs(y1 - self.read("mean", "X1"))
+            residuals = np.abs(y1 - self.model("mean").predict(X1))
             return self.engine.dispersion(self, self.draw_seed).fit(X1, residuals)
         if cfg.tune_quantiles and self.engine.tune_levels:
             tuning_seed = self.draw_seed()
@@ -414,38 +411,35 @@ class _EngineBundle:
             levels = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
         return self.engine.pair(self, self.draw_seed).fit(X1, y1, *levels)
 
-    def read(self, role: str, at: str):
-        """The fitted "mean", "dispersion" or "pair" model on row set ``at``, read once.
+    def read(self, role: str):
+        """The fitted "mean", "dispersion" or "pair" model on the rows ``X``, read once.
 
         Crossed points of a pair read are counted, then repaired with
         ``fix_crossing``.
         """
-        key = (role, at)
-        if key not in self._reads:
-            X = self.rows[at]
+        if role not in self._reads:
             if role == "pair":
-                lo, hi = self.model("pair").predict_pair(X)
+                lo, hi = self.model("pair").predict_pair(self.X)
                 self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
-                self._reads[key] = fix_crossing(lo, hi)
+                self._reads[role] = fix_crossing(lo, hi)
             else:
-                self._reads[key] = self.model(role).predict(X)
-        return self._reads[key]
+                self._reads[role] = self.model(role).predict(self.X)
+        return self._reads[role]
 
 
-def _band(method: str, read, cal, y_cal, new, alpha: float, gamma: float | None):
-    """``(correction, lo, hi)``: ``method`` calibrated on rows ``cal``, applied to rows ``new``.
+def _band(method: str, read, y_cal, alpha: float, gamma: float | None):
+    """``(correction, lo, hi)``: ``method`` calibrated on the first rows read, applied to the rest.
 
-    cqr-asym scores each tail at alpha / 2; the others score both ends at
-    once. Reads and ``y_cal`` may be (trials x n) blocks, one trial a row.
+    ``read`` reads [calibration rows; new rows], ``y_cal`` the first part; cqr-asym scores
+    each tail at alpha / 2. Reads and ``y_cal`` may be (trials x n) blocks, one trial a row.
     """
     levels = (alpha / 2.0, alpha / 2.0) if method == "cqr-asym" else (alpha, None)
-    correction = conformal_correction(*plugin_values(method, read, cal, gamma), y_cal, *levels)
-    return correction, *apply_correction(correction, *plugin_values(method, read, new, gamma))
-
-
-def _pair_reader(pair: QuantileRegressor):
-    """``_band``'s ``read`` over a fitted pair: crossings fixed, read afresh on every call."""
-    return lambda role, X: fix_crossing(*pair.predict_pair(X))
+    values = plugin_values(method, read, gamma)
+    n_cal = y_cal.shape[-1]
+    cal = [v[..., :n_cal] if np.ndim(v) else v for v in values]
+    new = [v[..., n_cal:] if np.ndim(v) else v for v in values]
+    correction = conformal_correction(*cal, y_cal, *levels)
+    return correction, *apply_correction(correction, *new)
 
 
 def _evaluate(lo, hi, y_test, length_scale: float):
@@ -474,8 +468,8 @@ def _run_repetition(
     """Split, standardize, fit, calibrate and score every method once.
 
     Every method scores from the bundle's shared reads: each fitted model
-    is read once on the calibration rows and once on the test rows, and
-    test rows never enter a fit or a correction. Returns the per-method
+    is read once on the calibration and test rows stacked, and test rows
+    never enter a fit or a correction. Returns the per-method
     rows, each method's correction in the same order and the bundle, which
     holds the fitted models and the repetition's standardization. A failure
     in any method raises, so a repetition contributes all of its rows or
@@ -485,13 +479,14 @@ def _run_repetition(
     test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, rng)
     params = standardize_fit(dataset.X[i1], dataset.y[i1])
     X1, y1 = standardize_apply(params, dataset.X[i1], dataset.y[i1])
-    X2, y2 = standardize_apply(params, dataset.X[i2], dataset.y[i2])
-    Xt, yt = standardize_apply(params, dataset.X[test_idx], dataset.y[test_idx])
+    new = np.concatenate((i2, test_idx))
+    X, y = standardize_apply(params, dataset.X[new], dataset.y[new])
+    y2, yt = y[: i2.size], y[i2.size :]
     length_scale = params.response_scale if cfg.report_original_units else 1.0
-    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params, {"X2": X2, "Xt": Xt})
+    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params, X)
     rows, corrections = [], []
     for method in cfg.methods:
-        correction, lo, hi = _band(method, bundle.read, "X2", y2, "Xt", cfg.alpha, cfg.gamma)
+        correction, lo, hi = _band(method, bundle.read, y2, cfg.alpha, cfg.gamma)
         coverage, avg_len, miss_lo, miss_hi = _evaluate(lo, hi, yt, length_scale)
         pair = method in PAIR_METHODS
         rows.append(
@@ -631,7 +626,8 @@ def tune_quantile_levels(
         for fit, cal, val in folds:
             pair = make_pair()
             pair.fit(X1[fit], y1[fit], *levels)
-            _, lo, hi = _band("cqr", _pair_reader(pair), X1[cal], y1[cal], X1[val], alpha, None)
+            read = fix_crossing(*pair.predict_pair(X1[np.concatenate((cal, val))]))
+            _, lo, hi = _band("cqr", lambda role: read, y1[cal], alpha, None)
             total += _evaluate(lo, hi, y1[val], 1.0)[1]
         key = (total / cv_folds, abs(nominal - alpha), nominal)
         if best is None or key < best:
@@ -670,14 +666,14 @@ def band_comparison_demo(
     seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     rows, corrections, bundle = _run_repetition(cfg, dataset, oracle, 0, seq)
 
-    # the grid is one more row set, so each fitted model is read on it once
     params = bundle.params
     grid_raw = np.linspace(0.0, 5.0, grid_size)[:, None]
-    bundle.rows["grid"] = standardize_apply(params, grid_raw)
+    grid = standardize_apply(params, grid_raw)
+    reads = {role: bundle.model(role).predict(grid) for role in ("mean", "dispersion")}
+    reads["pair"] = fix_crossing(*bundle.model("pair").predict_pair(grid))
     bounds: dict[str, np.ndarray] = {"x": grid_raw[:, 0]}
     for method, correction in zip(cfg.methods, corrections):
-        grid = plugin_values(method, bundle.read, "grid", cfg.gamma)
-        lo, hi = apply_correction(correction, *grid)
+        lo, hi = apply_correction(correction, *plugin_values(method, reads.get, cfg.gamma))
         bounds[f"{method}_lo"] = lo * params.response_scale
         bounds[f"{method}_hi"] = hi * params.response_scale
     return summarize(rows, cfg.methods), bounds
@@ -705,16 +701,16 @@ def coverage_audit(
     give it alone. For continuous data the pooled coverage should land in
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
     """
-    for name, count in (
-        ("n_trials", n_trials), ("n_calibration", n_calibration), ("n_test", n_test),
-        ("n_train", n_train),
-    ):
-        check_count(name, count)
-    check_count("seed", seed, minimum=0)
+    n_trials, n_calibration, n_test, n_train = map(
+        check_count, ("n_trials", "n_calibration", "n_test", "n_train"),
+        (n_trials, n_calibration, n_test, n_train),
+    )
+    seed = check_count("seed", seed, minimum=0)
     if engine not in PAIR_ENGINES:
         raise ValueError(
             f"engine {engine!r} cannot produce quantile pairs; use one of {PAIR_ENGINES}"
         )
+    alpha = check_level(alpha)
     # engine settings are the config defaults, in raw units
     cfg = ExperimentConfig(engine=engine, alpha=alpha)
     rng = np.random.default_rng(seed)
@@ -724,7 +720,6 @@ def coverage_audit(
     bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
     pair = bundle.model("pair")
     trial = SyntheticSpec(kind=kind, n=n_calibration + n_test)
-    rows = {"cal": slice(None, n_calibration), "test": slice(n_calibration, None)}
     per_trial = np.empty(n_trials)
     block = max(1, _AUDIT_ROWS // trial.n)
     for start in range(0, n_trials, block):
@@ -732,11 +727,8 @@ def coverage_audit(
         seeds = [int(rng.integers(2**63)) for _ in range(min(block, n_trials - start))]
         x, y, _ = draw_rows(trial, seeds)
         read = [v.reshape(x.shape) for v in fix_crossing(*pair.predict_pair(x.reshape(-1, 1)))]
-        reads = {at: tuple(v[:, r] for v in read) for at, r in rows.items()}
-        _, lo, hi = _band(
-            "cqr", lambda role, at: reads[at], "cal", y[:, rows["cal"]], "test", alpha, None
-        )
-        per_trial[start : start + len(seeds)] = _evaluate(lo, hi, y[:, rows["test"]], 1.0)[0]
+        _, lo, hi = _band("cqr", lambda role: read, y[:, :n_calibration], alpha, None)
+        per_trial[start : start + len(seeds)] = _evaluate(lo, hi, y[:, n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0

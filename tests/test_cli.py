@@ -145,7 +145,9 @@ def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("generate", "load_csv", "run_experiment", "band_comparison_demo"):
+    for name in (
+        "generate", "load_csv", "run_experiment", "band_comparison_demo", "coverage_audit",
+    ):
         monkeypatch.setattr(cli, name, must_not_run)
     code, out, err = _run(capsys, [
         "run", "--synthetic", "heteroscedastic", "--out", "r.txt",
@@ -155,6 +157,9 @@ def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch):
     code, out, err = _run(capsys, ["demo-fig1", "--out", "d.json"])
     assert (code, out) == (2, "")
     assert err == "error: demo output must be a .csv path, got 'd.json'\n"
+    code, out, err = _run(capsys, ["coverage-audit", "--out", "a.csv"])
+    assert (code, out) == (2, "")
+    assert err == "error: audit output must be a .json path, got 'a.csv'\n"
 
 
 def test_config_file_supplies_values_and_flags_win(capsys, tmp_path):

@@ -190,22 +190,26 @@ def test_a_block_of_trials_is_calibrated_and_banded_like_each_trial_alone(n_cal)
     ties = [np.unique(np.abs(y[t, cal] - reads["mean"][t, cal])).size < n_cal for t in range(5)]
     assert any(ties)
 
-    def read(role, rows, t=slice(None)):
-        out = reads[role]
-        return tuple(v[t, rows] for v in out) if role == "pair" else out[t, rows]
+    def reader(rows, t=slice(None)):
+        """``plugin_values``'s read of trials ``t`` on columns ``rows``."""
+
+        def read(role):
+            out = reads[role]
+            return tuple(v[t, rows] for v in out) if role == "pair" else out[t, rows]
+
+        return read
 
     collapsed = False
     for method in METHODS:
         levels = (0.05, 0.05) if method == "cqr-asym" else (0.1, None)
-        block = conformal_correction(*plugin_values(method, read, cal, 0.5), y[:, cal], *levels)
-        lo, hi = apply_correction(block, *plugin_values(method, read, new, 0.5))
+        block = conformal_correction(*plugin_values(method, reader(cal), 0.5), y[:, cal], *levels)
+        lo, hi = apply_correction(block, *plugin_values(method, reader(new), 0.5))
         for t in range(5):
-            one_read = lambda role, rows: read(role, rows, t)  # noqa: E731
             one = conformal_correction(
-                *plugin_values(method, one_read, cal, 0.5), y[t, cal], *levels
+                *plugin_values(method, reader(cal, t), 0.5), y[t, cal], *levels
             )
             # one trial's correction is its scores' inflated quantile, as a float
-            p_lo, p_hi, scale = plugin_values(method, one_read, cal, 0.5)
+            p_lo, p_hi, scale = plugin_values(method, reader(cal, t), 0.5)
             below, above = (p_lo - y[t, cal]) / scale, (y[t, cal] - p_hi) / scale
             samples = (below, above) if isinstance(one, tuple) else (np.maximum(below, above),)
             want = [SortedSample(v).inflated_quantile(levels[0]) for v in samples]
@@ -215,7 +219,7 @@ def test_a_block_of_trials_is_calibrated_and_banded_like_each_trial_alone(n_cal)
                 assert type(c) is float
                 assert np.float64(c).tobytes() == cs[t].tobytes()
                 assert np.isinf(c) == (n_cal == 5)
-            one_lo, one_hi = apply_correction(one, *plugin_values(method, one_read, new, 0.5))
+            one_lo, one_hi = apply_correction(one, *plugin_values(method, reader(new, t), 0.5))
             assert (one_lo.tobytes(), one_hi.tobytes()) == (lo[t].tobytes(), hi[t].tobytes())
         collapsed |= method == "cqr" and bool(np.any(lo[0] == hi[0]))
     assert collapsed == (n_cal == 19)

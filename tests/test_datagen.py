@@ -365,6 +365,8 @@ def test_standardize_fit_apply_round_trip():
     y = rng.normal(loc=-1.0, scale=4.0, size=200)
     params = standardize_fit(X, y)
     Xs, ys = standardize_apply(params, X, y)
+    # C-ordered rows, so a model reads them without a copy
+    assert Xs.flags.c_contiguous
     np.testing.assert_allclose(Xs.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(Xs.std(axis=0), 1.0, rtol=1e-12)
     np.testing.assert_allclose(np.abs(ys).mean(), 1.0, rtol=1e-12)

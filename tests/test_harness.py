@@ -147,8 +147,9 @@ def test_each_fitted_model_is_read_once_per_row_set(monkeypatch, methods):
     seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     test_idx, i1, i2 = repetition_split(dataset.n_rows, cfg, np.random.default_rng(seq))
     params = standardize_fit(dataset.X[i1], dataset.y[i1])
-    X1, X2, Xt = (
-        standardize_apply(params, dataset.X[idx]).tobytes() for idx in (i1, i2, test_idx)
+    X1, X2t = (
+        standardize_apply(params, dataset.X[idx]).tobytes()
+        for idx in (i1, np.concatenate((i2, test_idx)))
     )
 
     reads = _count_forest_reads(monkeypatch)
@@ -158,11 +159,12 @@ def test_each_fitted_model_is_read_once_per_row_set(monkeypatch, methods):
         per_forest.setdefault((readout, forest), []).append(rows)
     pair = [sorted(rows) for (readout, _), rows in per_forest.items() if readout == "predict_pair"]
     means = [sorted(rows) for (readout, _), rows in per_forest.items() if readout == "predict"]
-    # the pair once on the calibration and test rows; the mean forest also
-    # once on the proper-training rows, for the dispersion fit's residuals;
-    # the dispersion forest (a mean forest on residuals) once on each
-    assert pair == [sorted([X2, Xt])]
-    assert sorted(means) == sorted([sorted([X1, X2, Xt]), sorted([X2, Xt])])
+    # the pair once on the calibration and test rows stacked; the mean forest
+    # on those and once on the proper-training rows, for the dispersion fit's
+    # residuals; the dispersion forest (a mean forest on residuals) once on
+    # the stacked rows
+    assert pair == [[X2t]]
+    assert sorted(means) == sorted([sorted([X1, X2t]), [X2t]])
 
 
 def test_the_demo_reads_each_fitted_model_once_on_its_grid(monkeypatch):
@@ -208,8 +210,10 @@ def test_the_run_loop_band_is_the_public_calibrator_band(engine, method):
     band = _public_band(method, bundle, X2, y2, cfg)
     assert band.correction == correction
     lo, hi = band.predict_interval(Xt)
-    # the run loop's band on the test rows, from the bundle's shared reads
-    test = plugin_values(method, bundle.read, "Xt", cfg.gamma)
+    # the run loop's band on the test rows, from the bundle's shared read of
+    # the calibration and test rows stacked
+    stacked = plugin_values(method, bundle.read, cfg.gamma)
+    test = [v[i2.size :] if np.ndim(v) else v for v in stacked]
     run_lo, run_hi = apply_correction(correction, *test)
     assert lo.tobytes() == run_lo.tobytes() and hi.tobytes() == run_hi.tobytes()
     assert (row.coverage, row.avg_length, row.tail_lo_miss, row.tail_hi_miss) == (
@@ -755,6 +759,42 @@ def test_each_audit_trial_covers_as_the_beta_binomial_law_says(monkeypatch, engi
     assert _law_p_value(covered, law, n_bins=19) > 1e-3
 
 
+# the oracle runs on the homoscedastic kind: its heteroscedastic intervals
+# are narrow near x = 0, and 282 of their 400000 rows collapse at seed 0
+@pytest.mark.parametrize("engine, kind", [
+    ("linear-q", "heteroscedastic"), ("oracle", "homoscedastic"),
+])
+def test_each_audit_trial_misses_each_tail_as_the_beta_binomial_law_says(
+    monkeypatch, engine, kind
+):
+    # cqr-asym corrects each tail on its own at alpha / 2. With the fit held
+    # fixed and continuous scores, a trial's lower-tail miss rate given its
+    # calibration rows is Beta(n + 1 - k, k), k = ceil((1 - alpha / 2)(n + 1)),
+    # so its lower-tail misses among n_test rows are BetaBinomial(n_test,
+    # n + 1 - k, k); so are the upper tail's. That holds while no interval
+    # collapses to its midpoint. Seeds, trial count, bins and threshold were
+    # fixed before the first run.
+    n_trials, n_cal, n_test, alpha = 2000, 99, 200, 0.1
+    k = 95  # ceil(0.95 * 100)
+    band, evaluate, misses, open_bands = harness._band, harness._evaluate, [], []
+
+    def recorded_evaluate(lo, hi, y_test, length_scale):
+        scores = evaluate(lo, hi, y_test, length_scale)
+        misses.append(np.rint(np.stack(scores[2:]) * n_test).astype(int))
+        open_bands.append(bool(np.all(lo < hi)))
+        return scores
+
+    monkeypatch.setattr(harness, "_band", lambda method, *args: band("cqr-asym", *args))
+    monkeypatch.setattr(harness, "_evaluate", recorded_evaluate)
+    coverage_audit(n_trials, alpha, n_cal, n_test, engine=engine, kind=kind, seed=0)
+    assert all(open_bands)
+    lower, upper = np.concatenate(misses, axis=1)
+    assert lower.size == n_trials
+    law = stats.betabinom(n_test, n_cal + 1 - k, k)
+    assert _law_p_value(lower, law, n_bins=19) > 1e-3
+    assert _law_p_value(upper, law, n_bins=19) > 1e-3
+
+
 def test_coverage_audit_arguments_and_light_run():
     with pytest.raises(ValueError, match="n_trials"):
         coverage_audit(n_trials=0)
@@ -770,3 +810,19 @@ def test_coverage_audit_arguments_and_light_run():
     assert audit["upper_bound"] == pytest.approx(0.91)
     assert 0.8 <= audit["pooled_coverage"] <= 1.0
     assert isinstance(audit["within_bounds_4se"], bool)
+
+
+def test_the_audit_returns_its_settings_as_python_numbers():
+    counts = dict(n_calibration=19, n_test=20, n_train=60, seed=1)
+    audit = coverage_audit(
+        np.int64(5), np.float32(0.1), **{k: np.int64(v) for k, v in counts.items()},
+        engine="oracle",
+    )
+    json.dumps(audit)
+    alpha = float(np.float32(0.1))
+    assert [type(audit[k]) for k in ("n_trials", "n_calibration", "n_test_per_trial")] == [int] * 3
+    assert type(audit["alpha"]) is float and audit["alpha"] == alpha
+    # the bounds are taken in double precision, and the audit is the one
+    # Python numbers give
+    assert (audit["lower_bound"], audit["upper_bound"]) == (1.0 - alpha, 1.0 - alpha + 1.0 / 20)
+    assert audit == coverage_audit(5, alpha, **counts, engine="oracle")
