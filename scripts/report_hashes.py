@@ -120,7 +120,6 @@ def calibrated_bands(dataset):
         KnnDispersion,
         LinearMedianRegressor,
         LinearQuantilePair,
-        NonNegativeDispersion,
         QuantileForestRegressor,
     )
 
@@ -137,8 +136,7 @@ def calibrated_bands(dataset):
 
     forest = ForestConfig(n_trees=20, min_leaf_size=5, seed=1)
     engines = (
-        ("qrf", ForestMeanRegressor(forest),
-         NonNegativeDispersion(ForestMeanRegressor(ForestConfig(n_trees=20, seed=2))),
+        ("qrf", ForestMeanRegressor(forest), ForestMeanRegressor(ForestConfig(n_trees=20, seed=2)),
          QuantileForestRegressor(forest)),
         ("linear-q", LinearMedianRegressor(200), KnnDispersion(11), LinearQuantilePair(200)),
     )

@@ -43,7 +43,6 @@ from .losses import PinballLoss
 from .quantiles import SortedSample, check_level
 from .regressors import (
     ConstantDispersion,
-    DispersionRegressor,
     ForestConfig,
     ForestMeanRegressor,
     KnnDispersion,
@@ -53,7 +52,6 @@ from .regressors import (
     MlpConfig,
     MlpMeanRegressor,
     MlpQuantilePair,
-    NonNegativeDispersion,
     QuantileForestRegressor,
     QuantileRegressor,
     RidgeRegressor,
@@ -91,9 +89,7 @@ __all__ = [
     "emit_report",
     "MeanRegressor",
     "QuantileRegressor",
-    "DispersionRegressor",
     "ConstantDispersion",
-    "NonNegativeDispersion",
     "RidgeRegressor",
     "KnnDispersion",
     "LinearPinballModel",

@@ -22,8 +22,8 @@ The calibrators differ only in the plug-in reader and the quantiles taken:
 
 - split: lo = hi = mu(x), s = 1, one quantile of max(below, above), which
   is |y - mu(x)|: a fixed-width band around a point predictor
-- local: lo = hi = mu(x), s = sigma(x) + gamma, the same single quantile:
-  the width follows a fitted dispersion estimate
+- local: lo = hi = mu(x), s = max(sigma(x), 0) + gamma, the same single
+  quantile: the width follows a fitted dispersion estimate
 - cqr: a fitted quantile pair, s = 1, the same single quantile: shifts both
   ends outward (or inward, the score may be negative) by one constant
 - cqr-asym: the same pair, one quantile of ``below`` and one of ``above``:
@@ -52,14 +52,7 @@ from functools import partial
 import numpy as np
 
 from .quantiles import check_level, inflated_quantiles
-from .regressors.base import (
-    DispersionRegressor,
-    MeanRegressor,
-    QuantileRegressor,
-    as_matrix,
-    as_vector,
-    check_real,
-)
+from .regressors.base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_real
 
 __all__ = [
     "METHODS",
@@ -110,7 +103,7 @@ def plugin_values(method: str, read, gamma: float | None):
     center = read("mean")
     if method == "split":
         return center, center, 1.0
-    scale = read("dispersion") + gamma
+    scale = np.maximum(read("dispersion"), 0.0) + gamma
     if np.any(scale <= 0.0):
         raise ValueError("zero scale; set gamma > 0")
     return center, center, scale
@@ -209,7 +202,7 @@ def split_conformal_calibrate(mu: MeanRegressor, X_cal, y_cal, alpha: float) -> 
 
 def local_conformal_calibrate(
     mu: MeanRegressor,
-    sigma: DispersionRegressor,
+    sigma: MeanRegressor,
     X_cal,
     y_cal,
     alpha: float,
@@ -217,11 +210,12 @@ def local_conformal_calibrate(
 ) -> ConformalBand:
     """Variable-width band from residuals scaled by a dispersion estimate.
 
-    Residuals are divided by sigma(x) + gamma before taking the inflated
-    quantile, and the band half-width is (sigma(x) + gamma) times the
-    correction. ``sigma`` should be fitted to (x_i, |y_i - mu(x_i)|) pairs
-    on the proper training rows. ``gamma`` regularizes small or zero
-    dispersion estimates.
+    Residuals are divided by s(x) = max(sigma(x), 0) + gamma before taking
+    the inflated quantile, and the band half-width is s(x) times the
+    correction. ``sigma`` is a mean regressor fitted to
+    (x_i, |y_i - mu(x_i)|) pairs on the proper training rows; a read below
+    zero counts as zero. ``gamma`` regularizes small or zero dispersion
+    estimates.
     """
     check_real("gamma", gamma)
     models = {"mean": mu, "dispersion": sigma}

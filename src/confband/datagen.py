@@ -25,13 +25,13 @@ from scipy.special import ndtr, ndtri
 
 from .quantiles import as_real, check_level, check_level_pair
 from .regressors.base import (
-    DispersionRegressor,
     MeanRegressor,
     QuantileRegressor,
     as_matrix,
     as_vector,
     check_count,
     check_real,
+    store_python_values,
 )
 
 __all__ = [
@@ -105,6 +105,7 @@ class SyntheticSpec:
             )
         check_real("outlier_scale", self.outlier_scale, positive=True)
         check_count("seed", self.seed, minimum=0)
+        store_python_values(self)
 
 
 @dataclass(frozen=True)
@@ -475,7 +476,7 @@ class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
         return lo, hi
 
 
-class OracleDispersionRegressor(_OracleReadout, DispersionRegressor):
+class OracleDispersionRegressor(_OracleReadout, MeanRegressor):
     """Dispersion estimate equal to the exact conditional mean absolute deviation."""
 
     def fit(self, X, residuals) -> "OracleDispersionRegressor":

@@ -25,11 +25,12 @@ fills the three model roles:
 - "linear-q": linear pinball models (median as the point predictor)
 - "oracle": exact synthetic conditional summaries, for guarantee audits
 
-Dispersion estimates for the locally adaptive method come from k-nearest
-neighbor averaging of absolute residuals for the ridge and linear engines,
-from a fresh copy of the engine's own mean regressor (clamped at zero) for
-the mlp and qrf engines, and from the exact conditional mean absolute
-deviation for the oracle.
+Dispersion estimates for the locally adaptive method are mean regressors
+fitted to the absolute residuals of the point predictor: k-nearest neighbor
+averaging for the ridge and linear engines, a fresh copy of the engine's
+own mean regressor for the mlp and qrf engines, and the exact conditional
+mean absolute deviation for the oracle. ``plugin_values`` clamps their
+reads at zero.
 """
 
 import json
@@ -69,13 +70,19 @@ from .regressors import (
     MlpConfig,
     MlpMeanRegressor,
     MlpQuantilePair,
-    NonNegativeDispersion,
     QuantileForestRegressor,
     QuantileRegressor,
     RidgeRegressor,
     cross_validate_l2,
 )
-from .regressors.base import as_matrix, as_vector, check_count, check_flag, check_real
+from .regressors.base import (
+    as_matrix,
+    as_vector,
+    check_count,
+    check_flag,
+    check_real,
+    store_python_values,
+)
 
 __all__ = [
     "METHODS",
@@ -127,20 +134,24 @@ def _knn_dispersion(b, seed):
     return KnnDispersion(k=min(b.cfg.knn_k, b.X1.shape[0]))
 
 
-def _clamped_mean_dispersion(b, seed):
-    return NonNegativeDispersion(b.engine.mean(b, seed))
+def _mlp_mean(b, seed):
+    return MlpMeanRegressor(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds)
+
+
+def _forest_mean(b, seed):
+    return ForestMeanRegressor(replace(b.cfg.forest, seed=seed()))
 
 
 _ENGINES = {
     "ridge": _Engine(mean=_ridge_mean, dispersion=_knn_dispersion),
     "mlp": _Engine(
-        mean=lambda b, seed: MlpMeanRegressor(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
-        dispersion=_clamped_mean_dispersion,
+        mean=_mlp_mean,
+        dispersion=_mlp_mean,
         pair=lambda b, seed: MlpQuantilePair(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
     ),
     "qrf": _Engine(
-        mean=lambda b, seed: ForestMeanRegressor(replace(b.cfg.forest, seed=seed())),
-        dispersion=_clamped_mean_dispersion,
+        mean=_forest_mean,
+        dispersion=_forest_mean,
         pair=lambda b, seed: QuantileForestRegressor(replace(b.cfg.forest, seed=seed())),
     ),
     "linear-q": _Engine(
@@ -240,6 +251,7 @@ class ExperimentConfig:
         check_count("linear_epochs", self.linear_epochs)
         check_flag("tune_quantiles", self.tune_quantiles)
         check_flag("report_original_units", self.report_original_units)
+        store_python_values(self)
 
 
 @dataclass(frozen=True)
@@ -311,8 +323,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        # a numpy scalar setting is written as the Python value it equals
-        return json.dumps(self.to_dict(), indent=2, default=lambda v: v.item()) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -705,15 +716,10 @@ def coverage_audit(
         check_count, ("n_trials", "n_calibration", "n_test", "n_train"),
         (n_trials, n_calibration, n_test, n_train),
     )
-    seed = check_count("seed", seed, minimum=0)
-    if engine not in PAIR_ENGINES:
-        raise ValueError(
-            f"engine {engine!r} cannot produce quantile pairs; use one of {PAIR_ENGINES}"
-        )
-    alpha = check_level(alpha)
-    # engine settings are the config defaults, in raw units
-    cfg = ExperimentConfig(engine=engine, alpha=alpha)
-    rng = np.random.default_rng(seed)
+    # engine settings are the config defaults, in raw units; the config
+    # rejects an engine without a quantile pair
+    cfg = ExperimentConfig(engine=engine, alpha=alpha, seed=seed)
+    rng = np.random.default_rng(cfg.seed)
     train, oracle = generate(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
@@ -727,16 +733,16 @@ def coverage_audit(
         seeds = [int(rng.integers(2**63)) for _ in range(min(block, n_trials - start))]
         x, y, _ = draw_rows(trial, seeds)
         read = [v.reshape(x.shape) for v in fix_crossing(*pair.predict_pair(x.reshape(-1, 1)))]
-        _, lo, hi = _band("cqr", lambda role: read, y[:, :n_calibration], alpha, None)
+        _, lo, hi = _band("cqr", lambda role: read, y[:, :n_calibration], cfg.alpha, None)
         per_trial[start : start + len(seeds)] = _evaluate(lo, hi, y[:, n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
-    lower = 1.0 - alpha
-    upper = 1.0 - alpha + 1.0 / (n_calibration + 1)
+    lower = 1.0 - cfg.alpha
+    upper = 1.0 - cfg.alpha + 1.0 / (n_calibration + 1)
     return {
         "n_trials": n_trials,
-        "alpha": alpha,
+        "alpha": cfg.alpha,
         "n_calibration": n_calibration,
         "n_test_per_trial": n_test,
         "engine": engine,

@@ -1,11 +1,13 @@
 """Common interfaces for the regression engines.
 
-Engines come in three flavors, matching the three roles a conformal
-calibrator can ask for:
+Engines come in two flavors:
 
 * MeanRegressor      -- point prediction of the conditional mean.
 * QuantileRegressor  -- a fitted pair of conditional quantile curves.
-* DispersionRegressor -- non-negative prediction of residual spread.
+
+The dispersion sigma(x) of the locally adaptive method is a MeanRegressor
+fitted to the absolute residuals |y - mu(x)|; the conformal module clamps
+its reads at zero where it uses them.
 
 All engines fit on the rows they are given and nothing else, and fitted
 predictors are immutable: predictions are deterministic functions of the
@@ -16,7 +18,9 @@ rows may be read at once. ``as_matrix`` hands every read C-ordered rows.
 """
 
 import math
+import numbers
 from abc import ABC, abstractmethod
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,14 +29,13 @@ from ..quantiles import as_real
 __all__ = [
     "MeanRegressor",
     "QuantileRegressor",
-    "DispersionRegressor",
     "ConstantDispersion",
-    "NonNegativeDispersion",
     "as_matrix",
     "as_vector",
     "check_count",
     "check_flag",
     "check_real",
+    "store_python_values",
 ]
 
 
@@ -90,6 +93,18 @@ def check_real(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def store_python_values(config) -> None:
+    """Store each checked setting of a frozen dataclass that is a number but not a
+    Python one (a numpy scalar or 0-d array, a Decimal, a Fraction) as the Python
+    number it equals, so the config computes as that Python number would."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (np.generic, np.ndarray)):
+            object.__setattr__(config, f.name, value.item())
+        elif isinstance(value, numbers.Number) and not isinstance(value, (int, float)):
+            object.__setattr__(config, f.name, float(value))
+
+
 class MeanRegressor(ABC):
     """Point predictor of the conditional mean."""
 
@@ -114,19 +129,7 @@ class QuantileRegressor(ABC):
         """Predict (lower, upper) quantiles, one pair per row of X."""
 
 
-class DispersionRegressor(ABC):
-    """Non-negative predictor of local residual spread."""
-
-    @abstractmethod
-    def fit(self, X, residuals) -> "DispersionRegressor":
-        """Fit on (features, absolute residuals); returns self."""
-
-    @abstractmethod
-    def predict(self, X) -> np.ndarray:
-        """Predict non-negative dispersion, one value per row of X."""
-
-
-class ConstantDispersion(DispersionRegressor):
+class ConstantDispersion(MeanRegressor):
     """A dispersion field that is the same constant everywhere.
 
     With the constant 1 this makes the locally adaptive calibrator collapse
@@ -143,20 +146,3 @@ class ConstantDispersion(DispersionRegressor):
     def predict(self, X) -> np.ndarray:
         X = as_matrix(X)
         return np.full(X.shape[0], self.value)
-
-
-class NonNegativeDispersion(DispersionRegressor):
-    """Adapt any mean regressor into a dispersion regressor by clamping at 0."""
-
-    def __init__(self, inner: MeanRegressor):
-        self.inner = inner
-
-    def fit(self, X, residuals) -> "NonNegativeDispersion":
-        residuals = as_vector(residuals)
-        if np.any(residuals < 0):
-            raise ValueError("dispersion targets must be non-negative")
-        self.inner.fit(X, residuals)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        return np.maximum(self.inner.predict(X), 0.0)

@@ -43,7 +43,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ..quantiles import check_level, check_level_pair
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_flag
+from .base import (
+    MeanRegressor,
+    QuantileRegressor,
+    as_matrix,
+    as_vector,
+    check_count,
+    check_flag,
+    store_python_values,
+)
 
 __all__ = [
     "ForestConfig",
@@ -94,6 +102,7 @@ class ForestConfig:
             check_count(name, getattr(self, name))
         check_flag("bootstrap", self.bootstrap)
         check_count("seed", self.seed, minimum=0)
+        store_python_values(self)
 
 
 class _NodeTable(NamedTuple):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import DispersionRegressor, as_matrix, as_vector, check_count
+from .base import MeanRegressor, as_matrix, as_vector, check_count
 
 __all__ = ["KnnDispersion"]
 
@@ -21,7 +21,7 @@ def _euclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-class KnnDispersion(DispersionRegressor):
+class KnnDispersion(MeanRegressor):
     """Estimate residual spread at x as the mean absolute residual of the
     k training rows nearest to x in Euclidean distance.
 

@@ -23,7 +23,15 @@ import numpy as np
 
 from ..losses import PinballLoss
 from ..quantiles import as_real, check_level_pair
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
+from .base import (
+    MeanRegressor,
+    QuantileRegressor,
+    as_matrix,
+    as_vector,
+    check_count,
+    check_real,
+    store_python_values,
+)
 
 __all__ = [
     "MlpConfig",
@@ -85,6 +93,7 @@ class MlpConfig:
             raise ValueError(
                 f"dropout_keep_prob must be in (0, 1], got {self.dropout_keep_prob}"
             )
+        store_python_values(self)
 
 
 class _SquaredErrorHead:
@@ -237,7 +246,7 @@ def _validation_folds(n: int, n_folds: int, rng) -> list[np.ndarray]:
     return [order[f::n_folds] for f in range(n_folds)]
 
 
-def _select_epoch_count(X, y, head_factory, config: MlpConfig, n_folds: int) -> int:
+def _select_epoch_count(X, y, head, config: MlpConfig, n_folds: int) -> int:
     """Epoch count minimizing mean out-of-fold loss, evaluated after each epoch."""
     n = X.shape[0]
     seeds = np.random.SeedSequence(config.seed).spawn(n_folds + 1)
@@ -249,7 +258,6 @@ def _select_epoch_count(X, y, head_factory, config: MlpConfig, n_folds: int) -> 
         X_tr, y_tr = X[train_mask], y[train_mask]
         X_val, y_val = X[val_idx], y[val_idx]
         rng = np.random.default_rng(seeds[f + 1])
-        head = head_factory()
         net = MlpNetwork(X.shape[1], head.n_outputs, config, rng)
         for epoch in range(config.max_epochs):
             net.train(X_tr, y_tr, head, 1, rng)
@@ -257,14 +265,13 @@ def _select_epoch_count(X, y, head_factory, config: MlpConfig, n_folds: int) -> 
     return int(np.argmin(curve)) + 1
 
 
-def _fit_network(X, y, head_factory, config: MlpConfig, cv_folds: int) -> MlpNetwork:
+def _fit_network(X, y, head, config: MlpConfig, cv_folds: int) -> MlpNetwork:
     X = as_matrix(X)
     y = as_vector(y, X.shape[0])
     n_epochs = config.max_epochs
     if cv_folds >= 2 and X.shape[0] >= 2 * cv_folds:
-        n_epochs = _select_epoch_count(X, y, head_factory, config, cv_folds)
+        n_epochs = _select_epoch_count(X, y, head, config, cv_folds)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    head = head_factory()
     net = MlpNetwork(X.shape[1], head.n_outputs, config, rng)
     net.train(X, y, head, n_epochs, rng)
     return net
@@ -283,7 +290,7 @@ class MlpMeanRegressor(MeanRegressor):
         self._net: MlpNetwork | None = None
 
     def fit(self, X, y) -> "MlpMeanRegressor":
-        self._net = _fit_network(X, y, _SquaredErrorHead, self.config, self.cv_folds)
+        self._net = _fit_network(X, y, _SquaredErrorHead(), self.config, self.cv_folds)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -306,7 +313,7 @@ class MlpQuantilePair(QuantileRegressor):
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "MlpQuantilePair":
         head = _PinballPairHead(alpha_lo, alpha_hi)  # checks the levels first
-        self._net = _fit_network(X, y, lambda: head, self.config, self.cv_folds)
+        self._net = _fit_network(X, y, head, self.config, self.cv_folds)
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:

@@ -298,6 +298,25 @@ def test_zero_scale_is_rejected_at_calibration_and_prediction():
         band.predict_interval(np.zeros((1, 1)))
 
 
+def test_a_dispersion_read_below_zero_counts_as_zero():
+    # sigma is a mean regressor fitted to absolute residuals, and nothing keeps
+    # its reads at or above zero; the local scale is max(sigma(x), 0) + gamma
+    rng = np.random.default_rng(12)
+    X2 = rng.uniform(-2.0, 2.0, size=(40, 1))
+    y2 = rng.normal(size=40) * (1.0 + np.abs(X2[:, 0]))
+    sigma = _FunctionMean(lambda X: X[:, 0])  # below zero wherever x < 0
+    band = local_conformal_calibrate(_ZERO_MEAN, sigma, X2, y2, 0.1, gamma=0.5)
+
+    def scale(X):
+        return np.maximum(X[:, 0], 0.0) + 0.5
+
+    assert band.correction == SortedSample(np.abs(y2) / scale(X2)).inflated_quantile(0.1)
+    X_new = np.linspace(-2.0, 2.0, 21)[:, None]
+    lo, hi = band.predict_interval(X_new)
+    np.testing.assert_array_equal(hi, band.correction * scale(X_new))
+    np.testing.assert_array_equal(lo, -hi)
+
+
 def test_negative_gamma_is_rejected():
     with pytest.raises(ValueError, match="gamma must be >= 0"):
         local_conformal_calibrate(

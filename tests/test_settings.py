@@ -5,6 +5,9 @@ starts: a string, bytes, a bool or None is not a real number, a float is not
 a seed, and a truthy string is not a flag.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -69,15 +72,52 @@ def test_a_real_setting_rejects_a_value_that_is_not_a_real_number(setting, bad):
         _REAL_SETTINGS[setting](bad)
 
 
-def test_ints_and_numpy_scalars_pass_and_are_stored_as_given():
+def test_ints_and_numpy_scalars_pass_and_are_stored_as_python_values():
     cfg = ExperimentConfig(gamma=2, test_fraction=np.float32(0.25), seed=np.int64(3))
     assert type(cfg.gamma) is int and cfg.gamma == 2
-    assert type(cfg.test_fraction) is np.float32 and type(cfg.seed) is np.int64
+    assert type(cfg.test_fraction) is float and type(cfg.seed) is int
     spec = SyntheticSpec(noise_scale=np.int64(2), outlier_prob=0, seed=np.uint8(1))
-    assert type(spec.noise_scale) is np.int64 and spec.outlier_prob == 0
+    assert type(spec.noise_scale) is int and type(spec.seed) is int and spec.outlier_prob == 0
+    assert type(ForestConfig(n_trees=np.int32(5), bootstrap=np.False_).n_trees) is int
+    assert type(MlpConfig(learning_rate=np.float16(0.5)).learning_rate) is float
+    # other real numbers the checks take are stored as floats too
+    cfg = ExperimentConfig(alpha=np.array(0.1), gamma=Decimal("0.5"), test_fraction=Fraction(1, 4))
+    assert (cfg.alpha, cfg.gamma, cfg.test_fraction) == (0.1, 0.5, 0.25)
+    assert {type(cfg.alpha), type(cfg.gamma), type(cfg.test_fraction)} == {float}
     assert MlpConfig(dropout_keep_prob=1).dropout_keep_prob == 1
     assert RidgeRegressor(np.int32(3)).l2_weight == 3.0
     assert check_level(np.float16(0.5)) == 0.5
+
+
+def _report(**settings):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=60, seed=1))
+    return run_experiment(ExperimentConfig(n_repetitions=2, **settings), dataset).to_json()
+
+
+def _oracle_quantiles(**spec):
+    _, oracle = generate(SyntheticSpec(n=1, **spec))
+    return oracle.quantile(np.linspace(0.0, 5.0, 11), 0.9).tobytes()
+
+
+# settings whose numpy scalar, kept as given, once leaked into arithmetic: a
+# call that makes an output from the setting's value
+_ARITHMETIC_SETTINGS = {
+    "ExperimentConfig.alpha": lambda v: _report(
+        methods=("cqr-asym",), engine="linear-q", alpha=v, linear_epochs=50,
+    ),
+    "MlpConfig.dropout_keep_prob": lambda v: _report(
+        methods=("split",), engine="mlp",
+        mlp=MlpConfig(hidden_width=4, max_epochs=2, dropout_keep_prob=v),
+    ),
+    "SyntheticSpec.outlier_prob": lambda v: _oracle_quantiles(outlier_prob=v),
+    "SyntheticSpec.outlier_scale": lambda v: _oracle_quantiles(outlier_scale=v),
+}
+
+
+@pytest.mark.parametrize("setting", list(_ARITHMETIC_SETTINGS))
+def test_a_numpy_scalar_setting_makes_the_output_of_its_python_value(setting):
+    value = np.float32(0.1)
+    assert _ARITHMETIC_SETTINGS[setting](value) == _ARITHMETIC_SETTINGS[setting](float(value))
 
 
 def test_numpy_scalar_settings_write_the_report_of_their_python_values():
