@@ -23,8 +23,9 @@ rows in the leaf that x reaches in proportion to their multiplicity. These
 are Meinshausen's QRF weights (JMLR 2006), read as the sparse product
 W = E·D: E (queries x leaves) has one entry per tree in each row, and D
 (leaves x training rows) holds each leaf's weights. A readout routes every
-tree of a table together: all (tree, query) pairs step down one depth
-level at a time, and a pair drops out of the walk when it reaches its leaf.
+tree of a table together: a leaf points to itself under a threshold of
++inf, so all (tree, query) pairs take as many steps as the table is deep,
+and a pair that reaches its leaf early stays on it.
 E's entries are stored in tree order, and ``scipy.sparse`` multiplies CSR
 by CSR row by row (Gustavson, ACM TOMS 1978), adding each weight's terms in
 that order, so a weight is the same sum however the queries are blocked.
@@ -110,9 +111,11 @@ class _NodeTable(NamedTuple):
 
     ``feature[node] == -1`` marks a leaf. Node ids run level by level, so
     the batch's ``n_trees`` roots come first, in tree order. A split node's
-    children are consecutive: ``left[node]`` and ``left[node] + 1``.
-    ``leaf[node]`` is a leaf's row in the forest's leaf weight block D, -1
-    at a split node; D is the only record of a leaf's rows and size.
+    children are consecutive: ``left[node]`` and ``left[node] + 1``. A leaf
+    points to itself, ``left[leaf] == leaf`` under a threshold of +inf, and
+    ``depth`` is the depth of the table's deepest leaf. ``leaf[node]`` is a
+    leaf's row in the forest's leaf weight block D, -1 at a split node; D is
+    the only record of a leaf's rows and size.
     """
 
     n_trees: int
@@ -120,27 +123,22 @@ class _NodeTable(NamedTuple):
     threshold: np.ndarray
     left: np.ndarray
     leaf: np.ndarray
+    depth: int
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node reached by each row of X in each tree (route left on <=).
 
-        Returns an ``(n_trees, rows)`` array. Every (tree, query) pair walks
-        down together, one numpy step per depth level, and a pair leaves the
-        walk once it stands on a leaf.
+        Returns an ``(n_trees, rows)`` array. Every (tree, query) pair takes
+        ``depth`` numpy steps together; a pair that stands on its leaf steps
+        back onto it, since finite X never exceeds the leaf's +inf.
         """
-        n_rows = X.shape[0]
-        # pair p is tree p // n_rows with query row p % n_rows
+        n_rows, x = X.shape[0], X.ravel()
+        # pair p is tree p // n_rows with query row p % n_rows, which starts at x[at[p]]
         node = np.repeat(np.arange(self.n_trees), n_rows)
-        walking = np.arange(node.size)
-        while walking.size:
-            at = node[walking]
-            split = np.flatnonzero(self.feature[at] >= 0)
-            if split.size < walking.size:  # some pairs stand on their leaf
-                walking = walking[split]
-                at = at[split]
-            # X is finite, so > is exactly "not <=": the right child is left + 1
-            go_right = X[walking % n_rows, self.feature[at]] > self.threshold[at]
-            node[walking] = self.left[at] + go_right
+        at = np.tile(np.arange(n_rows) * X.shape[1], self.n_trees)
+        for _ in range(self.depth):
+            # a leaf's feature -1 reads a finite neighbour of its row in x
+            node = self.left[node] + (x[at + self.feature[node]] > self.threshold[node])
         return node.reshape(self.n_trees, n_rows)
 
 
@@ -325,7 +323,8 @@ def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
     is_split = feature >= 0
     rank = np.cumsum(is_split) - is_split
     rank -= np.repeat(rank[np.cumsum(level_size) - level_size], level_size)
-    left = np.where(is_split, next_level + 2 * rank, -1)
+    left = np.where(is_split, next_level + 2 * rank, np.arange(feature.size))
+    threshold = np.where(is_split, threshold, np.inf)
 
     # leaf segments tile the batch tree by tree, so sorted by start the
     # leaves run in tree order
@@ -345,7 +344,7 @@ def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
     mult = np.diff(np.flatnonzero(np.append(first, True)))
     leaf_of = uniq // n
     count = np.bincount(leaf_of, minlength=leaves.size)
-    table = _NodeTable(int(level_size[0]), feature, threshold, left, leaf)
+    table = _NodeTable(int(level_size[0]), feature, threshold, left, leaf, len(levels) - 1)
     return table, (count, uniq - leaf_of * n, mult / leaf_size[leaf_of], means)
 
 

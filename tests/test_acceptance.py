@@ -30,6 +30,7 @@ from confband.regressors import (
 )
 from confband.regressors.forest import _CDF_RTOL
 from confband.regressors.mlp import MlpNetwork, _PinballPairHead, _SquaredErrorHead
+from test_forest import _route_to_leaf
 from test_mlp import _numeric_gradient
 
 
@@ -218,16 +219,6 @@ def _boundary_quantile_cases_agree(n_cases: int, rng) -> bool:
         if sample.right_quantile(k / n) != ordered[k]:
             return False
     return True
-
-
-def _route_to_leaf(tree, root, x):
-    node = root
-    while tree.feature[node] >= 0:
-        node = int(
-            tree.left[node] if x[tree.feature[node]] <= tree.threshold[node]
-            else tree.left[node] + 1
-        )
-    return node
 
 
 def _oracle_forest_quantiles(model, X, x, levels):

@@ -36,17 +36,6 @@ class _FunctionMean:
         return self.fn(np.asarray(X, dtype=float))
 
 
-class _FunctionDispersion:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def fit(self, X, residuals):
-        return self
-
-    def predict(self, X):
-        return self.fn(np.asarray(X, dtype=float))
-
-
 class _FunctionPair:
     """Quantile pair defined by two explicit curves."""
 
@@ -259,8 +248,8 @@ def test_rescaling_the_dispersion_field_leaves_intervals_unchanged():
     rng = np.random.default_rng(9)
     X2 = rng.normal(size=(50, 1))
     y2 = rng.normal(size=50) * (1.0 + X2[:, 0] ** 2)
-    sigma = _FunctionDispersion(lambda X: 1.0 + X[:, 0] ** 2)
-    sigma_scaled = _FunctionDispersion(lambda X: 3.0 * (1.0 + X[:, 0] ** 2))
+    sigma = _FunctionMean(lambda X: 1.0 + X[:, 0] ** 2)
+    sigma_scaled = _FunctionMean(lambda X: 3.0 * (1.0 + X[:, 0] ** 2))
     a = local_conformal_calibrate(_ZERO_MEAN, sigma, X2, y2, 0.1, gamma=0.0)
     b = local_conformal_calibrate(_ZERO_MEAN, sigma_scaled, X2, y2, 0.1, gamma=0.0)
     grid = rng.normal(size=(25, 1))
@@ -273,7 +262,7 @@ def test_huge_gamma_recovers_split_conformal_widths():
     rng = np.random.default_rng(10)
     X2 = rng.normal(size=(80, 1))
     y2 = rng.normal(size=80) * (1.0 + X2[:, 0] ** 2)
-    sigma = _FunctionDispersion(lambda X: 1.0 + X[:, 0] ** 2)
+    sigma = _FunctionMean(lambda X: 1.0 + X[:, 0] ** 2)
     split_band = split_conformal_calibrate(_ZERO_MEAN, X2, y2, alpha=0.1)
     local_band = local_conformal_calibrate(
         _ZERO_MEAN, sigma, X2, y2, alpha=0.1, gamma=1e6
@@ -292,7 +281,7 @@ def test_zero_scale_is_rejected_at_calibration_and_prediction():
             _ZERO_MEAN, ConstantDispersion(0.0), X2, y2, 0.1, gamma=0.0
         )
     # positive on the calibration rows but zero at the query point
-    sigma = _FunctionDispersion(lambda X: np.abs(X[:, 0]))
+    sigma = _FunctionMean(lambda X: np.abs(X[:, 0]))
     band = local_conformal_calibrate(_ZERO_MEAN, sigma, X2, y2, 0.1, gamma=0.0)
     with pytest.raises(ValueError, match="zero scale; set gamma > 0"):
         band.predict_interval(np.zeros((1, 1)))
@@ -347,7 +336,7 @@ def _bands_of_all_four_calibrators():
     X_cal = rng.uniform(-2.0, 2.0, size=(40, 1))
     y_cal = X_cal[:, 0] + rng.normal(size=40)
     mu = _FunctionMean(lambda X: 0.9 * X[:, 0])
-    sigma = _FunctionDispersion(lambda X: np.abs(X[:, 0]))
+    sigma = _FunctionMean(lambda X: np.abs(X[:, 0]))
     pair = _FunctionPair(lambda X: X[:, 0] - 1.0, lambda X: X[:, 0] + 1.5)
     X_new = rng.uniform(-3.0, 3.0, size=(25, 1))
     # per-tail levels past 1/2 give corrections below -1 each, which pull

@@ -511,6 +511,76 @@ def test_lockstep_routing_equals_the_per_tree_walk(three_batch_forest):
             assert want[root, i] == _route_to_leaf(table, table.left[root], Q[i])
 
 
+def _node_depths(table, root):
+    """Depth of every node of the tree at ``root``, walking split nodes' children."""
+    depths, stack = {}, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depths[node] = depth
+        if table.feature[node] >= 0:
+            child = int(table.left[node])
+            stack += [(child, depth + 1), (child + 1, depth + 1)]
+    return depths
+
+
+def _assert_leaves_point_to_themselves(table, X):
+    """``feature == -1`` on exactly the leaves, and each leaf points to itself.
+
+    ``X`` is the training features: every leaf holds some of its tree's
+    rows, so the leaves are where the referee walk takes the training rows.
+    Returns each tree's ``_node_depths``.
+    """
+    nodes = [_node_depths(table, root) for root in range(table.n_trees)]
+    assert sorted(node for tree in nodes for node in tree) == list(range(table.feature.size))
+    is_leaf = np.zeros(table.feature.size, dtype=bool)
+    for root in range(table.n_trees):
+        is_leaf[[_route_to_leaf(table, root, x) for x in X]] = True
+    assert np.array_equal(table.feature == -1, is_leaf)
+    assert np.array_equal(table.leaf >= 0, is_leaf)
+    assert np.array_equal(table.left[is_leaf], np.flatnonzero(is_leaf))
+    assert np.all(table.threshold[is_leaf] == np.inf)
+    assert np.all(np.isfinite(table.threshold[~is_leaf]))
+    return nodes
+
+
+def test_a_table_of_one_leaf_trees_routes_every_row_to_its_root():
+    X = np.random.default_rng(14).normal(size=(30, 2))
+    forest = ForestMeanRegressor(ForestConfig(n_trees=7, min_leaf_size=2, seed=1)).fit(
+        X, np.full(30, 2.5)
+    )._forest
+    (table,) = forest.tables
+    assert table.depth == 0 and table.feature.size == table.n_trees == 7
+    _assert_leaves_point_to_themselves(table, X)
+    for Q in (X, X[:1], X[:0]):
+        leaves = table.apply(Q)
+        assert np.array_equal(leaves, np.repeat(np.arange(7)[:, None], Q.shape[0], axis=1))
+
+
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+def test_a_deep_table_routes_every_pair_in_depth_steps(bootstrap):
+    rng = np.random.default_rng(15)
+    X = rng.uniform(size=(200, 1))
+    config = ForestConfig(n_trees=20, min_leaf_size=1, bootstrap=bootstrap, seed=3)
+    (table,) = ForestMeanRegressor(config).fit(X, rng.normal(size=200))._forest.tables
+    nodes = _assert_leaves_point_to_themselves(table, X)
+    leaf_depths = [d for tree in nodes for node, d in tree.items() if table.feature[node] < 0]
+    assert table.depth == max(leaf_depths) >= 15
+    # queries on the thresholds of the deepest splits and of random ones,
+    # on training rows, and at the ends of the finite floats
+    split = np.flatnonzero(table.feature >= 0)
+    deepest = split[-10:]
+    on_split = table.threshold[np.concatenate([deepest, rng.choice(split, size=20)])]
+    big = np.finfo(float).max
+    Q = np.concatenate([on_split, X[:10, 0], [-big, big, 0.0]])[:, None]
+    want = np.array([[_route_to_leaf(table, t, x) for x in Q] for t in range(table.n_trees)])
+    assert np.array_equal(table.apply(Q), want)
+    # with one feature a split's threshold lies inside its node's interval,
+    # so its own tree's walk reaches the node, and the tie routes left
+    for i, node in enumerate(deepest.tolist()):
+        (root,) = [t for t, tree in enumerate(nodes) if node in tree]
+        assert want[root, i] == _route_to_leaf(table, int(table.left[node]), Q[i])
+
+
 @pytest.mark.parametrize("bound, value", [("_ROUTE_PAIRS", 7), ("_READ_CELLS", 3000)])
 def test_chunked_readouts_equal_the_unchunked_readout(three_batch_forest, monkeypatch, bound, value):
     forest = three_batch_forest
