@@ -46,18 +46,16 @@ checkout alone, so that a change that breaks the script still shows.
 The 108 outputs take about 25 s per checkout on a 2-vCPU VM.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import emit, parse_checkouts
 
 METHOD_SETS = (
     ("split",),
@@ -267,33 +265,12 @@ def matrix():
         yield "cli/coverage-audit/stdout", _sha(f"{code}\n{text}")
 
 
-def hash_checkout(checkout: Path) -> dict:
-    """Run the matrix in a fresh process against ``checkout``'s sources."""
-    if not (checkout / "src" / "confband" / "__init__.py").is_file():
-        raise SystemExit(f"error: no confband sources under {checkout / 'src'}")
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--emit"],
-            cwd=cwd, env=env, stdout=subprocess.PIPE, text=True, check=True,
-        )
-    return json.loads(proc.stdout)
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("checkouts", nargs="*", type=Path, help="one or two source checkouts")
-    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
+    args, checkouts = parse_checkouts(__doc__.split("\n")[0])
     if args.emit:  # worker: hash whatever confband is on the path
         print(json.dumps(dict(matrix())))
         return 0
-    if len(args.checkouts) > 2:
-        parser.error("give at most two checkouts")
-    checkouts = [c.resolve() for c in args.checkouts] or [ROOT]
-    hashes = [hash_checkout(c) for c in checkouts]
+    hashes = [emit(__file__, c) for c in checkouts]
     if len(hashes) == 1:
         for name, digest in hashes[0].items():
             print(f"{name} {digest[:12]}")

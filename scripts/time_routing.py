@@ -2,15 +2,16 @@
 
 Time one checkout, or alternate between two on the same machine:
 
-    python3 scripts/time_routing.py [CHECKOUT [CHECKOUT]] [--rounds R]
+    python3 scripts/time_routing.py [CHECKOUT [CHECKOUT]]
 
 A checkout is a directory with ``src/confband`` in it; the default is the
-checkout this script sits in. Each round runs every checkout once, in
-order, in a fresh Python process with that checkout's ``src`` on the path
-and one BLAS thread. A worker grows each case's forest, routes the case's
-queries through every table 10 times and reports the median ms per pass;
-the script prints, per case and checkout, the median and quartiles of the
-rounds' medians. The cases:
+checkout this script sits in. Each of 10 rounds runs every checkout once,
+in order, in a fresh Python process with that checkout's ``src`` on the
+path and one BLAS thread. A worker grows each case's forest, routes the
+case's queries through every table 10 times and reports the median ms per
+pass; the script prints, per case and checkout, the median and quartiles
+of the rounds' medians, the forest's node count (equal when both checkouts
+grow the same trees) and the deepest table's stored depth. The cases:
 
 - ``qrf_growth``: the forest of the qrf_growth workload's settings
   (heteroscedastic_outliers, n = 1000, seed 7, 1000 trees, min leaf 5),
@@ -18,37 +19,17 @@ rounds' medians. The cases:
 - ``deep``: 100 trees with min leaf 1 on 2000 rows of the same kind,
   routing the 2000 training rows, the worst case for a walk whose step
   count is the deepest leaf's depth.
-
-Each case also prints the tables' deepest and mean leaf depth, found by
-walking the node arrays, so both checkouts' trees can be seen to match.
 """
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import emit, parse_checkouts
+
+ROUNDS = 10
 PASSES = 10
-
-
-def _leaf_depths(table):
-    """Depth of every leaf of a table, level by level from the roots."""
-    import numpy as np
-
-    depth = np.zeros(table.feature.size, dtype=np.int64)
-    nodes = np.arange(table.n_trees)
-    while nodes.size:
-        split = nodes[table.feature[nodes] >= 0]
-        kids = np.concatenate([table.left[split], table.left[split] + 1])
-        depth[kids] = np.tile(depth[split] + 1, 2)
-        nodes = kids
-    return depth[table.feature < 0]
 
 
 def cases():
@@ -66,60 +47,37 @@ def cases():
         dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=n, seed=7))
         X, y = np.asarray(dataset.X, dtype=float), np.asarray(dataset.y, dtype=float)
         tables = ForestMeanRegressor(config).fit(X[:n_fit], y[:n_fit])._forest.tables
-        depths = np.concatenate([_leaf_depths(t) for t in tables])
         times = []
         for _ in range(PASSES):
             start = time.perf_counter()
             for table in tables:
                 table.apply(X)
             times.append(1e3 * (time.perf_counter() - start))
+        depths = [getattr(t, "depth", None) for t in tables]  # None: the table stores none
         yield name, {
             "ms_per_pass": statistics.median(times),
-            "max_leaf_depth": int(depths.max()),
-            "mean_leaf_depth": float(depths.mean()),
+            "nodes": sum(t.feature.size for t in tables),
+            "depth": None if None in depths else max(depths),
         }
 
 
-def time_checkout(checkout: Path) -> dict:
-    """Run every case in a fresh process against ``checkout``'s sources."""
-    if not (checkout / "src" / "confband" / "__init__.py").is_file():
-        raise SystemExit(f"error: no confband sources under {checkout / 'src'}")
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--emit"],
-            cwd=cwd, env=env, stdout=subprocess.PIPE, text=True, check=True,
-        )
-    return json.loads(proc.stdout)
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("checkouts", nargs="*", type=Path, help="one or two source checkouts")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
+    args, checkouts = parse_checkouts(__doc__.split("\n")[0])
     if args.emit:  # worker: time whatever confband is on the path
         print(json.dumps(dict(cases())))
         return 0
-    if len(args.checkouts) > 2:
-        parser.error("give at most two checkouts")
-    checkouts = [c.resolve() for c in args.checkouts] or [ROOT]
     runs = {c: [] for c in checkouts}
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for checkout in checkouts:
-            runs[checkout].append(time_checkout(checkout))
+            runs[checkout].append(emit(__file__, checkout))
     for name in runs[checkouts[0]][0]:
         for checkout in checkouts:
-            records = [run[name] for run in runs[checkout]]
-            ms = [r["ms_per_pass"] for r in records]
-            q1, med, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else ms * 3
+            ms = [run[name]["ms_per_pass"] for run in runs[checkout]]
+            q1, med, q3 = statistics.quantiles(ms, n=4)
+            shape = runs[checkout][0][name]
             print(
                 f"{name} {checkout}: {med:.1f} ms per pass (quartiles {q1:.1f}-{q3:.1f}, "
-                f"{len(ms)} rounds), leaf depth max {records[0]['max_leaf_depth']} "
-                f"mean {records[0]['mean_leaf_depth']:.2f}"
+                f"{ROUNDS} rounds), {shape['nodes']} nodes, depth {shape['depth']}"
             )
     return 0
 

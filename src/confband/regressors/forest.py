@@ -130,14 +130,14 @@ class _NodeTable(NamedTuple):
 
         Returns an ``(n_trees, rows)`` array. Every (tree, query) pair takes
         ``depth`` numpy steps together; a pair that stands on its leaf steps
-        back onto it, since finite X never exceeds the leaf's +inf.
+        back onto it, since no value of X exceeds the leaf's +inf.
         """
         n_rows, x = X.shape[0], X.ravel()
         # pair p is tree p // n_rows with query row p % n_rows, which starts at x[at[p]]
         node = np.repeat(np.arange(self.n_trees), n_rows)
         at = np.tile(np.arange(n_rows) * X.shape[1], self.n_trees)
         for _ in range(self.depth):
-            # a leaf's feature -1 reads a finite neighbour of its row in x
+            # a leaf's feature -1 reads x[at - 1] (x[-1] on row 0); it never exceeds +inf
             node = self.left[node] + (x[at + self.feature[node]] > self.threshold[node])
         return node.reshape(self.n_trees, n_rows)
 
