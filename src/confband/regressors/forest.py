@@ -29,6 +29,8 @@ and a pair that reaches its leaf early stays on it.
 E's entries are stored in tree order, and ``scipy.sparse`` multiplies CSR
 by CSR row by row (Gustavson, ACM TOMS 1978), adding each weight's terms in
 that order, so a weight is the same sum however the queries are blocked.
+Queries that reach the same leaf in every tree share a row of W, so a read
+multiplies once per distinct leaf vector of a block and scatters back.
 D's columns run in response-rank order, so each row of W is already in CDF
 order. Quantiles are read off the weighted empirical CDF by the
 left-quantile rule: the smallest stored response whose cumulative weight
@@ -348,6 +350,27 @@ def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
     return table, (count, uniq - leaf_of * n, mult / leaf_size[leaf_of], means)
 
 
+def _row_keys(leaf: np.ndarray) -> np.ndarray:
+    """Each row's wrapping int64 dot product with one odd multiplier per column, fixed seed.
+
+    64 columns at a time, so no int64 copy of a whole block of leaf ids is made.
+    """
+    mult = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, leaf.shape[1], np.int64) | 1
+    return sum(leaf[:, j : j + 64] @ mult[j : j + 64] for j in range(0, leaf.shape[1], 64))
+
+
+def _distinct_rows(leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)``: row q of ``leaf`` is row ``inverse[q]`` of ``leaf[first]``.
+
+    Rows are keyed by ``_row_keys`` and checked exactly; if two different
+    rows share a key, every row is read as its own.
+    """
+    _, first, inverse = np.unique(_row_keys(leaf), return_index=True, return_inverse=True)
+    if not np.array_equal(leaf[first[inverse]], leaf):
+        first = inverse = np.arange(leaf.shape[0])
+    return first, inverse
+
+
 class _Forest:
     """Grown node tables, one per growth batch, and the leaf weight block D they share.
 
@@ -408,11 +431,11 @@ class _Forest:
         self.leaf_weights = (data, rows, indptr)
 
     def _routes(self, X: np.ndarray, step: int):
-        """Yield ``(block, E)`` for blocks of at most ``step`` rows of X.
+        """Yield ``(block, E, inverse)`` for blocks of at most ``step`` rows of X.
 
-        E (the block's queries x leaves, CSR) holds in row q a 1 at the D
-        row of the leaf q reaches in each tree, stored in tree order: the
-        tables in growth order, each table's trees in tree order.
+        E (CSR) has one row per distinct leaf vector of the block, a 1 at the
+        D row of the leaf reached in each tree, stored in tree order (tables in
+        growth order, then trees); query q of the block reads row ``inverse[q]``.
         """
         from scipy import sparse  # only a forest read needs it
 
@@ -423,11 +446,13 @@ class _Forest:
             leaf = np.concatenate(
                 [table.leaf[table.apply(rows)].T for table in self.tables], axis=1, dtype=index
             )
+            first, inverse = _distinct_rows(leaf)
+            leaf = leaf[first]
             indptr = np.arange(0, leaf.size + 1, n_trees, dtype=index)
             E = sparse.csr_array(
-                (np.ones(leaf.size), leaf.ravel(), indptr), shape=(len(rows), n_leaves)
+                (np.ones(leaf.size), leaf.ravel(), indptr), shape=(len(first), n_leaves)
             )
-            yield slice(start, start + step), E
+            yield slice(start, start + step), E, inverse
 
     def quantiles(self, X, levels: tuple[float, ...]) -> list[np.ndarray]:
         """Left empirical quantiles of the weighted CDF, one array per level."""
@@ -439,24 +464,24 @@ class _Forest:
         D = sparse.csr_array(self.leaf_weights, shape=(self.leaf_mean.size, n_train))
         out = [np.empty(X.shape[0]) for _ in levels]
         step = max(1, min(_ROUTE_PAIRS // self.config.n_trees, _READ_CELLS // n_train))
-        for block, E in self._routes(X, step):
+        for block, E, inverse in self._routes(X, step):
             # Gustavson's row-wise product adds each weight's terms in E's
-            # stored order, tree order, so the CDF is the same whatever the blocks
+            # stored order, tree order, so a row's CDF is the same whatever its block
             cumw = (E @ D).toarray()
             np.cumsum(cumw, axis=1, out=cumw)
             total = cumw[:, -1]
             for i, level in enumerate(levels):
                 thresh = level * total - _CDF_RTOL * np.maximum(total, 1.0)
                 idx = (cumw >= thresh[:, None]).argmax(axis=1)
-                out[i][block] = self._y_sorted[idx]
+                out[i][block] = self._y_sorted[idx[inverse]]
         return out
 
     def means(self, X) -> np.ndarray:
         """Leaf means summed in tree order, over the number of trees."""
         X = as_matrix(X, self.n_features_in_)
         acc = np.empty(X.shape[0])
-        for block, E in self._routes(X, max(1, _ROUTE_PAIRS // self.config.n_trees)):
-            acc[block] = E @ self.leaf_mean
+        for block, E, inverse in self._routes(X, max(1, _ROUTE_PAIRS // self.config.n_trees)):
+            acc[block] = (E @ self.leaf_mean)[inverse]
         return acc / self.config.n_trees
 
 

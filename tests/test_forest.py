@@ -596,6 +596,12 @@ def test_chunked_readouts_equal_the_unchunked_readout(three_batch_forest, monkey
         assert a.tobytes() == b.tobytes()
 
 
+def _assert_reads_the_references(forest, X, levels):
+    for got, want in zip(forest.quantiles(X, levels), _referee_quantiles(forest, X, levels)):
+        assert got.tobytes() == want.tobytes()
+    assert forest.means(X).tobytes() == _referee_means(forest, X).tobytes()
+
+
 @pytest.mark.parametrize("n_queries", [0, 1, 25])
 @pytest.mark.parametrize(
     "bounds",
@@ -611,20 +617,59 @@ def test_the_sparse_product_reads_what_the_per_tree_loop_reads(
     for name, value in bounds.items():
         monkeypatch.setattr(forest_module, name, value)
     X = np.random.default_rng(14).normal(size=(n_queries, 2))
-    levels = (0.1, 0.9, 0.37)
-    for got, want in zip(forest.quantiles(X, levels), _referee_quantiles(forest, X, levels)):
-        assert got.tobytes() == want.tobytes()
-    assert forest.means(X).tobytes() == _referee_means(forest, X).tobytes()
+    _assert_reads_the_references(forest, X, (0.1, 0.9, 0.37))
     # the weight rows themselves, E·D block by block
     D = sparse.csr_array(forest.leaf_weights, shape=(forest.leaf_mean.size, forest.y_train.size))
     want = _referee_weights(forest, X)
     step = max(1, forest_module._ROUTE_PAIRS // forest.config.n_trees)
     blocks = 0
-    for block, E in forest._routes(X, step):
+    for block, E, inverse in forest._routes(X, step):
         assert np.array_equal(E.sum(axis=1), np.full(E.shape[0], forest.config.n_trees))
-        assert (E @ D).toarray().tobytes() == want[block].tobytes()
+        assert (E @ D).toarray()[inverse].tobytes() == want[block].tobytes()
         blocks += 1
     assert blocks == -(-n_queries // step)
+
+
+def test_a_key_collision_reads_every_row_of_the_block(three_batch_forest, monkeypatch):
+    forest = three_batch_forest
+    rng = np.random.default_rng(16)
+    # repeated rows, so the block has fewer distinct leaf vectors than rows
+    X = rng.normal(size=(30, 2))[rng.integers(0, 30, size=60)]
+    levels = (0.1, 0.9, 0.37)
+    step = max(1, forest_module._ROUTE_PAIRS // forest.config.n_trees)
+    assert max(E.shape[0] for _, E, _ in forest._routes(X, step)) < 60
+    want = [forest.means(X), *forest.quantiles(X, levels)]
+    # every row gets one key: the exact check finds rows that differ
+    monkeypatch.setattr(forest_module, "_row_keys", lambda leaf: np.zeros(len(leaf), np.int64))
+    for _, E, inverse in forest._routes(X, step):
+        assert E.shape[0] == inverse.size and np.array_equal(inverse, np.arange(inverse.size))
+    got = [forest.means(X), *forest.quantiles(X, levels)]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    _assert_reads_the_references(forest, X, levels)
+    # a block of one query repeated passes the exact check under the same key
+    same = np.repeat(X[:1], 40, axis=0)
+    ((_, E, inverse),) = forest._routes(same, step)
+    assert E.shape[0] == 1 and np.array_equal(inverse, np.zeros(40))
+    _assert_reads_the_references(forest, same, levels)
+
+
+def test_a_coarse_forest_reads_each_distinct_leaf_vector_once():
+    # qrf_readout's shape: one feature, few large leaves, so queries share
+    # leaf vectors; a broken key would fall back to every row unnoticed
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-2, 2, size=(800, 1))
+    y = X[:, 0] + rng.normal(size=800)
+    config = ForestConfig(n_trees=300, min_leaf_size=120, seed=5)
+    forest = ForestMeanRegressor(config).fit(X, y)._forest
+    Q = rng.uniform(-2, 2, size=(1000, 1))
+    step = max(1, forest_module._ROUTE_PAIRS // config.n_trees)
+    for _, E, inverse in forest._routes(Q, step):
+        assert 2 * E.shape[0] < inverse.size
+        leaves = E.indices.reshape(E.shape[0], config.n_trees)
+        assert np.unique(leaves, axis=0).shape[0] == E.shape[0]
+        assert np.array_equal(np.unique(inverse), np.arange(E.shape[0]))
+    _assert_reads_the_references(forest, Q[:200], (0.05, 0.95))
 
 
 def _frozen(value):

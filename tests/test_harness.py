@@ -722,6 +722,37 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
             assert [np.float64(v).tobytes() for v in one] == [v[t].tobytes() for v in block]
 
 
+def test_a_point_on_an_endpoint_is_covered_and_misses_no_tail():
+    # the interval is closed: y == lo and y == hi are covered, not misses
+    lo, hi = np.array([0.0, 0.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0, 1.0])
+    y = np.array([0.0, 1.0, 0.5, -1.0, 2.0])
+    assert harness._evaluate(lo, hi, y, 1.0) == (0.6, 1.0, 0.2, 0.2)
+    assert harness._evaluate(lo[:2], hi[:2], y[:2], 1.0) == (1.0, 1.0, 0.0, 0.0)
+    # a qrf band on integer responses reads training responses, and its cqr
+    # correction is an order statistic of integer scores, so test points tie
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(600, 1))
+    y = np.rint(3 * X[:, 0] + rng.normal(size=600))
+    pair = QuantileForestRegressor(ForestConfig(n_trees=20, min_leaf_size=10, seed=2))
+    pair.fit(X[:200], y[:200], 0.05, 0.95)
+    band = cqr_calibrate(pair, X[200:400], y[200:400], 0.1)
+    lo, hi = band.predict_interval(X[400:])
+    y_test = y[400:]
+    assert np.any(y_test == lo) and np.any(y_test == hi)
+    n = y_test.size
+    want = (
+        np.count_nonzero((lo <= y_test) & (y_test <= hi)) / n,
+        float(np.mean(hi - lo)),
+        np.count_nonzero(y_test < lo) / n,
+        np.count_nonzero(y_test > hi) / n,
+    )
+    assert harness._evaluate(lo, hi, y_test, 1.0) == want
+    # every point is covered or misses exactly one tail, row by row of a block
+    block = np.stack([y_test, lo, hi, np.roll(y_test, 7)])
+    coverage, _, lower, upper = harness._evaluate(lo, hi, block, 1.0)
+    assert np.array_equal(np.rint((coverage + lower + upper) * n), np.full(4, n))
+
+
 def _law_p_value(covered: np.ndarray, law, n_bins: int) -> float:
     """Pearson chi-square p-value of integer counts against a discrete law.
 
