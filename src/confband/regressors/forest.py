@@ -9,14 +9,16 @@ squared error. Leaves keep the rows routed to them during growth.
 Growth runs on batches of trees, breadth first, over presorted attribute
 lists (SLIQ, Mehta, Agrawal & Rissanen 1996; the "all leaves collectively"
 split finding of XGBoost's exact greedy method). Each feature's sample order
-is sorted once per batch; one iteration scores every candidate split of
-every frontier node of every tree in the batch, with cumulative sums over
-padded blocks of nodes, and then partitions the orders stably, so children
-stay sorted. The per-node sums are numpy's own sums of the same values in
-the same order, so every tree is bit for bit the tree a node-by-node grower
-would produce. A fitted forest is one flat node table per batch (each
-node's feature, threshold, left child and D row) plus one forest-wide leaf
-weight block D, the only record of leaf sizes; it is never written to.
+is sorted once per batch, next to copies of the feature and the responses in
+that order; one iteration scores every candidate split of every frontier
+node of every tree in the batch, with cumulative sums over row windows of
+the copies, and then partitions stably each order but the node's split
+feature's, which already holds both children sorted. The per-node sums are
+numpy's own sums of the same values in the same order, so every tree is bit
+for bit the tree a node-by-node grower would produce. A fitted forest is one
+flat node table per batch (each node's feature, threshold, left child and D
+row) plus one forest-wide leaf weight block D, the only record of leaf
+sizes; it is never written to.
 
 A query point x collects weight 1/n_trees from every tree, split over the
 rows in the leaf that x reaches in proportion to their multiplicity. These
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..quantiles import check_level, check_level_pair
 from .base import (
@@ -66,7 +69,8 @@ __all__ = [
 # that land a float ulp short of an exact level still count as reaching it
 _CDF_RTOL = 1e-9
 
-# bootstrap samples (rows x trees) grown together in one batch; bounds the
+# bootstrap samples (rows x trees) grown together in one batch, the length of
+# each feature's order and (padded by n) its x and y copies; bounds the
 # working set of growth as the two bounds below bound the readout's
 _GROW_BATCH = 2**16
 
@@ -173,11 +177,12 @@ def _segment_sums(values, start, size):
     return out
 
 
-def _best_splits(x, y, orders, start, size, min_leaf):
+def _best_splits(xs, ys, start, size, min_leaf):
     """Best split of every node (segment) at once.
 
-    ``orders[j]`` holds every node's samples sorted by feature j, node by
-    node in the same segments. Minimizing the summed child squared error
+    ``xs[j]`` and ``ys[j]`` hold feature j and the responses in feature j's
+    order, which sorts every node's segment, padded so that a block of nodes
+    reads each copy as row windows. Minimizing the summed child squared error
     equals maximizing s_L^2/k + s_R^2/(m-k) (the squared-response term is
     constant across splits), and a split only counts if that gain strictly
     exceeds the unsplit node's s^2/m; ties go to the first feature, then to
@@ -185,21 +190,19 @@ def _best_splits(x, y, orders, start, size, min_leaf):
     adjacent sorted values. Returns ``(feature, threshold, k)`` arrays with
     k the left-child size; feature is -1 where no split counts.
     """
-    total = _segment_sums(y[orders[0]], start, size)
+    total = _segment_sums(ys[0], start, size)
     best = total * total / size
     feature = np.full(size.size, -1)
     threshold = np.zeros(size.size)
     k = np.zeros(size.size, dtype=np.int64)
     lo = min_leaf - 1
-    last = orders[0].size - 1
     # pad nodes into blocks of similar size, one block per power of two
     size_class = np.frexp(size.astype(np.float64))[1]
     for cls in np.unique(size_class).tolist():
         sel = np.flatnonzero(size_class == cls)
-        m, tot = size[sel], total[sel][:, None]
+        m, tot, first = size[sel], total[sel][:, None], start[sel]
         width = int(m.max())
         hi = width - min_leaf
-        idx = np.minimum(start[sel][:, None] + np.arange(width), last)
         # a split after sorted position i puts i + 1 samples on the left
         i = np.arange(lo, hi)
         k_left = i + 1.0
@@ -208,11 +211,10 @@ def _best_splits(x, y, orders, start, size, min_leaf):
         past_end = i >= (m - min_leaf)[:, None]
         row = np.arange(sel.size)
         best_c, feature_c, threshold_c, k_c = best[sel], feature[sel], threshold[sel], k[sel]
-        for j, order in enumerate(orders):
-            samples = order[idx]
-            xs = x[j][samples]
-            csum = np.cumsum(y[samples], axis=1)[:, lo:hi]
-            invalid = xs[:, lo:hi] >= xs[:, lo + 1 : hi + 1]
+        for j, (x_j, y_j) in enumerate(zip(xs, ys)):
+            x_w = sliding_window_view(x_j, width)[first]
+            csum = np.cumsum(sliding_window_view(y_j, width)[first], axis=1)[:, lo:hi]
+            invalid = x_w[:, lo:hi] >= x_w[:, lo + 1 : hi + 1]
             invalid |= past_end
             # csum^2/k + (total - csum)^2/(m - k), evaluated in place
             gain = csum * csum
@@ -227,7 +229,7 @@ def _best_splits(x, y, orders, start, size, min_leaf):
             better = g > best_c
             if not better.any():
                 continue
-            x_lo, x_hi = xs[row, lo + at], xs[row, lo + at + 1]
+            x_lo, x_hi = x_w[row, lo + at], x_w[row, lo + at + 1]
             t = 0.5 * (x_lo + x_hi)
             # midpoint rounded up to the right value; keep routing exact
             t = np.where(t >= x_hi, x_lo, t)
@@ -239,52 +241,62 @@ def _best_splits(x, y, orders, start, size, min_leaf):
     return feature, threshold, k
 
 
-def _partition(orders, start, size, k, feature):
+def _partition(orders, xs, ys, start, size, k, feature):
     """Split each segment into its left and right child segments, stably.
 
     A node's left child is the first k samples of its split feature's
-    order, which are exactly the samples at or below the threshold; stable
-    partitioning keeps each child sorted in every other feature's order.
+    order, which are exactly the samples at or below the threshold, so that
+    order is left alone; stable partitioning of every other order, with its
+    x and y copies, keeps each child sorted in it.
     """
+    moves = [feature != j for j in range(len(orders))]
+    if not any(move.any() for move in moves):
+        return
     goes_left = np.zeros(orders[0].size, dtype=bool)
     for j, order in enumerate(orders):
         on_j = feature == j
-        if on_j.any():
-            goes_left[order[_ranges(start[on_j], k[on_j])]] = True
-    pos = _ranges(start, size)
-    # a sample with c left-goers before it in the concatenated segments
-    # lands at left_base + c if it goes left, else at right_base - c
-    k_before = np.repeat(np.cumsum(k) - k, size)
-    left_base = np.repeat(start, size) - k_before
-    right_base = pos + np.repeat(k, size) + k_before
-    for order in orders:
+        goes_left[order[_ranges(start[on_j], k[on_j])]] = True
+    for order, x_j, y_j, move in zip(orders, xs, ys, moves):
+        if not move.any():
+            continue
+        s, m, k_m = start[move], size[move], k[move]
+        pos = _ranges(s, m)
+        # a sample with c left-goers before it in the moved segments, joined,
+        # lands at left_base + c if it goes left, else at right_base - c
+        k_before = np.repeat(np.cumsum(k_m) - k_m, m)
+        left_base = np.repeat(s, m) - k_before
+        right_base = pos + np.repeat(k_m, m) + k_before
         samples = order[pos]
         g = goes_left[samples]
         c = np.cumsum(g)
         c -= g
-        order[np.where(g, left_base + c, right_base - c)] = samples
+        to = np.where(g, left_base + c, right_base - c)
+        order[to], x_j[to], y_j[to] = samples, x_j[pos], y_j[pos]
 
 
-def _grow_batch(X, y, R, min_leaf, first_leaf):
+def _grow_batch(X, y, R, min_leaf, first_leaf, index):
     """Grow one tree per row of R, the tree's bootstrap rows, level by level.
 
     Sample ``u`` of the batch is training row ``R.flat[u]``. Each node is a
-    segment of positions holding the same samples in every feature's order;
-    one iteration splits every splittable node of the level in all trees,
-    and stable partitioning keeps each child's segment sorted, so the sort
-    happens once per feature. The leaves end up tiling the feature-0
-    order, from which the batch's rows of the leaf weight block are built;
-    they are numbered from ``first_leaf``. Returns what ``_build_table`` does.
+    segment of positions holding the same samples in every feature's order
+    and in that order's x and y copies; one iteration splits every splittable
+    node of the level in all trees, and partitioning keeps each child's
+    segment sorted, so the sort happens once per feature. The leaves end up
+    tiling the feature-0 order, from which the batch's rows of the leaf weight
+    block are built; they are numbered from ``first_leaf``. Returns what
+    ``_build_table`` does.
     """
     n_trees, n = R.shape
     rows = R.ravel()
     y_s = y[rows]
-    x_s = [X[rows, j] for j in range(X.shape[1])]
     tree_base = np.arange(n_trees) * n
-    orders = [
-        (np.argsort(x.reshape(n_trees, n), axis=1) + tree_base[:, None]).ravel()
-        for x in x_s
-    ]
+    orders, xs, ys = [], [], []
+    for j in range(X.shape[1]):
+        x = X[rows, j]
+        orders.append((np.argsort(x.reshape(n_trees, n), axis=1) + tree_base[:, None]).ravel())
+        # n entries of padding, so a window of any node's width fits
+        xs.append(np.concatenate((x[orders[j]], np.zeros(n))))
+        ys.append(np.concatenate((y_s[orders[j]], np.zeros(n))))
 
     start, size = tree_base, np.full(n_trees, n)
     levels = []
@@ -295,24 +307,25 @@ def _grow_batch(X, y, R, min_leaf, first_leaf):
         can = np.flatnonzero(size >= 2 * min_leaf)
         if can.size:
             feature[can], threshold[can], k[can] = _best_splits(
-                x_s, y_s, orders, start[can], size[can], min_leaf
+                xs, ys, start[can], size[can], min_leaf
             )
         levels.append((start, size, feature, threshold))
         split = np.flatnonzero(feature >= 0)
         s, m, k = start[split], size[split], k[split]
-        _partition(orders, s, m, k, feature[split])
+        _partition(orders, xs, ys, s, m, k, feature[split])
         start = np.column_stack((s, s + k)).ravel()
         size = np.column_stack((k, m - k)).ravel()
-    return _build_table(levels, rows[orders[0]], y_s[orders[0]], n, first_leaf)
+    return _build_table(levels, rows[orders[0]], ys[0], n, first_leaf, index)
 
 
-def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
+def _build_table(levels, leaf_rows, leaf_y, n, first_leaf, index):
     """The node table of a grown batch, and its leaves' rows of the weight block.
 
     ``levels`` holds each level's ``(start, size, feature, threshold)``
     node arrays, the first level being the roots in tree order; ``leaf_rows``
     and ``leaf_y`` are the training rows and responses of the final
-    feature-0 order, in which every node's segment holds its rows. Returns
+    feature-0 order, in which every node's segment holds its rows; the
+    table's D rows are in D's index dtype ``index``. Returns
     ``(table, (count, rows, shares, means))``: leaf by leaf in tree order,
     the number of distinct rows, those rows in ascending order with their
     multiplicity divided by the leaf size, and the leaf's mean response.
@@ -334,7 +347,7 @@ def _build_table(levels, leaf_rows, leaf_y, n, first_leaf):
     leaves = leaves[np.argsort(start[leaves])]
     leaf_size = size[leaves]
     means = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
-    leaf = np.full(start.size, -1)
+    leaf = np.full(start.size, -1, dtype=index)
     leaf[leaves] = first_leaf + np.arange(leaves.size)
 
     # run-length encode (leaf, row) pairs in one batch sort
@@ -419,7 +432,7 @@ class _Forest:
             else:
                 R = np.broadcast_to(np.arange(n), (len(batch), n))
             table, (count, rows, shares, means) = _grow_batch(
-                X, y, rank[R], config.min_leaf_size, n_leaves
+                X, y, rank[R], config.min_leaf_size, n_leaves, index
             )
             self.tables.append(table)
             # each tree gives a query weight 1/n_trees, shared over its leaf's rows
@@ -444,7 +457,7 @@ class _Forest:
         for start in range(0, X.shape[0], step):
             rows = X[start : start + step]
             leaf = np.concatenate(
-                [table.leaf[table.apply(rows)].T for table in self.tables], axis=1, dtype=index
+                [table.leaf[table.apply(rows)].T for table in self.tables], axis=1
             )
             first, inverse = _distinct_rows(leaf)
             leaf = leaf[first]

@@ -365,18 +365,29 @@ def test_forest_fit_is_deterministic_given_seed():
 
 
 @pytest.mark.parametrize(
-    "n, p, min_leaf, bootstrap, integer_x, n_batches",
+    "n, p, min_leaf, bootstrap, x_kind, n_batches",
     [
-        (400, 1, 5, True, False, 1),  # the CLI forest's shape
-        (300, 2, 1, True, True, 1),
-        (250, 3, 120, True, False, 1),
-        (200, 4, 3, False, True, 1),
-        (1500, 2, 25, True, False, 3),
+        (400, 1, 5, True, "normal", 1),  # the CLI forest's shape
+        (300, 2, 1, True, "integer", 1),
+        (250, 3, 120, True, "normal", 1),
+        (200, 4, 3, False, "integer", 1),
+        (1500, 2, 25, True, "normal", 3),
+        # qrf_readout's forest shape
+        (800, 1, 120, True, "normal", 1),
+        (800, 1, 120, True, "normal", 3),
+        # column 1 repeats column 0: ties go to feature 0, and order 1 still
+        # moves under splits on feature 0 and feature 2
+        (300, 3, 4, True, "duplicated", 1),
+        (1000, 3, 10, True, "duplicated", 3),
+        # column 0 is constant: never split on, so its order, whose segments
+        # the leaves tile, moves under every split
+        (300, 3, 4, False, "constant", 1),
+        (1000, 3, 10, True, "constant", 3),
     ],
 )
-def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, integer_x, n_batches):
+def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, x_kind, n_batches):
     rng = np.random.default_rng(n + 10 * p + min_leaf)
-    if integer_x:
+    if x_kind == "integer":
         # one float above an integer, half of them one float more: ties
         # everywhere, and midpoints between adjacent floats that round onto
         # the right value
@@ -386,16 +397,23 @@ def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, in
         y = np.round(X @ rng.normal(size=p) + 3.0 * nudged[:, 0] + rng.normal(size=n))
     else:
         X = rng.normal(size=(n, p))
+        if x_kind == "duplicated":
+            X[:, 1] = X[:, 0]
+        elif x_kind == "constant":
+            X[:, 0] = 1.0
         y = X @ rng.normal(size=p) + rng.normal(size=n)
     per_batch = forest_module._GROW_BATCH // n
     n_trees = min(per_batch, 40) if n_batches == 1 else (n_batches - 1) * per_batch + 3
     config = ForestConfig(n_trees=n_trees, min_leaf_size=min_leaf, bootstrap=bootstrap, seed=p)
     forest = QuantileForestRegressor(config).fit(X, y, 0.1, 0.9)._forest
+    assert len(forest.tables) == n_batches
     trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
     assert len(trees) == n_trees
     record = _leaf_record(forest)
     seqs = np.random.SeedSequence(config.seed).spawn(n_trees)
     for i, ((tree, root), seq) in enumerate(zip(trees, seqs)):
+        # leaf ids are stored in D's index dtype, so a read gathers them as E's indices
+        assert tree.leaf.dtype == forest.leaf_weights[2].dtype
         rows0 = np.random.default_rng(seq).integers(0, n, size=n) if bootstrap else np.arange(n)
         ref = _grow_tree(X, y, rows0, min_leaf)
         assert _trees_differ(record, tree, ref, root) is None, f"tree {i}"
