@@ -34,7 +34,6 @@ from .harness import (
     RepetitionResult,
     band_comparison_demo,
     coverage_audit,
-    emit_report,
     fix_crossing,
     run_experiment,
     tune_quantile_levels,
@@ -86,7 +85,6 @@ __all__ = [
     "coverage_audit",
     "band_comparison_demo",
     "fix_crossing",
-    "emit_report",
     "MeanRegressor",
     "QuantileRegressor",
     "ConstantDispersion",

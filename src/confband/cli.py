@@ -18,6 +18,7 @@ Explicit command line flags win over file values.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .datagen import SYNTHETIC_KINDS, SyntheticSpec, generate, load_csv
 from .harness import (
@@ -27,10 +28,8 @@ from .harness import (
     ExperimentConfig,
     ForestConfig,
     MlpConfig,
-    _check_report_path,
     band_comparison_demo,
     coverage_audit,
-    emit_report,
     run_experiment,
 )
 
@@ -141,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     if (args.data is None) == (args.synthetic is None):
         raise ValueError("provide exactly one of --data or --synthetic")
-    if args.out is not None:
-        _check_report_path(args.out)
+    if args.out is not None and not args.out.endswith((".csv", ".json")):
+        raise ValueError(f"output path must end with .csv or .json, got {args.out!r}")
     oracle = None
     if args.data is not None:
         if args.target is None:
@@ -174,7 +173,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(report.to_json())
     else:
-        emit_report(report, args.out)
+        text = report.to_csv() if args.out.endswith(".csv") else report.to_json()
+        Path(args.out).write_text(text, encoding="utf-8")
         for s in report.summaries:
             print(
                 f"{s.method}: avg_length={s.avg_length:.4f} "
@@ -204,10 +204,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             f"avg_coverage={s.avg_coverage:.4f}"
         )
     columns = list(bounds)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(bounds["x"].size):
-            fh.write(",".join(repr(float(bounds[c][i])) for c in columns) + "\n")
+    lines = [",".join(columns)]
+    lines += [",".join(repr(float(bounds[c][i])) for c in columns) for i in range(bounds["x"].size)]
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
@@ -228,8 +227,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
 

@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .quantiles import as_real, check_level, check_level_pair
 from .regressors.base import (
@@ -140,6 +139,8 @@ class OracleQuantiles:
         return np.full_like(x, self.noise_scale)
 
     def quantile(self, x, level) -> np.ndarray:
+        from scipy.special import ndtr, ndtri  # only an oracle quantile needs it
+
         level = np.asarray(level, dtype=float)
         for one in level.flat:
             check_level(one)

@@ -9,11 +9,13 @@ methods score from those shared reads, and ``_band`` (the band step of
 repetitions, tuning folds and coverage-audit blocks) turns them into
 plug-in values with the conformal module's ``plugin_values``, scores the
 calibration part with ``conformal_correction`` and bands the rest with
-``apply_correction``. Reads are row-wise (see ``regressors.base``), so a
-row read in the stack gets the bits it gets alone; the audit reads a whole
-block of trials at once, as (trials x n) arrays. A repetition adds the
-rows of all its methods or, when any method fails, none. Summaries average
+``apply_correction``. Every model read goes through ``_EngineBundle.reader``.
+Reads are row-wise (see ``regressors.base``), so a row read in the stack
+gets the bits it gets alone; the audit reads a block of trials at once,
+and ``_band`` shapes it as (trials x n) arrays. A repetition adds the rows
+of all its methods or, when any method fails, none. Summaries average
 over repetitions. Lengths are in standardized response units by default.
+The harness builds report text; the CLI writes the files.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
 fills the three model roles:
@@ -33,6 +35,7 @@ mean absolute deviation for the oracle. ``plugin_values`` clamps their
 reads at zero.
 """
 
+import functools
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -101,7 +104,6 @@ __all__ = [
     "tune_quantile_levels",
     "coverage_audit",
     "band_comparison_demo",
-    "emit_report",
 ]
 
 QUANTILE_TUNING_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
@@ -333,19 +335,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_report_path(path: str) -> None:
-    if not path.endswith((".csv", ".json")):
-        raise ValueError(f"output path must end with .csv or .json, got {path!r}")
-
-
-def emit_report(report: ExperimentReport, path: str) -> None:
-    """Write the report as CSV or JSON depending on the file extension."""
-    _check_report_path(path)
-    text = report.to_csv() if path.endswith(".csv") else report.to_json()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def repetition_split(n: int, cfg: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One repetition's (test, proper-training, calibration) row indices."""
     order = rng.permutation(n)
@@ -361,12 +350,11 @@ def repetition_split(n: int, cfg: ExperimentConfig, rng) -> tuple[np.ndarray, np
 
 
 class _EngineBundle:
-    """Lazily fits one engine's models on one set of training rows and reads them.
+    """Lazily fits one engine's models on one set of training rows.
 
     Models are cached so methods sharing a fitted predictor (split and
     local share the point predictor; cqr and cqr-asym share the quantile
-    pair) do not refit. ``read`` reads a fitted model on the row block
-    ``X`` once and hands every later caller the same values. Fits and reads
+    pair) do not refit. ``reader(X)`` is the one way to read them. Fits
     happen at first use, so RNG draws happen in a fixed order and results
     are reproducible for a fixed method list.
     """
@@ -379,7 +367,6 @@ class _EngineBundle:
         rng,
         oracle: OracleQuantiles | None,
         params: StandardizationParams | None,
-        X: np.ndarray | None = None,
     ):
         self.cfg = cfg
         self.engine = _ENGINES[cfg.engine]
@@ -388,9 +375,7 @@ class _EngineBundle:
         self.rng = rng
         self.oracle = oracle
         self.params = params
-        self.X = X
         self._models: dict[str, object] = {}
-        self._reads: dict[str, object] = {}
         self.alpha_nominal: float | None = None
         self.n_crossed = 0  # crossed points among the pair reads, before the fix
 
@@ -409,7 +394,7 @@ class _EngineBundle:
         if role == "mean":
             return self.engine.mean(self, self.draw_seed).fit(X1, y1)
         if role == "dispersion":
-            residuals = np.abs(y1 - self.model("mean").predict(X1))
+            residuals = np.abs(y1 - self.reader(X1)("mean"))
             return self.engine.dispersion(self, self.draw_seed).fit(X1, residuals)
         if cfg.tune_quantiles and self.engine.tune_levels:
             tuning_seed = self.draw_seed()
@@ -422,30 +407,34 @@ class _EngineBundle:
             levels = (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
         return self.engine.pair(self, self.draw_seed).fit(X1, y1, *levels)
 
-    def read(self, role: str):
-        """The fitted "mean", "dispersion" or "pair" model on the rows ``X``, read once.
+    def reader(self, X: np.ndarray):
+        """``read(role)``: the fitted "mean", "dispersion" or "pair" model on X, read once.
 
         Crossed points of a pair read are counted, then repaired with
         ``fix_crossing``.
         """
-        if role not in self._reads:
-            if role == "pair":
-                lo, hi = self.model("pair").predict_pair(self.X)
-                self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
-                self._reads[role] = fix_crossing(lo, hi)
-            else:
-                self._reads[role] = self.model(role).predict(self.X)
-        return self._reads[role]
+
+        @functools.cache
+        def read(role: str):
+            if role != "pair":
+                return self.model(role).predict(X)
+            lo, hi = self.model("pair").predict_pair(X)
+            self.n_crossed += int(np.sum(np.asarray(lo) > np.asarray(hi)))
+            return fix_crossing(lo, hi)
+
+        return read
 
 
 def _band(method: str, read, y_cal, alpha: float, gamma: float | None):
     """``(correction, lo, hi)``: ``method`` calibrated on the first rows read, applied to the rest.
 
     ``read`` reads [calibration rows; new rows], ``y_cal`` the first part; cqr-asym scores
-    each tail at alpha / 2. Reads and ``y_cal`` may be (trials x n) blocks, one trial a row.
+    each tail at alpha / 2. ``y_cal`` may be a (trials x n_cal) block, one trial a row; each
+    array read is then reshaped to (trials x n), so a block may be read flat.
     """
     levels = (alpha / 2.0, alpha / 2.0) if method == "cqr-asym" else (alpha, None)
-    values = plugin_values(method, read, gamma)
+    shape = (*y_cal.shape[:-1], -1)
+    values = [np.reshape(v, shape) if np.ndim(v) else v for v in plugin_values(method, read, gamma)]
     n_cal = y_cal.shape[-1]
     cal = [v[..., :n_cal] if np.ndim(v) else v for v in values]
     new = [v[..., n_cal:] if np.ndim(v) else v for v in values]
@@ -494,10 +483,11 @@ def _run_repetition(
     X, y = standardize_apply(params, dataset.X[new], dataset.y[new])
     y2, yt = y[: i2.size], y[i2.size :]
     length_scale = params.response_scale if cfg.report_original_units else 1.0
-    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params, X)
+    bundle = _EngineBundle(cfg, X1, y1, rng, oracle, params)
+    read = bundle.reader(X)
     rows, corrections = [], []
     for method in cfg.methods:
-        correction, lo, hi = _band(method, bundle.read, y2, cfg.alpha, cfg.gamma)
+        correction, lo, hi = _band(method, read, y2, cfg.alpha, cfg.gamma)
         coverage, avg_len, miss_lo, miss_hi = _evaluate(lo, hi, yt, length_scale)
         pair = method in PAIR_METHODS
         rows.append(
@@ -679,12 +669,10 @@ def band_comparison_demo(
 
     params = bundle.params
     grid_raw = np.linspace(0.0, 5.0, grid_size)[:, None]
-    grid = standardize_apply(params, grid_raw)
-    reads = {role: bundle.model(role).predict(grid) for role in ("mean", "dispersion")}
-    reads["pair"] = fix_crossing(*bundle.model("pair").predict_pair(grid))
+    read = bundle.reader(standardize_apply(params, grid_raw))
     bounds: dict[str, np.ndarray] = {"x": grid_raw[:, 0]}
     for method, correction in zip(cfg.methods, corrections):
-        lo, hi = apply_correction(correction, *plugin_values(method, reads.get, cfg.gamma))
+        lo, hi = apply_correction(correction, *plugin_values(method, read, cfg.gamma))
         bounds[f"{method}_lo"] = lo * params.response_scale
         bounds[f"{method}_hi"] = hi * params.response_scale
     return summarize(rows, cfg.methods), bounds
@@ -702,12 +690,12 @@ def coverage_audit(
 ) -> dict:
     """Monte Carlo check of the finite-sample coverage guarantee.
 
-    One quantile pair is fitted once; each trial redraws calibration and
-    test rows from the same law, recalibrates and scores coverage. Trials
-    run in blocks of at most ``_AUDIT_ROWS`` rows: a block draws every
-    trial's rows from that trial's seed (``draw_rows``), reads the fitted
-    pair once on all of them, whatever the engine, and calibrates and bands
-    every trial at once in ``_band``. Reads are row-wise (see
+    One quantile pair is fitted once, before any trial seed is drawn; each
+    trial redraws calibration and test rows from the same law, recalibrates
+    and scores coverage. Trials run in blocks of at most ``_AUDIT_ROWS``
+    rows: a block draws every trial's rows from that trial's seed
+    (``draw_rows``), and ``_band`` calibrates and bands every trial at once
+    from the bundle's reader on the block's flat rows. Reads are row-wise (see
     ``regressors.base``), so each trial gets the band its own rows would
     give it alone. For continuous data the pooled coverage should land in
     [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
@@ -724,7 +712,7 @@ def coverage_audit(
         SyntheticSpec(kind=kind, n=n_train, seed=int(rng.integers(2**63)))
     )
     bundle = _EngineBundle(cfg, train.X, train.y, rng, oracle, None)
-    pair = bundle.model("pair")
+    bundle.model("pair")  # the fit draws from the audit RNG, before any trial seed
     trial = SyntheticSpec(kind=kind, n=n_calibration + n_test)
     per_trial = np.empty(n_trials)
     block = max(1, _AUDIT_ROWS // trial.n)
@@ -732,8 +720,8 @@ def coverage_audit(
         # the trials' seeds come from the audit RNG in trial order
         seeds = [int(rng.integers(2**63)) for _ in range(min(block, n_trials - start))]
         x, y, _ = draw_rows(trial, seeds)
-        read = [v.reshape(x.shape) for v in fix_crossing(*pair.predict_pair(x.reshape(-1, 1)))]
-        _, lo, hi = _band("cqr", lambda role: read, y[:, :n_calibration], cfg.alpha, None)
+        read = bundle.reader(x.reshape(-1, 1))
+        _, lo, hi = _band("cqr", read, y[:, :n_calibration], cfg.alpha, None)
         per_trial[start : start + len(seeds)] = _evaluate(lo, hi, y[:, n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))

@@ -6,12 +6,10 @@ The interval-length trend and the per-tail checks share one heavy
 experiment, cached at module level.
 """
 
-import math
 import shutil
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,10 +26,10 @@ from confband.regressors import (
     QuantileForestRegressor,
     RidgeRegressor,
 )
-from confband.regressors.forest import _CDF_RTOL
 from confband.regressors.mlp import MlpNetwork, _PinballPairHead, _SquaredErrorHead
-from test_forest import _route_to_leaf
+from test_forest import _oracle_quantiles
 from test_mlp import _numeric_gradient
+from test_quantiles import _oracle_left_quantile, _oracle_right_quantile
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -177,18 +175,6 @@ def test_per_tail_corrections_cost_width_but_control_each_tail():
     assert ok
 
 
-def _oracle_left_quantile(values, level):
-    ordered = sorted(values)
-    k = max(math.ceil(Fraction(level) * len(ordered)), 1)
-    return ordered[k - 1]
-
-
-def _oracle_right_quantile(values, level):
-    ordered = sorted(values)
-    k = min(math.floor(Fraction(level) * len(ordered)) + 1, len(ordered))
-    return ordered[k - 1]
-
-
 def _random_quantile_cases_agree(n_cases: int, rng) -> bool:
     for case in range(n_cases):
         n = int(rng.integers(1, 51))
@@ -221,36 +207,6 @@ def _boundary_quantile_cases_agree(n_cases: int, rng) -> bool:
     return True
 
 
-def _oracle_forest_quantiles(model, X, x, levels):
-    config, n = model.config, X.shape[0]
-    forest = model._forest
-    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
-    n_trees = len(trees)
-    weight: dict[int, Fraction] = {}
-    for (tree, root), seq in zip(trees, np.random.SeedSequence(config.seed).spawn(n_trees)):
-        # the leaf's rows from the QRF definition: the tree's bootstrap draw
-        # (every row once without bootstrap) routed down the tree
-        drawn = np.random.default_rng(seq).integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        leaf = _route_to_leaf(tree, root, x)
-        rows = [int(r) for r in drawn if _route_to_leaf(tree, root, X[r]) == leaf]
-        share = Fraction(1, len(rows) * n_trees)
-        for r in rows:
-            weight[r] = weight.get(r, Fraction(0)) + share
-    pairs = sorted((float(forest.y_train[r]), w) for r, w in weight.items())
-    total = sum(w for _, w in pairs)
-    out = []
-    for level in levels:
-        # the readout's documented slack: within _CDF_RTOL of the level counts
-        thresh = Fraction(level) * total - Fraction(_CDF_RTOL) * max(total, 1)
-        cum = Fraction(0)
-        for value, w in pairs:
-            cum += w
-            if cum >= thresh:
-                out.append(value)
-                break
-    return out
-
-
 def _forest_readouts_agree(n_forests: int, rng) -> bool:
     for _ in range(n_forests):
         n = int(rng.integers(25, 61))
@@ -268,9 +224,9 @@ def _forest_readouts_agree(n_forests: int, rng) -> bool:
         model = QuantileForestRegressor(config).fit(X, y, lo_level, hi_level)
         X_query = rng.normal(size=(3, p))
         lo, hi = model.predict_pair(X_query)
+        want = _oracle_quantiles(model, X, X_query, (lo_level, hi_level))
         for i in range(3):
-            want = _oracle_forest_quantiles(model, X, X_query[i], (lo_level, hi_level))
-            if lo[i] != want[0] or hi[i] != want[1]:
+            if lo[i] != want[i][0] or hi[i] != want[i][1]:
                 return False
     return True
 

@@ -39,7 +39,6 @@ from confband.harness import (
     RepetitionResult,
     band_comparison_demo,
     coverage_audit,
-    emit_report,
     fix_crossing,
     repetition_split,
     run_experiment,
@@ -210,9 +209,9 @@ def test_the_run_loop_band_is_the_public_calibrator_band(engine, method):
     band = _public_band(method, bundle, X2, y2, cfg)
     assert band.correction == correction
     lo, hi = band.predict_interval(Xt)
-    # the run loop's band on the test rows, from the bundle's shared read of
-    # the calibration and test rows stacked
-    stacked = plugin_values(method, bundle.read, cfg.gamma)
+    # the run loop's band on the test rows, from the bundle's read of the
+    # calibration and test rows stacked
+    stacked = plugin_values(method, bundle.reader(np.concatenate((X2, Xt))), cfg.gamma)
     test = [v[i2.size :] if np.ndim(v) else v for v in stacked]
     run_lo, run_hi = apply_correction(correction, *test)
     assert lo.tobytes() == run_lo.tobytes() and hi.tobytes() == run_hi.tobytes()
@@ -365,19 +364,6 @@ def test_json_writes_infinite_lengths_as_the_string_inf():
     assert written["repetitions"][0]["avg_length"] == "inf"
     assert written["repetitions"][0]["coverage"] == 1.0
     assert "inf" in report.to_csv()
-
-
-def test_emit_report_dispatches_on_extension(tmp_path):
-    summary = MethodSummary("split", 1.0, 0.0, 0.9, 0.0, 0.05, 0.05, 1)
-    report = ExperimentReport(config={"seed": 0}, summaries=(summary,), repetitions=())
-    json_path = tmp_path / "out.json"
-    emit_report(report, str(json_path))
-    assert json.loads(json_path.read_text())["summaries"][0]["method"] == "split"
-    csv_path = tmp_path / "out.csv"
-    emit_report(report, str(csv_path))
-    assert csv_path.read_text().splitlines()[0] == CSV_HEADER
-    with pytest.raises(ValueError, match="must end with .csv or .json"):
-        emit_report(report, str(tmp_path / "out.txt"))
 
 
 def test_quantile_level_tuning_grid_and_ties():
@@ -653,14 +639,23 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
         crossed = replace(harness._ENGINES["linear-q"], pair=lambda b, seed: _CrossedPair())
         monkeypatch.setitem(harness._ENGINES, "linear-q", crossed)
         engine = "linear-q"
-    fitted, datasets, blocks, bands = [], [], [], []
+    fitted, reads, datasets, blocks, bands = [], [], [], [], []
     model, draw, draw_rows, band = (
         harness._EngineBundle.model, harness.generate, harness.draw_rows, harness._band
     )
 
     def fitted_pair(bundle, role):
         pair = model(bundle, role)
-        # the audit RNG as the trials find it
+        if not fitted:
+            # the pair was just fitted: count its reads from here on
+            predict_pair = pair.predict_pair
+
+            def counted(X):
+                reads.append(len(X))
+                return predict_pair(X)
+
+            pair.predict_pair = counted
+        # the audit RNG as this call finds it; at the first call, as the trials find it
         fitted.append((pair, copy.deepcopy(bundle.rng)))
         return pair
 
@@ -686,15 +681,17 @@ def test_an_audit_trial_band_is_the_public_calibrator_band(monkeypatch, engine):
     for n_cal in (19, 5):
         # three trials a block: blocks of 3, 3 and 1 trials
         monkeypatch.setattr(harness, "_AUDIT_ROWS", 3 * (n_cal + n_test) + 2)
-        for log in (fitted, datasets, blocks, bands):
+        for log in (fitted, reads, datasets, blocks, bands):
             log.clear()
         audit = coverage_audit(
             n_trials=n_trials, n_calibration=n_cal, n_test=n_test, n_train=40, engine=engine,
             kind="heteroscedastic_outliers", seed=6,
         )
-        # one generated dataset (the training rows), one draw and one band per block
-        assert len(fitted) == 1 and len(datasets) == 1
+        # one fitted pair, one generated dataset (the training rows), and one
+        # draw, one pair read of the block's rows and one band per block
+        assert len({id(pair) for pair, _ in fitted}) == 1 and len(datasets) == 1
         assert [x.shape[0] for x, _, _ in blocks] == [3, 3, 1] and len(bands) == 3
+        assert reads == [3 * (n_cal + n_test), 3 * (n_cal + n_test), n_cal + n_test]
         rows_x = np.concatenate([x for x, _, _ in blocks])
         rows_y = np.concatenate([y for _, y, _ in blocks])
         corrections = np.concatenate([c for c, _, _ in bands])
