@@ -118,6 +118,49 @@ def test_reports_count_crossings_at_calibration_and_test(monkeypatch):
     assert counts == {"cqr": n_cal + n_test, "split": 0, "cqr-asym": n_cal + n_test}
 
 
+def test_a_reader_reads_each_model_once_and_counts_each_pair_read(monkeypatch):
+    calls = []
+
+    class _CountedCrossedPair(_CrossedPair):
+        def predict_pair(self, X):
+            calls.append(np.asarray(X).shape[0])
+            return super().predict_pair(X)
+
+    crossed = replace(harness._ENGINES["linear-q"], pair=lambda b, seed: _CountedCrossedPair())
+    monkeypatch.setitem(harness._ENGINES, "linear-q", crossed)
+    rng = np.random.default_rng(1)
+    X1 = rng.normal(size=(50, 1))
+    cfg = ExperimentConfig(engine="linear-q", linear_epochs=50)
+    bundle = harness._EngineBundle(cfg, X1, X1[:, 0], rng, None, None)
+    X = np.linspace(-1.0, 1.0, 9)[:, None]  # four rows read crossed: x > 0
+    read = bundle.reader(X)
+    lo, hi = read("pair")
+    assert read("pair") is read("pair")
+    assert calls == [9] and bundle.n_crossed == 4
+    assert lo.tobytes() == np.minimum(X[:, 0], -X[:, 0]).tobytes()
+    assert hi.tobytes() == np.maximum(X[:, 0], -X[:, 0]).tobytes()
+    # a new reader reads and counts again, on its own rows only
+    bundle.reader(X[:5])("pair")
+    assert calls == [9, 5] and bundle.n_crossed == 4
+
+
+@pytest.mark.parametrize("engine", ["ridge", "qrf", "linear-q"])
+def test_a_row_reads_the_same_bits_in_any_row_set(engine):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=240, seed=7))
+    cfg = ExperimentConfig(
+        methods=("split", "local"), engine=engine,
+        forest=ForestConfig(n_trees=10, min_leaf_size=5), linear_epochs=100,
+    )
+    X1, y1, X = dataset.X[:120], dataset.y[:120], dataset.X[120:]
+    bundle = harness._EngineBundle(cfg, X1, y1, np.random.default_rng(2), None, None)
+    rows = np.random.default_rng(3).permutation(X.shape[0])[:37]
+    full, part = bundle.reader(X), bundle.reader(X[rows])
+    roles = ["mean", "dispersion"] + (["pair"] if harness._ENGINES[engine].pair else [])
+    for role in roles:
+        for whole, some in zip(np.atleast_2d(full(role)), np.atleast_2d(part(role))):
+            assert whole[rows].tobytes() == some.tobytes()
+
+
 def _count_forest_reads(monkeypatch):
     """Record every forest read as (readout, forest id, the rows it read)."""
     reads = []
