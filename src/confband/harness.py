@@ -23,16 +23,16 @@ fills the three model roles:
 - "ridge": closed-form ridge with cross-validated penalty (point predictor
   only; pair methods reject it)
 - "mlp": small ReLU network (squared-error head or two-output pinball head)
-- "qrf": regression forest (leaf-mean readout or weighted-CDF quantiles)
+- "qrf": one regression forest read as leaf means and as weighted-CDF
+  quantiles, so split, local, cqr and cqr-asym all read the fitted pair
 - "linear-q": linear pinball models (median as the point predictor)
 - "oracle": exact synthetic conditional summaries, for guarantee audits
 
 Dispersion estimates for the locally adaptive method are mean regressors
 fitted to the absolute residuals of the point predictor: k-nearest neighbor
-averaging for the ridge and linear engines, a fresh copy of the engine's
-own mean regressor for the mlp and qrf engines, and the exact conditional
-mean absolute deviation for the oracle. ``plugin_values`` clamps their
-reads at zero.
+averaging for the ridge and linear engines, a second network or forest for
+the mlp and qrf engines, and the exact conditional mean absolute deviation
+for the oracle. ``plugin_values`` clamps their reads at zero.
 """
 
 import functools
@@ -119,10 +119,11 @@ class _Engine:
     """How one engine builds an unfitted model for each role.
 
     A factory takes the ``_EngineBundle`` being filled and a zero-argument
-    seed source, which it calls only if its model takes a seed.
+    seed source, which it calls only if its model takes a seed. ``mean="pair"``
+    reads the mean from the fitted pair model instead of fitting one.
     """
 
-    mean: Callable
+    mean: Callable | str
     dispersion: Callable
     pair: Callable | None = None  # None: no quantile pair, so no pair methods
     tune_levels: bool = True  # whether quantile-level tuning applies
@@ -140,10 +141,6 @@ def _mlp_mean(b, seed):
     return MlpMeanRegressor(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds)
 
 
-def _forest_mean(b, seed):
-    return ForestMeanRegressor(replace(b.cfg.forest, seed=seed()))
-
-
 _ENGINES = {
     "ridge": _Engine(mean=_ridge_mean, dispersion=_knn_dispersion),
     "mlp": _Engine(
@@ -152,8 +149,8 @@ _ENGINES = {
         pair=lambda b, seed: MlpQuantilePair(replace(b.cfg.mlp, seed=seed()), b.cfg.cv_folds),
     ),
     "qrf": _Engine(
-        mean=_forest_mean,
-        dispersion=_forest_mean,
+        mean="pair",
+        dispersion=lambda b, seed: ForestMeanRegressor(replace(b.cfg.forest, seed=seed())),
         pair=lambda b, seed: QuantileForestRegressor(replace(b.cfg.forest, seed=seed())),
     ),
     "linear-q": _Engine(
@@ -354,9 +351,10 @@ class _EngineBundle:
 
     Models are cached so methods sharing a fitted predictor (split and
     local share the point predictor; cqr and cqr-asym share the quantile
-    pair) do not refit. ``reader(X)`` is the one way to read them. Fits
-    happen at first use, so RNG draws happen in a fixed order and results
-    are reproducible for a fixed method list.
+    pair; with qrf the pair's forest is the point predictor too) do not
+    refit. ``reader(X)`` is the one way to read them. Fits happen at first
+    use, so RNG draws happen in a fixed order and results are reproducible
+    for a fixed method list.
     """
 
     def __init__(
@@ -389,14 +387,17 @@ class _EngineBundle:
         return self._models[role]
 
     def _fit(self, role: str):
-        """Fit a role; the dispersion fits the mean's residuals, the pair tuned levels if asked."""
+        """Fit a role; the dispersion fits the mean's residuals, the pair levels tuned if asked."""
         cfg, X1, y1 = self.cfg, self.X1, self.y1
         if role == "mean":
+            if self.engine.mean == "pair":
+                return self.model("pair")
             return self.engine.mean(self, self.draw_seed).fit(X1, y1)
         if role == "dispersion":
             residuals = np.abs(y1 - self.reader(X1)("mean"))
             return self.engine.dispersion(self, self.draw_seed).fit(X1, residuals)
-        if cfg.tune_quantiles and self.engine.tune_levels:
+        # tuning serves only the pair methods' bands; a qrf mean reads alike at any level
+        if cfg.tune_quantiles and self.engine.tune_levels and set(PAIR_METHODS) & set(cfg.methods):
             tuning_seed = self.draw_seed()
             levels = tune_quantile_levels(
                 lambda: self.engine.pair(self, lambda: tuning_seed),
@@ -614,6 +615,8 @@ def tune_quantile_levels(
     X1 = as_matrix(X1)
     y1 = as_vector(y1, X1.shape[0])
     n = X1.shape[0]
+    if n < cv_folds:
+        raise ValueError(f"need at least {cv_folds} rows for {cv_folds}-fold CV")
     order = rng.permutation(n)
     folds = []  # (fit, calibration, validation) rows of each fold
     for val in (order[f::cv_folds] for f in range(cv_folds)):

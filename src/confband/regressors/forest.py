@@ -38,8 +38,9 @@ order. Quantiles are read off the weighted empirical CDF by the
 left-quantile rule: the smallest stored response whose cumulative weight
 reaches the requested level. The mean readout adds the leaf means in tree
 order and divides by the number of trees, which is the expectation of the
-same weighted CDF. ``scipy.sparse`` is imported where a forest is read, not
-with the package.
+same weighted CDF, so one fitted ``QuantileForestRegressor`` (a
+``ForestMeanRegressor`` fitted at a pair of levels) serves both reads.
+``scipy.sparse`` is imported where a forest is read, not with the package.
 """
 
 from dataclasses import dataclass
@@ -498,39 +499,6 @@ class _Forest:
         return acc / self.config.n_trees
 
 
-class QuantileForestRegressor(QuantileRegressor):
-    """Conditional quantile pair read from a forest's weighted CDF.
-
-    Parameters
-    ----------
-    config : ForestConfig
-        Growth settings; the response quantile levels come from ``fit``.
-    """
-
-    def __init__(self, config: ForestConfig = ForestConfig()):
-        self.config = config
-        self._forest: _Forest | None = None
-        self._levels: tuple[float, float] | None = None
-
-    def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileForestRegressor":
-        levels = check_level_pair(alpha_lo, alpha_hi)
-        self._forest = _Forest(X, y, self.config)
-        self._levels = levels
-        return self
-
-    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._forest is None or self._levels is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
-        lo, hi = self._forest.quantiles(X, self._levels)
-        return lo, hi
-
-    def predict_quantile(self, X, level: float) -> np.ndarray:
-        """Weighted-CDF quantile at an arbitrary level from the fitted forest."""
-        if self._forest is None:
-            raise RuntimeError("fit() must be called before predict_quantile()")
-        return self._forest.quantiles(X, (level,))[0]
-
-
 class ForestMeanRegressor(MeanRegressor):
     """Point predictor: average of per-tree leaf means."""
 
@@ -546,3 +514,32 @@ class ForestMeanRegressor(MeanRegressor):
         if self._forest is None:
             raise RuntimeError("fit() must be called before predict()")
         return self._forest.means(X)
+
+
+class QuantileForestRegressor(ForestMeanRegressor, QuantileRegressor):
+    """Conditional quantile pair read from a forest's weighted CDF.
+
+    ``config`` sets growth, ``fit`` the pair's levels. The trees grow on squared
+    error whatever the levels, so ``predict`` reads the same forest's mean, with
+    the bits of a ``ForestMeanRegressor`` fitted alike.
+    """
+
+    _levels: tuple[float, float] | None = None
+
+    def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileForestRegressor":
+        levels = check_level_pair(alpha_lo, alpha_hi)
+        self._forest = _Forest(X, y, self.config)  # not super().fit: one fit call per growth
+        self._levels = levels
+        return self
+
+    def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
+        if self._levels is None:
+            raise RuntimeError("fit() must be called before predict_pair()")
+        lo, hi = self._forest.quantiles(X, self._levels)
+        return lo, hi
+
+    def predict_quantile(self, X, level: float) -> np.ndarray:
+        """Weighted-CDF quantile at an arbitrary level from the fitted forest."""
+        if self._forest is None:
+            raise RuntimeError("fit() must be called before predict_quantile()")
+        return self._forest.quantiles(X, (level,))[0]

@@ -45,6 +45,7 @@ from confband.harness import (
     summarize,
     tune_quantile_levels,
 )
+from confband.regressors import forest as forest_module
 from confband.regressors import (
     ForestConfig,
     ForestMeanRegressor,
@@ -179,6 +180,19 @@ def _count_forest_reads(monkeypatch):
     return reads
 
 
+def _count_forest_growths(monkeypatch):
+    """Record every grown forest, whichever class grows it."""
+    grown = []
+    original = forest_module._Forest.__init__
+
+    def grow(self, *args, **kwargs):
+        grown.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(forest_module._Forest, "__init__", grow)
+    return grown
+
+
 @pytest.mark.parametrize("methods", [METHODS, METHODS[::-1]])
 def test_each_fitted_model_is_read_once_per_row_set(monkeypatch, methods):
     dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=200, seed=2))
@@ -195,18 +209,51 @@ def test_each_fitted_model_is_read_once_per_row_set(monkeypatch, methods):
     )
 
     reads = _count_forest_reads(monkeypatch)
+    grown = _count_forest_growths(monkeypatch)
     assert not run_experiment(cfg, dataset).failures
     per_forest = {}
     for readout, forest, rows in reads:
         per_forest.setdefault((readout, forest), []).append(rows)
     pair = [sorted(rows) for (readout, _), rows in per_forest.items() if readout == "predict_pair"]
     means = [sorted(rows) for (readout, _), rows in per_forest.items() if readout == "predict"]
-    # the pair once on the calibration and test rows stacked; the mean forest
-    # on those and once on the proper-training rows, for the dispersion fit's
+    # the pair's forest, which is also the point predictor, read as quantiles
+    # once on the calibration and test rows stacked, and as a mean on those
+    # and once on the proper-training rows, for the dispersion fit's
     # residuals; the dispersion forest (a mean forest on residuals) once on
     # the stacked rows
     assert pair == [[X2t]]
     assert sorted(means) == sorted([sorted([X1, X2t]), [X2t]])
+    (pair_forest,) = [forest for readout, forest, _ in reads if readout == "predict_pair"]
+    assert ("predict", pair_forest, X1) in reads and ("predict", pair_forest, X2t) in reads
+    assert len(grown) == 2
+
+
+@pytest.mark.parametrize(
+    "methods, n_forests", [(("cqr",), 1), (("split",), 1), (("split", "local"), 2)]
+)
+def test_a_qrf_repetition_grows_one_forest_per_distinct_model(monkeypatch, methods, n_forests):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=100, seed=2))
+    cfg = ExperimentConfig(
+        methods=methods, engine="qrf", n_repetitions=1, forest=ForestConfig(n_trees=5),
+    )
+    grown = _count_forest_growths(monkeypatch)
+    assert not run_experiment(cfg, dataset).failures
+    assert len(grown) == n_forests
+
+
+def test_a_run_without_pair_methods_tunes_nothing(monkeypatch):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=100, seed=3))
+    cfg = ExperimentConfig(
+        methods=("split",), engine="qrf", n_repetitions=2, seed=4,
+        tune_quantiles=True, cv_folds=2, forest=ForestConfig(n_trees=5),
+    )
+    tunings = []
+    monkeypatch.setattr(harness, "tune_quantile_levels", lambda *a, **k: tunings.append(a))
+    grown = _count_forest_growths(monkeypatch)
+    tuned = run_experiment(cfg, dataset)
+    assert tunings == [] and len(grown) == cfg.n_repetitions
+    untuned = run_experiment(replace(cfg, tune_quantiles=False), dataset)
+    assert tuned.repetitions == untuned.repetitions and tuned.summaries == untuned.summaries
 
 
 def test_the_demo_reads_each_fitted_model_once_on_its_grid(monkeypatch):
@@ -214,10 +261,12 @@ def test_the_demo_reads_each_fitted_model_once_on_its_grid(monkeypatch):
     grid_size = 37  # no other row set of the demo has this many rows
     band_comparison_demo(n=300, seed=1, n_trees=10, grid_size=grid_size)
     on_grid = [(readout, forest) for readout, forest, rows in reads if len(rows) == grid_size * 8]
-    # split and local share the mean forest; local adds the dispersion
-    # forest and cqr the pair: three models, one read each
+    # split and local share the pair forest's mean read; local adds the
+    # dispersion forest and cqr the pair's quantile read: three reads, one
+    # per (readout, model), of two forests
     assert len(on_grid) == len(set(on_grid)) == 3
     assert sorted(readout for readout, _ in on_grid) == ["predict", "predict", "predict_pair"]
+    assert len({forest for _, forest in on_grid}) == 2
 
 
 def _public_band(method, bundle, X2, y2, cfg):
@@ -520,6 +569,9 @@ def test_tuning_checks_every_input_before_the_first_fit():
         tune_quantile_levels(make_pair, X1, y1, 0.1, 3, np.random.default_rng(0), grid=(0.1, 1.5))
     with pytest.raises(ValueError, match="response has 39 rows, features have 40"):
         tune_quantile_levels(make_pair, X1, y1[:39], 0.1, 3, np.random.default_rng(0))
+    # more folds than rows would leave a validation fold empty
+    with pytest.raises(ValueError, match="need at least 20 rows for 20-fold CV"):
+        tune_quantile_levels(make_pair, X1[:12], y1[:12], 0.1, 20, np.random.default_rng(0))
     y1[7] = np.nan
     with pytest.raises(ValueError, match="response vector contains non-finite entries"):
         tune_quantile_levels(make_pair, X1, y1, 0.1, 3, np.random.default_rng(0))

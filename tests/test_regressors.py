@@ -37,6 +37,8 @@ _PAIR_LEVELS = (0.1, 0.9)
 _ENGINES = {
     "forest-pair": (lambda: QuantileForestRegressor(_FOREST), _PAIR_LEVELS, "predict_pair"),
     "forest-mean": (lambda: ForestMeanRegressor(_FOREST), (), "predict"),
+    # the harness's qrf mean: the fitted pair's forest read as a mean
+    "forest-pair-mean": (lambda: QuantileForestRegressor(_FOREST), _PAIR_LEVELS, "predict"),
     "ridge": (lambda: RidgeRegressor(0.1), (), "predict"),
     "linear-pair": (lambda: LinearQuantilePair(epochs=5), _PAIR_LEVELS, "predict_pair"),
     "linear-median": (lambda: LinearMedianRegressor(epochs=5), (), "predict"),
@@ -57,6 +59,15 @@ def test_predict_rejects_a_feature_count_other_than_the_fitted_one(engine):
     for width in (5, 2):
         with pytest.raises(ValueError, match=f"has {width} features, but the model was fitted on 3"):
             predict(rng.normal(size=(4, width)))
+
+
+def test_a_quantile_forest_reads_the_mean_of_a_mean_forest_fitted_alike():
+    rng = np.random.default_rng(4)
+    X, Xq = rng.normal(size=(60, 2)), rng.normal(size=(25, 2))
+    y = X[:, 0] + rng.normal(size=60)
+    make, fit_args, readout = _ENGINES["forest-pair-mean"]
+    got = getattr(make().fit(X, y, *fit_args), readout)(Xq)
+    assert got.tobytes() == ForestMeanRegressor(_FOREST).fit(X, y).predict(Xq).tobytes()
 
 
 @pytest.mark.parametrize("engine", ["forest-pair", "linear-pair", "mlp-pair", "oracle-pair"])
