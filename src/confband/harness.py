@@ -250,6 +250,9 @@ class ExperimentConfig:
         check_count("linear_epochs", self.linear_epochs)
         check_flag("tune_quantiles", self.tune_quantiles)
         check_flag("report_original_units", self.report_original_units)
+        for name, kind in (("forest", ForestConfig), ("mlp", MlpConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         store_python_values(self)
 
 
@@ -605,6 +608,8 @@ def tune_quantile_levels(
     are halved into fit and calibration parts, the pair is conformalized at
     the target ``alpha`` by ``_band``, and the mean interval length on the
     validation fold is recorded. Ties go to the grid point nearest ``alpha``.
+    A pair with a read at any levels (see ``QuantileRegressor``) is fitted once
+    per fold, any other once per fold and grid level.
     """
     if not grid:
         raise ValueError("tuning grid must be non-empty")
@@ -618,19 +623,24 @@ def tune_quantile_levels(
     if n < cv_folds:
         raise ValueError(f"need at least {cv_folds} rows for {cv_folds}-fold CV")
     order = rng.permutation(n)
-    folds = []  # (fit, calibration, validation) rows of each fold
+    pairs = [(nominal / 2.0, 1.0 - nominal / 2.0) for nominal in grid]
+    shared = hasattr(make_pair(), "predict_quantile")  # see QuantileRegressor
+    folds = []  # calibration and validation rows, and the (lo, hi) read on both at each grid level
     for val in (order[f::cv_folds] for f in range(cv_folds)):
         rest = np.delete(np.arange(n), val)[rng.permutation(n - val.size)]
-        folds.append((rest[: rest.size // 2], rest[rest.size // 2 :], val))
+        fit, cal = rest[: rest.size // 2], rest[rest.size // 2 :]
+        rows = X1[np.concatenate((cal, val))]
+        if shared:
+            q = make_pair().fit(X1[fit], y1[fit], *pairs[0]).predict_quantile(rows, np.ravel(pairs))
+        else:
+            q = [make_pair().fit(X1[fit], y1[fit], *lv).predict_pair(rows) for lv in pairs]
+        folds.append((cal, val, np.reshape(q, (len(grid), 2, -1))))
 
     best: tuple[float, float, float] | None = None  # (score, |nom-alpha|, nom)
-    for nominal in grid:
-        levels = (nominal / 2.0, 1.0 - nominal / 2.0)
+    for i, nominal in enumerate(grid):
         total = 0.0
-        for fit, cal, val in folds:
-            pair = make_pair()
-            pair.fit(X1[fit], y1[fit], *levels)
-            read = fix_crossing(*pair.predict_pair(X1[np.concatenate((cal, val))]))
+        for cal, val, q in folds:
+            read = fix_crossing(*q[i])
             _, lo, hi = _band("cqr", lambda role: read, y1[cal], alpha, None)
             total += _evaluate(lo, hi, y1[val], 1.0)[1]
         key = (total / cv_folds, abs(nominal - alpha), nominal)

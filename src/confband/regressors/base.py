@@ -118,7 +118,9 @@ class MeanRegressor(ABC):
 
 
 class QuantileRegressor(ABC):
-    """A pair of conditional quantile predictors fitted jointly."""
+    """A pair of conditional quantile predictors fitted jointly. A pair whose fit ignores
+    its levels offers ``predict_quantile(X, level)``, a read at any level or sequence of
+    levels, and quantile-level tuning fits such a pair once per fold."""
 
     @abstractmethod
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileRegressor":

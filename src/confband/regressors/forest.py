@@ -39,7 +39,8 @@ left-quantile rule: the smallest stored response whose cumulative weight
 reaches the requested level. The mean readout adds the leaf means in tree
 order and divides by the number of trees, which is the expectation of the
 same weighted CDF, so one fitted ``QuantileForestRegressor`` (a
-``ForestMeanRegressor`` fitted at a pair of levels) serves both reads.
+``ForestMeanRegressor`` fitted at a pair of levels) serves both reads, and
+``predict_quantile`` reads it at any levels, which only set CDF thresholds.
 ``scipy.sparse`` is imported where a forest is read, not with the package.
 """
 
@@ -538,8 +539,10 @@ class QuantileForestRegressor(ForestMeanRegressor, QuantileRegressor):
         lo, hi = self._forest.quantiles(X, self._levels)
         return lo, hi
 
-    def predict_quantile(self, X, level: float) -> np.ndarray:
-        """Weighted-CDF quantile at an arbitrary level from the fitted forest."""
+    def predict_quantile(self, X, level) -> np.ndarray:
+        """Weighted-CDF quantiles at one level, or a row per level of a sequence, in one pass."""
         if self._forest is None:
             raise RuntimeError("fit() must be called before predict_quantile()")
-        return self._forest.quantiles(X, (level,))[0]
+        if np.ndim(level) == 0:
+            return self._forest.quantiles(X, (level,))[0]
+        return np.stack(self._forest.quantiles(X, tuple(level)))

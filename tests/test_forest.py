@@ -352,6 +352,25 @@ def test_quantile_curves_are_monotone_in_level():
         assert np.all(lower <= upper)
 
 
+def test_predict_quantile_reads_each_level_of_a_sequence_as_it_reads_it_alone():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(120, 2))
+    y = X[:, 0] + rng.normal(size=120)
+    pair = QuantileForestRegressor(ForestConfig(n_trees=20, seed=3)).fit(X, y, 0.1, 0.9)
+    rows = rng.normal(size=(40, 2))
+    levels = [0.01, 0.1, 0.25, 0.5, 0.5, 0.9, 0.99, *rng.uniform(0.01, 0.99, size=5)]
+    alone = [pair.predict_quantile(rows, level).tobytes() for level in levels]
+    every = np.arange(len(levels))
+    for order in (every, every[::-1], rng.permutation(every)[:4], [3]):
+        got = pair.predict_quantile(rows, [levels[i] for i in order])
+        assert got.shape == (len(order), rows.shape[0])
+        assert [g.tobytes() for g in got] == [alone[i] for i in order]
+    # at the fitted pair's levels, a tuple or an array of them reads the pair
+    want = [q.tobytes() for q in pair.predict_pair(rows)]
+    for fitted in ((0.1, 0.9), np.array([0.1, 0.9])):
+        assert [q.tobytes() for q in pair.predict_quantile(rows, fitted)] == want
+
+
 def test_forest_fit_is_deterministic_given_seed():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 2))

@@ -50,6 +50,7 @@ from confband.regressors import (
     ForestConfig,
     ForestMeanRegressor,
     LinearQuantilePair,
+    MlpConfig,
     QuantileForestRegressor,
 )
 
@@ -239,6 +240,42 @@ def test_a_qrf_repetition_grows_one_forest_per_distinct_model(monkeypatch, metho
     grown = _count_forest_growths(monkeypatch)
     assert not run_experiment(cfg, dataset).failures
     assert len(grown) == n_forests
+
+
+@pytest.mark.parametrize("cv_folds", [2, 3])
+def test_a_tuned_qrf_repetition_grows_one_forest_per_tuning_fold(monkeypatch, cv_folds):
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=100, seed=2))
+    cfg = ExperimentConfig(
+        methods=("cqr",), engine="qrf", n_repetitions=1, tune_quantiles=True,
+        cv_folds=cv_folds, forest=ForestConfig(n_trees=5),
+    )
+    grown = _count_forest_growths(monkeypatch)
+    assert not run_experiment(cfg, dataset).failures
+    # growth ignores the levels: one forest per fold is read at every grid
+    # level, and one more is the pair at the tuned levels
+    assert len(grown) == cv_folds + 1
+
+
+def test_a_tuned_linear_q_repetition_fits_a_pair_per_fold_and_grid_level(monkeypatch):
+    fits = []
+    fit = LinearQuantilePair.fit
+
+    def counted(self, X, y, alpha_lo, alpha_hi):
+        fits.append((alpha_lo, alpha_hi))
+        return fit(self, X, y, alpha_lo, alpha_hi)
+
+    monkeypatch.setattr(LinearQuantilePair, "fit", counted)
+    dataset, _ = generate(SyntheticSpec(kind="heteroscedastic", n=100, seed=2))
+    cfg = ExperimentConfig(
+        methods=("cqr",), engine="linear-q", n_repetitions=1, tune_quantiles=True,
+        cv_folds=3, linear_epochs=50,
+    )
+    assert not run_experiment(cfg, dataset).failures
+    # the linear pair's fit depends on its levels, so every (fold, grid level)
+    # fits its own, and the last fit is the pair at the tuned levels
+    grid = [(g / 2.0, 1.0 - g / 2.0) for g in QUANTILE_TUNING_GRID]
+    assert sorted(fits[:-1]) == sorted(grid * cfg.cv_folds)
+    assert fits[-1] in grid
 
 
 def test_a_run_without_pair_methods_tunes_nothing(monkeypatch):
@@ -631,6 +668,10 @@ def test_config_validation_rejects_bad_settings():
         ExperimentConfig(knn_k=0)
     with pytest.raises(ValueError, match="linear_epochs must be >= 1"):
         ExperimentConfig(linear_epochs=0)
+    # a wrongly typed engine config fails here, not as a TypeError in a repetition
+    for field, bad in (("forest", {"n_trees": 5}), ("forest", MlpConfig()), ("mlp", None)):
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            ExperimentConfig(**{field: bad})
     # ridge has no quantile pair, so the pair methods are rejected up front
     for method in ("cqr", "cqr-asym"):
         with pytest.raises(ValueError, match="cannot produce quantile pairs"):

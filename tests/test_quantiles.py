@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from confband.conformal import conformal_correction
 from confband.quantiles import SortedSample, check_level, inflated_quantiles
 
 
@@ -138,6 +139,34 @@ def test_inflated_quantile_coverage_is_exact_order_statistic_rate():
     expected = k / (n + 1)
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(rate - expected) <= 4 * se
+
+
+def _referee_inflated_rank(n, alpha):
+    """1-based rank ceil((1 - alpha)(n + 1)) in exact rational arithmetic; None for +inf.
+
+    alpha is read as the decimal it was written as, so 0.3 is 3/10 and not
+    the binary float a hair below it. The rank is +inf when it exceeds n.
+    """
+    k = math.ceil((1 - Fraction(str(alpha))) * (n + 1))
+    return k if k <= n else None
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3, 0.37])
+def test_inflated_quantiles_and_corrections_take_the_referee_rank(alpha):
+    # (1 - alpha)(n + 1) over n = 1..200 has fractional parts on both sides
+    # of 0.5 and exact integers, so a rank rounded instead of ceiled shows
+    rng = np.random.default_rng(23)
+    for n in range(1, 201):
+        k = _referee_inflated_rank(n, alpha)
+        # the scores are the ranks 1..n in random order, so a score is its rank
+        y_cal = rng.permutation(n) + 1.0
+        want = math.inf if k is None else float(k)
+        assert inflated_quantiles(y_cal, alpha) == want, n
+        # with zero plug-in ends the symmetric score is |y| = y, the lower
+        # tail's score -y, whose k-th smallest is k - (n + 1)
+        assert conformal_correction(0.0, 0.0, 1.0, y_cal, alpha) == want, n
+        tails = conformal_correction(0.0, 0.0, 1.0, y_cal, alpha, alpha)
+        assert tails == (want - (n + 1), want), n
 
 
 def test_inflated_quantiles_take_each_rows_inflated_quantile():

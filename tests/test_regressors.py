@@ -110,6 +110,15 @@ def test_a_level_that_is_not_a_real_number_fails_before_any_work(bad):
         split_conformal_calibrate(mean, rows, rows, bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, float("nan"), "0.1", True])
+def test_a_bad_level_anywhere_in_a_sequence_fails_before_any_read(bad):
+    X = np.linspace(0.5, 4.5, 30)[:, None]
+    forest = QuantileForestRegressor(_FOREST).fit(X, X[:, 0], *_PAIR_LEVELS)
+    for levels in ([bad], [bad, 0.5], [0.1, 0.5, bad], (0.2, bad, 0.8)):
+        with pytest.raises(ValueError, match="level must be"):
+            forest.predict_quantile(_Unread(), levels)
+
+
 # slice sizes from 1 to 299 rows, around the blocks that BLAS kernels and
 # the mlp's read work in
 _ROW_SLICES = (1, 2, 3, 5, 7, 8, 13, 16, 31, 32, 33, 63, 64, 65, 100, 128, 257, 299)
