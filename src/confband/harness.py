@@ -9,13 +9,15 @@ methods score from those shared reads, and ``_band`` (the band step of
 repetitions, tuning folds and coverage-audit blocks) turns them into
 plug-in values with the conformal module's ``plugin_values``, scores the
 calibration part with ``conformal_correction`` and bands the rest with
-``apply_correction``. Every model read goes through ``_EngineBundle.reader``.
-Reads are row-wise (see ``regressors.base``), so a row read in the stack
-gets the bits it gets alone; the audit reads a block of trials at once,
-and ``_band`` shapes it as (trials x n) arrays. A repetition adds the rows
-of all its methods or, when any method fails, none. Summaries average
-over repetitions. Lengths are in standardized response units by default.
-The harness builds report text; the CLI writes the files.
+``apply_correction``. Repetitions and the audit read their models through
+``_EngineBundle.reader``; tuning fits and reads its fold pairs itself, in
+``tune_quantile_levels``. Reads are row-wise (see ``regressors.base``), so a
+row read in the stack gets the bits it gets alone; the audit reads a block
+of trials at once and tuning a fold at every grid level, and ``_band``
+shapes them as (trials x n) and (grid levels x n) arrays. A repetition
+adds the rows of all its methods or, when any method fails, none.
+Summaries average over repetitions. Lengths are in standardized response
+units by default. The harness builds report text; the CLI writes the files.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
 fills the three model roles:
@@ -433,8 +435,9 @@ def _band(method: str, read, y_cal, alpha: float, gamma: float | None):
     """``(correction, lo, hi)``: ``method`` calibrated on the first rows read, applied to the rest.
 
     ``read`` reads [calibration rows; new rows], ``y_cal`` the first part; cqr-asym scores
-    each tail at alpha / 2. ``y_cal`` may be a (trials x n_cal) block, one trial a row; each
-    array read is then reshaped to (trials x n), so a block may be read flat.
+    each tail at alpha / 2. ``y_cal`` is 1-D for a repetition, (grid levels x n_cal) for a
+    tuning fold or (trials x n_cal) for an audit block, one band a row; each array read is
+    then reshaped to (rows of ``y_cal`` x n), so a block may be read flat.
     """
     levels = (alpha / 2.0, alpha / 2.0) if method == "cqr-asym" else (alpha, None)
     shape = (*y_cal.shape[:-1], -1)
@@ -605,17 +608,18 @@ def tune_quantile_levels(
 
     Each grid point alpha_nom maps to the symmetric pair
     (alpha_nom / 2, 1 - alpha_nom / 2). Per fold, the non-validation rows
-    are halved into fit and calibration parts, the pair is conformalized at
-    the target ``alpha`` by ``_band``, and the mean interval length on the
-    validation fold is recorded. Ties go to the grid point nearest ``alpha``.
-    A pair with a read at any levels (see ``QuantileRegressor``) is fitted once
-    per fold, any other once per fold and grid level.
+    are halved into fit and calibration parts, the pair is read on both
+    parts at every grid level as one (2 x grid x rows) block, and ``_band``
+    and ``_evaluate`` conformalize each level at the target ``alpha`` and
+    score its mean length on the validation fold, all levels at once. Ties
+    go to the grid point nearest ``alpha``. A pair with a read at any levels
+    (see ``QuantileRegressor``) is fitted once per fold, any other once per
+    fold and grid level.
     """
-    if not grid:
+    if len(grid) == 0:
         raise ValueError("tuning grid must be non-empty")
     check_level(alpha)
-    for nominal in grid:
-        check_level(nominal)
+    grid = [check_level(nominal) for nominal in grid]
     check_count("cv_folds", cv_folds, minimum=2)
     X1 = as_matrix(X1)
     y1 = as_vector(y1, X1.shape[0])
@@ -625,28 +629,21 @@ def tune_quantile_levels(
     order = rng.permutation(n)
     pairs = [(nominal / 2.0, 1.0 - nominal / 2.0) for nominal in grid]
     shared = hasattr(make_pair(), "predict_quantile")  # see QuantileRegressor
-    folds = []  # calibration and validation rows, and the (lo, hi) read on both at each grid level
+    total = 0.0  # each grid level's lengths, added in fold order
     for val in (order[f::cv_folds] for f in range(cv_folds)):
         rest = np.delete(np.arange(n), val)[rng.permutation(n - val.size)]
         fit, cal = rest[: rest.size // 2], rest[rest.size // 2 :]
         rows = X1[np.concatenate((cal, val))]
+        fitted = (make_pair().fit(X1[fit], y1[fit], *lv) for lv in pairs)
         if shared:
-            q = make_pair().fit(X1[fit], y1[fit], *pairs[0]).predict_quantile(rows, np.ravel(pairs))
+            q = next(fitted).predict_quantile(rows, np.transpose(pairs))
         else:
-            q = [make_pair().fit(X1[fit], y1[fit], *lv).predict_pair(rows) for lv in pairs]
-        folds.append((cal, val, np.reshape(q, (len(grid), 2, -1))))
-
-    best: tuple[float, float, float] | None = None  # (score, |nom-alpha|, nom)
-    for i, nominal in enumerate(grid):
-        total = 0.0
-        for cal, val, q in folds:
-            read = fix_crossing(*q[i])
-            _, lo, hi = _band("cqr", lambda role: read, y1[cal], alpha, None)
-            total += _evaluate(lo, hi, y1[val], 1.0)[1]
-        key = (total / cv_folds, abs(nominal - alpha), nominal)
-        if best is None or key < best:
-            best = key
-    nominal = best[2]
+            q = np.stack([pair.predict_pair(rows) for pair in fitted], axis=1)
+        read = fix_crossing(*q)
+        y_cal, y_val = (np.broadcast_to(y1[i], (len(grid), i.size)) for i in (cal, val))
+        _, lo, hi = _band("cqr", lambda role: read, y_cal, alpha, None)
+        total = total + _evaluate(lo, hi, y_val, 1.0)[1]
+    nominal = min(zip(total / cv_folds, [abs(g - alpha) for g in grid], grid))[2]
     return nominal / 2.0, 1.0 - nominal / 2.0
 
 

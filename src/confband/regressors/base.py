@@ -119,7 +119,7 @@ class MeanRegressor(ABC):
 
 class QuantileRegressor(ABC):
     """A pair of conditional quantile predictors fitted jointly. A pair whose fit ignores
-    its levels offers ``predict_quantile(X, level)``, a read at any level or sequence of
+    its levels offers ``predict_quantile(X, level)``, a read at any level or array of
     levels, and quantile-level tuning fits such a pair once per fold."""
 
     @abstractmethod

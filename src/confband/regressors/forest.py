@@ -469,15 +469,17 @@ class _Forest:
             )
             yield slice(start, start + step), E, inverse
 
-    def quantiles(self, X, levels: tuple[float, ...]) -> list[np.ndarray]:
-        """Left empirical quantiles of the weighted CDF, one array per level."""
+    def quantiles(self, X, levels) -> np.ndarray:
+        """Left weighted-CDF quantiles, (levels x rows); every level is checked before X is read."""
         from scipy import sparse
 
-        levels = [check_level(level) for level in levels]
+        levels = [check_level(level) for level in np.ravel(levels)]
+        if not levels:
+            raise ValueError("quantile levels must be non-empty")
         X = as_matrix(X, self.n_features_in_)
         n_train = self._y_sorted.size
         D = sparse.csr_array(self.leaf_weights, shape=(self.leaf_mean.size, n_train))
-        out = [np.empty(X.shape[0]) for _ in levels]
+        out = np.empty((len(levels), X.shape[0]))
         step = max(1, min(_ROUTE_PAIRS // self.config.n_trees, _READ_CELLS // n_train))
         for block, E, inverse in self._routes(X, step):
             # Gustavson's row-wise product adds each weight's terms in E's
@@ -488,7 +490,7 @@ class _Forest:
             for i, level in enumerate(levels):
                 thresh = level * total - _CDF_RTOL * np.maximum(total, 1.0)
                 idx = (cumw >= thresh[:, None]).argmax(axis=1)
-                out[i][block] = self._y_sorted[idx[inverse]]
+                out[i, block] = self._y_sorted[idx[inverse]]
         return out
 
     def means(self, X) -> np.ndarray:
@@ -536,13 +538,10 @@ class QuantileForestRegressor(ForestMeanRegressor, QuantileRegressor):
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
         if self._levels is None:
             raise RuntimeError("fit() must be called before predict_pair()")
-        lo, hi = self._forest.quantiles(X, self._levels)
-        return lo, hi
+        return tuple(self._forest.quantiles(X, self._levels))
 
     def predict_quantile(self, X, level) -> np.ndarray:
-        """Weighted-CDF quantiles at one level, or a row per level of a sequence, in one pass."""
+        """Weighted-CDF quantiles in one pass, shaped as ``level`` plus an axis of X's rows."""
         if self._forest is None:
             raise RuntimeError("fit() must be called before predict_quantile()")
-        if np.ndim(level) == 0:
-            return self._forest.quantiles(X, (level,))[0]
-        return np.stack(self._forest.quantiles(X, tuple(level)))
+        return self._forest.quantiles(X, level).reshape(*np.shape(level), -1)

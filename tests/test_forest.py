@@ -369,6 +369,13 @@ def test_predict_quantile_reads_each_level_of_a_sequence_as_it_reads_it_alone():
     want = [q.tobytes() for q in pair.predict_pair(rows)]
     for fitted in ((0.1, 0.9), np.array([0.1, 0.9])):
         assert [q.tobytes() for q in pair.predict_quantile(rows, fitted)] == want
+    # a (2 x G) array, as tuning reads its grid, gives (2 x G x rows), each entry
+    # the bytes of its own single-level read
+    block = np.reshape(levels, (2, -1))
+    got = pair.predict_quantile(rows, block)
+    assert got.shape == (*block.shape, rows.shape[0])
+    for i, j in np.ndindex(block.shape):
+        assert got[i, j].tobytes() == alone[i * block.shape[1] + j]
 
 
 def test_forest_fit_is_deterministic_given_seed():

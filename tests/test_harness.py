@@ -512,10 +512,18 @@ def test_quantile_level_tuning_grid_and_ties():
         rng=np.random.default_rng(0), grid=(0.05, 0.1, 0.3),
     )
     assert levels == (0.05, 0.95)
-    with pytest.raises(ValueError, match="tuning grid must be non-empty"):
-        tune_quantile_levels(
-            _ConstantPair, X1, y1, 0.1, 2, np.random.default_rng(0), grid=()
+    # a numpy grid gives the tuple grid's levels, as Python floats
+    for grid in ((0.2,), (0.05, 0.1, 0.3), QUANTILE_TUNING_GRID):
+        want = tune_quantile_levels(_ConstantPair, X1, y1, 0.1, 2, np.random.default_rng(0), grid)
+        got = tune_quantile_levels(
+            _ConstantPair, X1, y1, 0.1, 2, np.random.default_rng(0), np.array(grid)
         )
+        assert got == want and [type(v) for v in got] == [float, float]
+    for empty in ((), [], np.array([])):
+        with pytest.raises(ValueError, match="tuning grid must be non-empty"):
+            tune_quantile_levels(
+                _ConstantPair, X1, y1, 0.1, 2, np.random.default_rng(0), grid=empty
+            )
     # one fold leaves no rows to fit on, and zero folds nothing to average
     for folds, message in ((0, "must be >= 2, got 0"), (2.5, "must be an integer")):
         with pytest.raises(ValueError, match=f"cv_folds {message}"):
@@ -555,16 +563,27 @@ def _tune_by_the_public_calibrator(make_pair, X1, y1, alpha, cv_folds, rng, grid
 
 
 def _recorded_bands(monkeypatch):
-    """Record the bytes of every band the harness scores, with its response rows."""
-    bands = []
-    score = harness._evaluate
+    """Record the bytes of every band the harness scores, with its response rows.
+
+    Each row of a (levels x rows) block is recorded as one band. Also returns
+    the number of ``_band`` and ``_evaluate`` calls made.
+    """
+    bands, calls = [], {"_band": 0, "_evaluate": 0}
+    band, score = harness._band, harness._evaluate
+
+    def count_band(*args):
+        calls["_band"] += 1
+        return band(*args)
 
     def evaluate(lo, hi, y, length_scale):
-        bands.append((lo.tobytes(), hi.tobytes(), y.tobytes()))
+        calls["_evaluate"] += 1
+        for row in zip(*(np.atleast_2d(v) for v in (lo, hi, y))):
+            bands.append(tuple(v.tobytes() for v in row))
         return score(lo, hi, y, length_scale)
 
+    monkeypatch.setattr(harness, "_band", count_band)
     monkeypatch.setattr(harness, "_evaluate", evaluate)
-    return bands
+    return bands, calls
 
 
 @pytest.mark.parametrize(
@@ -580,16 +599,20 @@ def test_tuning_scores_every_fold_like_the_public_calibrator(monkeypatch, make_p
     rng = np.random.default_rng(9)
     X1 = rng.uniform(-2.0, 2.0, size=(90, 1))
     y1 = X1[:, 0] + (0.5 + np.abs(X1[:, 0])) * rng.normal(size=90)
-    bands = _recorded_bands(monkeypatch)
+    bands, calls = _recorded_bands(monkeypatch)
     args = (make_pair, X1, y1, 0.1, 3)
     got = tune_quantile_levels(*args, np.random.default_rng(5), QUANTILE_TUNING_GRID)
+    # one band step and one scoring per fold, each on the fold's whole grid
+    assert calls == {"_band": 3, "_evaluate": 3}
     ours = list(bands)
     bands.clear()
     want = _tune_by_the_public_calibrator(*args, np.random.default_rng(5), QUANTILE_TUNING_GRID)
     assert got == want
-    # every fold of every grid point gets the same band, bit for bit
-    assert len(ours) == 3 * len(QUANTILE_TUNING_GRID)
-    assert ours == bands
+    # every fold of every grid point gets the same band, bit for bit; ours
+    # come fold by fold, the referee's grid point by grid point
+    n_grid = len(QUANTILE_TUNING_GRID)
+    assert len(ours) == 3 * n_grid
+    assert [ours[f * n_grid + g] for g in range(n_grid) for f in range(3)] == bands
 
 
 def test_tuning_checks_every_input_before_the_first_fit():

@@ -119,6 +119,14 @@ def test_a_bad_level_anywhere_in_a_sequence_fails_before_any_read(bad):
             forest.predict_quantile(_Unread(), levels)
 
 
+def test_an_empty_level_list_fails_before_any_read():
+    X = np.linspace(0.5, 4.5, 30)[:, None]
+    forest = QuantileForestRegressor(_FOREST).fit(X, X[:, 0], *_PAIR_LEVELS)
+    for levels in ([], (), np.array([]), np.empty((2, 0))):
+        with pytest.raises(ValueError, match="quantile levels must be non-empty"):
+            forest.predict_quantile(_Unread(), levels)
+
+
 # slice sizes from 1 to 299 rows, around the blocks that BLAS kernels and
 # the mlp's read work in
 _ROW_SLICES = (1, 2, 3, 5, 7, 8, 13, 16, 31, 32, 33, 63, 64, 65, 100, 128, 257, 299)
