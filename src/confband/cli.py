@@ -84,6 +84,16 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str, out: str | None 
     parser.add_argument("--out", default=out, help=out_help)
 
 
+def _check_out(out: str | None, suffixes: tuple[str, ...], message: str) -> None:
+    """Reject an ``--out`` path before any work: a wrong suffix, or a missing directory."""
+    if out is None:
+        return
+    if not out.endswith(suffixes):
+        raise ValueError(f"{message}, got {out!r}")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"output directory does not exist: {str(Path(out).parent)!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confband",
@@ -140,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     if (args.data is None) == (args.synthetic is None):
         raise ValueError("provide exactly one of --data or --synthetic")
-    if args.out is not None and not args.out.endswith((".csv", ".json")):
-        raise ValueError(f"output path must end with .csv or .json, got {args.out!r}")
+    _check_out(args.out, (".csv", ".json"), "output path must end with .csv or .json")
     oracle = None
     if args.data is not None:
         if args.target is None:
@@ -187,8 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if not args.out.endswith(".csv"):
-        raise ValueError(f"demo output must be a .csv path, got {args.out!r}")
+    _check_out(args.out, (".csv",), "demo output must be a .csv path")
     summaries, bounds = band_comparison_demo(
         n=args.n,
         seed=args.seed,
@@ -212,8 +220,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.out is not None and not args.out.endswith(".json"):
-        raise ValueError(f"audit output must be a .json path, got {args.out!r}")
+    _check_out(args.out, (".json",), "audit output must be a .json path")
     result = coverage_audit(
         n_trials=args.trials,
         alpha=args.alpha,

@@ -144,11 +144,15 @@ def conformal_correction(
     ``alpha_hi`` None, one inflated quantile of max(below, above) at
     ``alpha_lo`` serves both ends; otherwise each tail gets its own. 1-D
     values give float corrections; (trials x n) values give one correction
-    per row, as arrays.
+    per row, as arrays. A scalar plug-in value broadcasts; an array must
+    have ``y_cal``'s shape.
     """
     alpha_lo = check_level(alpha_lo)
     if alpha_hi is not None:
         alpha_hi = check_level(alpha_hi)
+    for v in (lo, hi, scale):
+        if np.ndim(v) and np.shape(v) != np.shape(y_cal):
+            raise ValueError(f"plug-in shape {np.shape(v)} does not match y_cal {np.shape(y_cal)}")
     below = (lo - y_cal) / scale
     above = (y_cal - hi) / scale
     if alpha_hi is None:

@@ -16,15 +16,16 @@ the copies, and then partitions stably each order but the node's split
 feature's, which already holds both children sorted. The per-node sums are
 numpy's own sums of the same values in the same order, so every tree is bit
 for bit the tree a node-by-node grower would produce. A fitted forest is one
-flat node table per batch (each node's feature, threshold, left child and D
-row) plus one forest-wide leaf weight block D, the only record of leaf
-sizes; it is never written to.
+flat node table per batch (each node's feature, threshold and left child)
+plus one forest-wide leaf weight block D, the only record of leaf sizes,
+with one row per node: node v of a table is D row v plus the node count of
+the tables before it, empty at a split node. It is never written to.
 
 A query point x collects weight 1/n_trees from every tree, split over the
 rows in the leaf that x reaches in proportion to their multiplicity. These
 are Meinshausen's QRF weights (JMLR 2006), read as the sparse product
-W = E·D: E (queries x leaves) has one entry per tree in each row, and D
-(leaves x training rows) holds each leaf's weights. A readout routes every
+W = E·D: E (queries x nodes) has one entry per tree in each row, and D
+(nodes x training rows) holds each leaf's weights. A readout routes every
 tree of a table together: a leaf points to itself under a threshold of
 +inf, so all (tree, query) pairs take as many steps as the table is deep,
 and a pair that reaches its leaf early stays on it.
@@ -121,16 +122,15 @@ class _NodeTable(NamedTuple):
     the batch's ``n_trees`` roots come first, in tree order. A split node's
     children are consecutive: ``left[node]`` and ``left[node] + 1``. A leaf
     points to itself, ``left[leaf] == leaf`` under a threshold of +inf, and
-    ``depth`` is the depth of the table's deepest leaf. ``leaf[node]`` is a
-    leaf's row in the forest's leaf weight block D, -1 at a split node; D is
-    the only record of a leaf's rows and size.
+    ``depth`` is the depth of the table's deepest leaf. A node's row in the
+    forest's leaf weight block D is its id plus the node count of the tables
+    before it; D is the only record of a leaf's rows and size.
     """
 
     n_trees: int
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    leaf: np.ndarray
     depth: int
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def _partition(orders, xs, ys, start, size, k, feature):
         order[to], x_j[to], y_j[to] = samples, x_j[pos], y_j[pos]
 
 
-def _grow_batch(X, y, R, min_leaf, first_leaf, index):
+def _grow_batch(X, y, R, min_leaf):
     """Grow one tree per row of R, the tree's bootstrap rows, level by level.
 
     Sample ``u`` of the batch is training row ``R.flat[u]``. Each node is a
@@ -285,8 +285,7 @@ def _grow_batch(X, y, R, min_leaf, first_leaf, index):
     node of the level in all trees, and partitioning keeps each child's
     segment sorted, so the sort happens once per feature. The leaves end up
     tiling the feature-0 order, from which the batch's rows of the leaf weight
-    block are built; they are numbered from ``first_leaf``. Returns what
-    ``_build_table`` does.
+    block are built. Returns what ``_build_table`` does.
     """
     n_trees, n = R.shape
     rows = R.ravel()
@@ -317,52 +316,42 @@ def _grow_batch(X, y, R, min_leaf, first_leaf, index):
         _partition(orders, xs, ys, s, m, k, feature[split])
         start = np.column_stack((s, s + k)).ravel()
         size = np.column_stack((k, m - k)).ravel()
-    return _build_table(levels, rows[orders[0]], ys[0], n, first_leaf, index)
+    return _build_table(levels, rows[orders[0]], ys[0], n)
 
 
-def _build_table(levels, leaf_rows, leaf_y, n, first_leaf, index):
-    """The node table of a grown batch, and its leaves' rows of the weight block.
+def _build_table(levels, leaf_rows, leaf_y, n):
+    """The node table of a grown batch, and its nodes' rows of the weight block.
 
     ``levels`` holds each level's ``(start, size, feature, threshold)``
     node arrays, the first level being the roots in tree order; ``leaf_rows``
     and ``leaf_y`` are the training rows and responses of the final
-    feature-0 order, in which every node's segment holds its rows; the
-    table's D rows are in D's index dtype ``index``. Returns
-    ``(table, (count, rows, shares, means))``: leaf by leaf in tree order,
-    the number of distinct rows, those rows in ascending order with their
-    multiplicity divided by the leaf size, and the leaf's mean response.
+    feature-0 order, in which every node's segment holds its rows. Returns
+    ``(table, (count, rows, shares, means))``: node by node, the number of
+    distinct rows, those rows in ascending order with their multiplicity
+    divided by the leaf size, and the mean response; a split node has no
+    rows and a mean of 0.
     """
-    # node ids run level by level, and by position within a level; a split
-    # node's children are consecutive ids in the next level
+    # node ids run level by level, and every node but a root is a child,
+    # numbered in its parent's order: the k-th split node's children are
+    # n_trees + 2k and n_trees + 2k + 1
     start, size, feature, threshold = (np.concatenate(a) for a in zip(*levels))
-    level_size = np.array([len(lv[0]) for lv in levels])
-    next_level = np.repeat(np.cumsum(level_size), level_size)
+    n_trees = levels[0][0].size
     is_split = feature >= 0
-    rank = np.cumsum(is_split) - is_split
-    rank -= np.repeat(rank[np.cumsum(level_size) - level_size], level_size)
-    left = np.where(is_split, next_level + 2 * rank, np.arange(feature.size))
+    left = np.where(is_split, n_trees + 2 * (np.cumsum(is_split) - 1), np.arange(feature.size))
     threshold = np.where(is_split, threshold, np.inf)
 
-    # leaf segments tile the batch tree by tree, so sorted by start the
-    # leaves run in tree order
     leaves = np.flatnonzero(~is_split)
-    leaves = leaves[np.argsort(start[leaves])]
     leaf_size = size[leaves]
-    means = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
-    leaf = np.full(start.size, -1, dtype=index)
-    leaf[leaves] = first_leaf + np.arange(leaves.size)
+    means = np.zeros(feature.size)
+    means[leaves] = _segment_sums(leaf_y, start[leaves], leaf_size) / leaf_size
 
-    # run-length encode (leaf, row) pairs in one batch sort
-    key = np.sort(np.repeat(np.arange(leaves.size), leaf_size) * n + leaf_rows)
-    first = np.empty(key.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    uniq = key[first]
-    mult = np.diff(np.flatnonzero(np.append(first, True)))
-    leaf_of = uniq // n
-    count = np.bincount(leaf_of, minlength=leaves.size)
-    table = _NodeTable(int(level_size[0]), feature, threshold, left, leaf, len(levels) - 1)
-    return table, (count, uniq - leaf_of * n, mult / leaf_size[leaf_of], means)
+    # run-length encode (node, row) pairs in one batch sort
+    key = np.repeat(leaves, leaf_size) * n + leaf_rows[_ranges(start[leaves], leaf_size)]
+    key, mult = np.unique(key, return_counts=True)
+    node = key // n
+    count = np.bincount(node, minlength=feature.size)
+    table = _NodeTable(n_trees, feature, threshold, left, len(levels) - 1)
+    return table, (count, key - node * n, mult / size[node], means)
 
 
 def _row_keys(leaf: np.ndarray) -> np.ndarray:
@@ -389,12 +378,12 @@ def _distinct_rows(leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Forest:
     """Grown node tables, one per growth batch, and the leaf weight block D they share.
 
-    D (leaves x training rows, CSR) holds in row l the weight leaf l gives
-    each training row: its multiplicity over the leaf size, over the number
-    of trees. Its rows are the leaves in tree order, its columns the
-    training rows in response-rank order, and it is kept as the plain arrays
-    ``leaf_weights = (data, indices, indptr)``; ``leaf_mean`` holds each
-    leaf's mean response, by D row.
+    D (nodes x training rows, CSR) holds in a leaf's row the weight the leaf
+    gives each training row: its multiplicity over the leaf size, over the
+    number of trees. Its rows are the nodes, table after table, empty at split
+    nodes; its columns are the training rows in response-rank order. It is
+    kept as the plain arrays ``leaf_weights = (data, indices, indptr)``;
+    ``leaf_mean`` holds each node's mean response by D row, 0 at a split node.
     """
 
     def __init__(self, X, y, config: ForestConfig):
@@ -419,13 +408,13 @@ class _Forest:
         X, y = X[order], y[order]
         self._y_sorted = y
         self.tables: list[_NodeTable] = []
-        # a tree holds at most n distinct rows, so D has at most n_trees * n entries
-        index = np.int32 if config.n_trees * n <= np.iinfo(np.int32).max else np.int64
+        # E's indices are node ids, and a wrapped int32 id would silently read another
+        # node's row: ids < 2 * leaves <= 2 * (entries of D) <= 2 * n_trees * n
+        index = np.int32 if 2 * config.n_trees * n <= np.iinfo(np.int32).max else np.int64
         per_tree = 1.0 / config.n_trees
         blocks = []
         seqs = np.random.SeedSequence(config.seed).spawn(config.n_trees)
         per_batch = max(1, _GROW_BATCH // n)
-        n_leaves = 0
         for b in range(0, len(seqs), per_batch):
             # draw a batch's bootstrap rows only when the batch is grown
             batch = seqs[b : b + per_batch]
@@ -433,15 +422,12 @@ class _Forest:
                 R = np.stack([np.random.default_rng(s).integers(0, n, size=n) for s in batch])
             else:
                 R = np.broadcast_to(np.arange(n), (len(batch), n))
-            table, (count, rows, shares, means) = _grow_batch(
-                X, y, rank[R], config.min_leaf_size, n_leaves, index
-            )
+            table, (count, rows, shares, means) = _grow_batch(X, y, rank[R], config.min_leaf_size)
             self.tables.append(table)
             # each tree gives a query weight 1/n_trees, shared over its leaf's rows
             blocks.append((count, rows.astype(index), per_tree * shares, means))
-            n_leaves += count.size
         count, rows, data, self.leaf_mean = (np.concatenate(a) for a in zip(*blocks))
-        indptr = np.zeros(n_leaves + 1, dtype=index)
+        indptr = np.zeros(count.size + 1, dtype=index)
         np.cumsum(count, out=indptr[1:])
         self.leaf_weights = (data, rows, indptr)
 
@@ -454,18 +440,19 @@ class _Forest:
         """
         from scipy import sparse  # only a forest read needs it
 
-        n_trees, n_leaves = self.config.n_trees, self.leaf_mean.size
+        n_trees, n_nodes = self.config.n_trees, self.leaf_mean.size
         index = self.leaf_weights[2].dtype
+        firsts = np.cumsum([0] + [table.feature.size for table in self.tables])
         for start in range(0, X.shape[0], step):
             rows = X[start : start + step]
-            leaf = np.concatenate(
-                [table.leaf[table.apply(rows)].T for table in self.tables], axis=1
-            )
+            # node v of a table is D row first + v, added straight into D's index dtype
+            parts = [np.add(t.apply(rows), f, dtype=index).T for t, f in zip(self.tables, firsts)]
+            leaf = np.concatenate(parts, axis=1)
             first, inverse = _distinct_rows(leaf)
             leaf = leaf[first]
             indptr = np.arange(0, leaf.size + 1, n_trees, dtype=index)
             E = sparse.csr_array(
-                (np.ones(leaf.size), leaf.ravel(), indptr), shape=(len(first), n_leaves)
+                (np.ones(leaf.size), leaf.ravel(), indptr), shape=(len(first), n_nodes)
             )
             yield slice(start, start + step), E, inverse
 

@@ -141,7 +141,7 @@ def test_a_non_finite_gamma_is_named_in_the_error(capsys):
     assert err == "error: gamma must be >= 0 and finite, got nan\n"
 
 
-def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch):
+def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch, tmp_path):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
@@ -160,6 +160,17 @@ def test_a_bad_out_path_is_rejected_before_any_work(capsys, monkeypatch):
     code, out, err = _run(capsys, ["coverage-audit", "--out", "a.csv"])
     assert (code, out) == (2, "")
     assert err == "error: audit output must be a .json path, got 'a.csv'\n"
+    # a path in a directory that does not exist fails before the work, not after it
+    missing = tmp_path / "missing"
+    for argv in (
+        ["run", "--synthetic", "heteroscedastic", "--out", str(missing / "r.json")],
+        ["demo-fig1", "--out", str(missing / "d.csv")],
+        ["coverage-audit", "--out", str(missing / "a.json")],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: output directory does not exist: {str(missing)!r}\n"
+    assert not missing.exists()
 
 
 def test_config_file_supplies_values_and_flags_win(capsys, tmp_path):

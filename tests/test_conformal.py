@@ -96,6 +96,36 @@ def test_tiny_calibration_set_yields_infinite_intervals():
     assert conformal_correction(0.0, 0.0, 1.0, 1.0, 0.1) == np.inf
 
 
+def test_plug_in_values_of_another_shape_than_y_cal_are_rejected():
+    y_cal = np.array([0.3])
+    for levels in ((0.1,), (0.05, 0.05)):
+        with pytest.raises(ValueError, match=r"shape \(100,\) does not match y_cal \(1,\)"):
+            conformal_correction(np.zeros(100), np.zeros(100), 1.0, y_cal, *levels)
+        # one mismatched array is enough, whichever it is
+        y = np.zeros(20)
+        for args in (
+            (np.zeros(19), np.zeros(20), 1.0),
+            (np.zeros(20), np.zeros(21), 1.0),
+            (np.zeros(20), np.zeros(20), np.ones(1)),
+        ):
+            with pytest.raises(ValueError, match="does not match y_cal"):
+                conformal_correction(*args, y, *levels)
+        # a block: (trials x n) values against one row of responses, and back
+        block = np.zeros((4, 20))
+        for args, y in (
+            ((block, block, 1.0), np.zeros(20)),
+            ((block[0], block[0], 1.0), block),
+            ((block[:1], block[:1], 1.0), block),
+            ((block, block, np.ones(20)), block),
+        ):
+            with pytest.raises(ValueError, match="does not match y_cal"):
+                conformal_correction(*args, y, *levels)
+        # scalar plug-in values still broadcast, one correction per row
+        got = conformal_correction(0.0, 0.0, 1.0, block, *levels)
+        for c in got if isinstance(got, tuple) else (got,):
+            assert c.shape == (4,)
+
+
 def test_interval_excess_scores_from_hand_calibration():
     # with the plug-in band fixed at [-1, 1] the scores for y = 2, 0, -3
     # are 1, -1, 2; the inflated 0.75-level is (0.75)(1 + 1/3) = 1, so the

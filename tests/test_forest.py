@@ -154,16 +154,28 @@ def _leaf_record(forest) -> _LeafRecord:
     return _LeafRecord(forest.leaf_weights, forest.leaf_mean, rank, forest.config.n_trees)
 
 
-def _trees_differ(record, tree, ref, node=0, ref_node=0):
+def _tables(forest):
+    """Yield ``(table, first)``: node v of the table is D row ``first + v``.
+
+    ``first`` is the node count of the tables grown before it.
+    """
+    first = 0
+    for table in forest.tables:
+        yield table, first
+        first += table.feature.size
+
+
+def _trees_differ(record, tree, first, ref, node=0, ref_node=0):
     """First difference between two grown trees, walked from the root, or None.
 
-    ``record`` is the grown tree's ``_LeafRecord``.
+    ``record`` is the grown tree's ``_LeafRecord`` and ``first`` its table's
+    first D row.
     """
     if tree.feature[node] != ref.feature[ref_node]:
         return f"node {node}: feature {tree.feature[node]} != {ref.feature[ref_node]}"
     if tree.feature[node] < 0:
         ref_rows = _leaf_rows(ref, ref_node)
-        d_row = int(tree.leaf[node])
+        d_row = first + int(node)
         if record.mean[d_row].tobytes() != ref.leaf_mean[ref_node].tobytes():
             return f"leaf {node}: mean {record.mean[d_row]!r} != {ref.leaf_mean[ref_node]!r}"
         # the leaf's row of D: its distinct rows, ascending by response rank,
@@ -182,9 +194,9 @@ def _trees_differ(record, tree, ref, node=0, ref_node=0):
     if tree.threshold[node].tobytes() != ref.threshold[ref_node].tobytes():
         return f"node {node}: threshold {tree.threshold[node]!r} != {ref.threshold[ref_node]!r}"
     # the grown table's right child is left + 1; the referee keeps its own
-    return _trees_differ(record, tree, ref, tree.left[node], ref.left[ref_node]) or _trees_differ(
-        record, tree, ref, tree.left[node] + 1, ref.right[ref_node]
-    )
+    return _trees_differ(
+        record, tree, first, ref, tree.left[node], ref.left[ref_node]
+    ) or _trees_differ(record, tree, first, ref, tree.left[node] + 1, ref.right[ref_node])
 
 
 def _route_to_leaf(tree, root, x):
@@ -261,8 +273,8 @@ def _referee_weights(forest, X):
     w = np.zeros((X.shape[0], n_train))
     w_flat = w.reshape(-1)
     query_base = np.arange(X.shape[0]) * n_train
-    for table in forest.tables:
-        for leaves in table.leaf[table.apply(X)]:
+    for table, first in _tables(forest):
+        for leaves in first + table.apply(X):
             start = indptr[leaves]
             counts_q = indptr[leaves + 1] - start
             # ragged gather of each query's leaf slice into one flat batch
@@ -287,8 +299,8 @@ def _referee_quantiles(forest, X, levels):
 
 def _referee_means(forest, X):
     acc = np.zeros(X.shape[0])
-    for table in forest.tables:
-        for leaves in table.leaf[table.apply(X)]:
+    for table, first in _tables(forest):
+        for leaves in first + table.apply(X):
             acc += forest.leaf_mean[leaves]
     return acc / forest.config.n_trees
 
@@ -433,16 +445,14 @@ def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, x_
     config = ForestConfig(n_trees=n_trees, min_leaf_size=min_leaf, bootstrap=bootstrap, seed=p)
     forest = QuantileForestRegressor(config).fit(X, y, 0.1, 0.9)._forest
     assert len(forest.tables) == n_batches
-    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    trees = [(t, first, root) for t, first in _tables(forest) for root in range(t.n_trees)]
     assert len(trees) == n_trees
     record = _leaf_record(forest)
     seqs = np.random.SeedSequence(config.seed).spawn(n_trees)
-    for i, ((tree, root), seq) in enumerate(zip(trees, seqs)):
-        # leaf ids are stored in D's index dtype, so a read gathers them as E's indices
-        assert tree.leaf.dtype == forest.leaf_weights[2].dtype
+    for i, ((tree, first, root), seq) in enumerate(zip(trees, seqs)):
         rows0 = np.random.default_rng(seq).integers(0, n, size=n) if bootstrap else np.arange(n)
         ref = _grow_tree(X, y, rows0, min_leaf)
-        assert _trees_differ(record, tree, ref, root) is None, f"tree {i}"
+        assert _trees_differ(record, tree, first, ref, root) is None, f"tree {i}"
 
 
 def test_the_grower_referee_pins_each_leaf_multiset():
@@ -455,10 +465,11 @@ def test_the_grower_referee_pins_each_leaf_multiset():
     rows0 = np.random.default_rng(np.random.SeedSequence(2).spawn(3)[0]).integers(0, 300, size=300)
     ref = _grow_tree(X, y, rows0, 8)  # tree 0, rooted at node 0 of the first table
     record = _leaf_record(forest)
-    assert _trees_differ(record, table, ref) is None
+    assert _trees_differ(record, table, 0, ref) is None
     data, columns, indptr = record.weights
-    # a leaf of tree 0 (D's first rows) holding rows with unequal multiplicity
-    for d_row in range(int(np.count_nonzero(ref.feature < 0))):
+    # a leaf of tree 0 (the first table's node ids are its D rows) holding
+    # rows with unequal multiplicity
+    for d_row in sorted(node for node in _node_depths(table, 0) if table.feature[node] < 0):
         span = slice(int(indptr[d_row]), int(indptr[d_row + 1]))
         if np.unique(data[span]).size > 1:
             break
@@ -469,12 +480,12 @@ def test_the_grower_referee_pins_each_leaf_multiset():
     moved = data.copy()  # a copy of one row moved onto another row of the leaf
     moved[[most, least]] = moved[[least, most]]
     wrong = record._replace(weights=(moved, columns, indptr))
-    assert "shares differ" in _trees_differ(wrong, table, ref)
+    assert "shares differ" in _trees_differ(wrong, table, 0, ref)
     swapped = columns.copy()  # a row of the leaf replaced by a row outside it
     swapped[least] = np.setdiff1d(np.arange(300), columns[span])[0]
     swapped[span] = np.sort(swapped[span])
     wrong = record._replace(weights=(data, swapped, indptr))
-    assert "rows differ" in _trees_differ(wrong, table, ref)
+    assert "rows differ" in _trees_differ(wrong, table, 0, ref)
 
 
 def _check_multi_batch_readouts(bootstrap, levels):
@@ -490,14 +501,14 @@ def _check_multi_batch_readouts(bootstrap, levels):
     mid = pair.predict_quantile(X_query, levels[2])
     got_mean = mean.predict(X_query)
     forest = mean._forest
-    trees = [(table, root) for table in forest.tables for root in range(table.n_trees)]
+    trees = [(t, first, root) for t, first in _tables(forest) for root in range(t.n_trees)]
     exact = _oracle_quantiles(pair, X, X_query, levels)
     for i, x in enumerate(X_query):
         assert [lo[i], hi[i], mid[i]] == exact[i]
         # the mean readout adds the leaf means in tree order, then divides
         want = 0.0
-        for table, root in trees:
-            want += forest.leaf_mean[table.leaf[_route_to_leaf(table, root, x)]]
+        for table, first, root in trees:
+            want += forest.leaf_mean[first + _route_to_leaf(table, root, x)]
         assert got_mean[i].tobytes() == np.float64(want / len(trees)).tobytes()
 
 
@@ -555,6 +566,33 @@ def test_lockstep_routing_equals_the_per_tree_walk(three_batch_forest):
             assert want[root, i] == _route_to_leaf(table, table.left[root], Q[i])
 
 
+def test_a_node_id_is_its_row_of_the_leaf_weight_block(three_batch_forest):
+    forest = three_batch_forest
+    _, _, indptr = forest.leaf_weights
+    for table, first in _tables(forest):
+        nodes = slice(first, first + table.feature.size)
+        split = np.flatnonzero(table.feature >= 0)
+        # the roots are nodes 0..n_trees-1 and every other node is a child,
+        # numbered in its parent's order: split node k's are n_trees + 2k, + 1
+        assert table.feature.size == table.n_trees + 2 * split.size
+        assert np.array_equal(table.left[split], table.n_trees + 2 * np.arange(split.size))
+        # exactly the leaves have rows of D, and a split node's mean is 0
+        assert np.array_equal(np.diff(indptr[nodes.start : nodes.stop + 1]) > 0, table.feature < 0)
+        assert np.all(forest.leaf_mean[nodes][split] == 0.0)
+    n_nodes = sum(table.feature.size for table in forest.tables)
+    assert n_nodes == forest.leaf_mean.size == indptr.size - 1
+    # a read's E holds, in D's index dtype, each tree's reached node offset
+    # by the node counts of the tables before it
+    X = np.random.default_rng(18).normal(size=(30, 2))
+    want = np.concatenate([first + table.apply(X) for table, first in _tables(forest)]).T
+    blocks = 0
+    for block, E, inverse in forest._routes(X, 7):
+        assert E.indices.dtype == indptr.dtype
+        assert np.array_equal(E.indices.reshape(-1, forest.config.n_trees)[inverse], want[block])
+        blocks += 1
+    assert blocks == 5
+
+
 def _node_depths(table, root):
     """Depth of every node of the tree at ``root``, walking split nodes' children."""
     depths, stack = {}, [(root, 0)]
@@ -580,7 +618,6 @@ def _assert_leaves_point_to_themselves(table, X):
     for root in range(table.n_trees):
         is_leaf[[_route_to_leaf(table, root, x) for x in X]] = True
     assert np.array_equal(table.feature == -1, is_leaf)
-    assert np.array_equal(table.leaf >= 0, is_leaf)
     assert np.array_equal(table.left[is_leaf], np.flatnonzero(is_leaf))
     assert np.all(table.threshold[is_leaf] == np.inf)
     assert np.all(np.isfinite(table.threshold[~is_leaf]))
