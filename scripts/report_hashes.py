@@ -57,6 +57,7 @@ from pathlib import Path
 
 from checkouts import emit, parse_checkouts
 
+ALL_METHODS = ("split", "local", "cqr", "cqr-asym")
 METHOD_SETS = (
     ("split",),
     ("local",),
@@ -66,10 +67,9 @@ METHOD_SETS = (
     ("local", "split"),
     ("cqr", "cqr-asym"),
     ("cqr-asym", "cqr"),
-    ("split", "local", "cqr", "cqr-asym"),
-    ("cqr-asym", "cqr", "local", "split"),
+    ALL_METHODS,
+    ALL_METHODS[::-1],
 )
-PAIR_METHODS = ("cqr", "cqr-asym")
 
 
 def _sha(data) -> str:
@@ -186,6 +186,7 @@ def multi_batch_forests():
 
 def matrix():
     """Yield ``(name, sha256)`` for every output of the checkout on the path."""
+    from confband.conformal import PAIR_METHODS
     from confband.datagen import SyntheticSpec, generate
     from confband.harness import (
         ENGINES,
@@ -218,9 +219,8 @@ def matrix():
             for tune in (False, True) if has_pair else (False,):
                 name = f"run/{engine}/{'+'.join(methods)}/tune-{'on' if tune else 'off'}"
                 yield name, run(methods=methods, engine=engine, tune_quantiles=tune)
-    all_methods = METHOD_SETS[8]
     yield "run/qrf/all/original-units", run(
-        methods=all_methods, engine="qrf", report_original_units=True
+        methods=ALL_METHODS, engine="qrf", report_original_units=True
     )
     yield "run/qrf/split+local/gamma-0.25", run(
         methods=("split", "local"), engine="qrf", gamma=0.25

@@ -127,11 +127,8 @@ def _fitted_plugin(method: str, models: dict, gamma, X):
 
 
 def _inflated(scores, alpha: float):
-    """One sample's inflated quantile as a float, or one per row of a (trials x n) block.
-
-    A scalar score is a sample of one.
-    """
-    q = inflated_quantiles(np.atleast_1d(scores), alpha)
+    """One sample's inflated quantile as a float, or one per row of a (trials x n) block."""
+    q = inflated_quantiles(scores, alpha)
     return q if q.ndim else float(q)
 
 

@@ -31,6 +31,7 @@ from .regressors.base import (
     check_count,
     check_real,
     store_python_values,
+    training_rows,
 )
 
 __all__ = [
@@ -372,11 +373,8 @@ class StandardizationParams:
 
 def standardize_fit(X, y) -> StandardizationParams:
     """Per-feature mean/std and mean-|y| divisor from (proper training) rows."""
-    X = as_matrix(X)
-    y = as_vector(y, X.shape[0])
+    X, y = training_rows(X, y)
     n = X.shape[0]
-    if n == 0:
-        raise ValueError("need at least one row to standardize")
     means = np.array([math.fsum(X[:, j]) / n for j in range(X.shape[1])])
     stds = np.array(
         [

@@ -81,12 +81,11 @@ from .regressors import (
     cross_validate_l2,
 )
 from .regressors.base import (
-    as_matrix,
-    as_vector,
     check_count,
     check_flag,
     check_real,
     store_python_values,
+    training_rows,
 )
 
 __all__ = [
@@ -174,8 +173,9 @@ PAIR_ENGINES = tuple(name for name, engine in _ENGINES.items() if engine.pair is
 
 def fix_crossing(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise repair of crossed quantile estimates: (min, max) per point."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape:
+        raise ValueError(f"lower ends of shape {lo.shape} do not match upper ends {hi.shape}")
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
@@ -621,8 +621,7 @@ def tune_quantile_levels(
     check_level(alpha)
     grid = [check_level(nominal) for nominal in grid]
     check_count("cv_folds", cv_folds, minimum=2)
-    X1 = as_matrix(X1)
-    y1 = as_vector(y1, X1.shape[0])
+    X1, y1 = training_rows(X1, y1)
     n = X1.shape[0]
     if n < cv_folds:
         raise ValueError(f"need at least {cv_folds} rows for {cv_folds}-fold CV")

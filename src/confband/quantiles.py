@@ -108,10 +108,11 @@ def inflated_quantiles(scores, alpha: float) -> np.ndarray:
 
     Row t of a (trials x n) array gives entry t of the result, the value
     ``SortedSample(scores[t]).inflated_quantile(alpha)`` returns; one sort
-    serves every row. Raises ValueError for empty or non-finite scores.
+    serves every row, and a scalar score is a sample of one. Raises ValueError
+    for empty or non-finite scores.
     """
     alpha = check_level(alpha)
-    scores = _checked_scores(scores)
+    scores = np.atleast_1d(_checked_scores(scores))
     k = _inflated_rank(scores.shape[-1], alpha)
     if k is None:
         return np.full(scores.shape[:-1], math.inf)

@@ -14,7 +14,8 @@ predictors are immutable: predictions are deterministic functions of the
 fitted state. Reads are row-wise: a row's prediction has the same bits
 whatever other rows are read with it and whatever the memory layout of X,
 so a conformal score is a fixed function of its own row and a block of
-rows may be read at once. ``as_matrix`` hands every read C-ordered rows.
+rows may be read at once. ``as_matrix`` hands every read C-ordered rows, and
+``training_rows`` every fit.
 """
 
 import math
@@ -36,6 +37,7 @@ __all__ = [
     "check_flag",
     "check_real",
     "store_python_values",
+    "training_rows",
 ]
 
 
@@ -66,6 +68,17 @@ def as_vector(y, n_rows: int | None = None) -> np.ndarray:
     if n_rows is not None and y.size != n_rows:
         raise ValueError(f"response has {y.size} rows, features have {n_rows}")
     return y
+
+
+def training_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix(X)`` and ``as_vector(y)`` of as many rows, for every fit before its
+    own rules; X with no row or no feature column is rejected."""
+    X = as_matrix(X)
+    if 0 in X.shape:
+        raise ValueError(
+            f"need at least one row and one feature column to fit, got X of shape {X.shape}"
+        )
+    return X, as_vector(y, X.shape[0])
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:

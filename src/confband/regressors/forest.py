@@ -56,10 +56,10 @@ from .base import (
     MeanRegressor,
     QuantileRegressor,
     as_matrix,
-    as_vector,
     check_count,
     check_flag,
     store_python_values,
+    training_rows,
 )
 
 __all__ = [
@@ -387,11 +387,8 @@ class _Forest:
     """
 
     def __init__(self, X, y, config: ForestConfig):
-        X = as_matrix(X)
-        y = as_vector(y, X.shape[0])
+        X, y = training_rows(X, y)
         n = X.shape[0]
-        if X.shape[1] == 0:
-            raise ValueError("X has no feature columns")
         if n < 2 * config.min_leaf_size:
             raise ValueError(
                 f"need at least {2 * config.min_leaf_size} rows to grow leaves of "
@@ -424,8 +421,9 @@ class _Forest:
                 R = np.broadcast_to(np.arange(n), (len(batch), n))
             table, (count, rows, shares, means) = _grow_batch(X, y, rank[R], config.min_leaf_size)
             self.tables.append(table)
-            # each tree gives a query weight 1/n_trees, shared over its leaf's rows
-            blocks.append((count, rows.astype(index), per_tree * shares, means))
+            # each tree gives a query weight 1/n_trees, shared over its leaf's rows;
+            # a node's count is below D's entry count, so it fits the index dtype too
+            blocks.append((count.astype(index), rows.astype(index), per_tree * shares, means))
         count, rows, data, self.leaf_mean = (np.concatenate(a) for a in zip(*blocks))
         indptr = np.zeros(count.size + 1, dtype=index)
         np.cumsum(count, out=indptr[1:])

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import MeanRegressor, as_matrix, as_vector, check_count
+from .base import MeanRegressor, as_matrix, check_count, training_rows
 
 __all__ = ["KnnDispersion"]
 
@@ -37,8 +37,7 @@ class KnnDispersion(MeanRegressor):
         self._r: np.ndarray | None = None
 
     def fit(self, X, residuals) -> "KnnDispersion":
-        X = as_matrix(X)
-        r = as_vector(residuals, X.shape[0])
+        X, r = training_rows(X, residuals)
         if np.any(r < 0):
             raise ValueError("residuals must be non-negative (absolute residuals)")
         if self.k > X.shape[0]:

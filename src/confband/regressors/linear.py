@@ -12,7 +12,7 @@ import numpy as np
 
 from ..losses import PinballLoss
 from ..quantiles import check_level_pair
-from .base import MeanRegressor, QuantileRegressor, as_matrix, as_vector, check_count, check_real
+from .base import MeanRegressor, QuantileRegressor, as_matrix, check_count, check_real, training_rows
 
 __all__ = ["LinearPinballModel", "LinearQuantilePair", "LinearMedianRegressor"]
 
@@ -29,8 +29,7 @@ class LinearPinballModel:
         self._y_scale: float = 1.0
 
     def fit(self, X, y) -> "LinearPinballModel":
-        X = as_matrix(X)
-        y = as_vector(y, X.shape[0])
+        X, y = training_rows(X, y)
         n = X.shape[0]
         scale = float(np.mean(np.abs(y)))
         if scale == 0.0:

@@ -27,10 +27,10 @@ from .base import (
     MeanRegressor,
     QuantileRegressor,
     as_matrix,
-    as_vector,
     check_count,
     check_real,
     store_python_values,
+    training_rows,
 )
 
 __all__ = [
@@ -266,8 +266,7 @@ def _select_epoch_count(X, y, head, config: MlpConfig, n_folds: int) -> int:
 
 
 def _fit_network(X, y, head, config: MlpConfig, cv_folds: int) -> MlpNetwork:
-    X = as_matrix(X)
-    y = as_vector(y, X.shape[0])
+    X, y = training_rows(X, y)
     n_epochs = config.max_epochs
     if cv_folds >= 2 and X.shape[0] >= 2 * cv_folds:
         n_epochs = _select_epoch_count(X, y, head, config, cv_folds)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import MeanRegressor, as_matrix, as_vector, check_count, check_real
+from .base import MeanRegressor, as_matrix, check_count, check_real, training_rows
 
 __all__ = ["RidgeRegressor", "cross_validate_l2", "DEFAULT_L2_GRID"]
 
@@ -29,10 +29,7 @@ class RidgeRegressor(MeanRegressor):
         self.intercept_: float | None = None
 
     def fit(self, X, y) -> "RidgeRegressor":
-        X = as_matrix(X)
-        y = as_vector(y, X.shape[0])
-        if X.shape[0] < 1:
-            raise ValueError("need at least one training row")
+        X, y = training_rows(X, y)
         x_mean = X.mean(axis=0)
         y_mean = y.mean()
         Xc = X - x_mean
@@ -73,8 +70,7 @@ def cross_validate_l2(
     Folds are a seeded shuffle of the rows; ties go to the smaller penalty.
     """
     check_count("n_folds", n_folds, minimum=2)
-    X = as_matrix(X)
-    y = as_vector(y, X.shape[0])
+    X, y = training_rows(X, y)
     n = X.shape[0]
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -96,6 +97,16 @@ def test_fix_crossing_repairs_and_is_idempotent():
     assert np.array_equal(fixed_hi, [1.0, 2.0, -1.0])
     again = fix_crossing(fixed_lo, fixed_hi)
     assert np.array_equal(again[0], fixed_lo) and np.array_equal(again[1], fixed_hi)
+
+
+def test_fix_crossing_repairs_a_block_and_rejects_ends_of_another_shape():
+    q = np.random.default_rng(6).normal(size=(2, 3, 5))  # the tuner's (2 x grid x rows) read
+    lo, hi = fix_crossing(*q)
+    assert np.array_equal(lo, np.minimum(*q)) and np.array_equal(hi, np.maximum(*q))
+    for ends, shapes in ((([1, 2], [1]), "(2,) do not match upper ends (1,)"),
+                         ((q[0], q[1, 0]), "(3, 5) do not match upper ends (5,)")):
+        with pytest.raises(ValueError, match=re.escape(f"lower ends of shape {shapes}")):
+            fix_crossing(*ends)
 
 
 def test_reports_count_crossings_at_calibration_and_test(monkeypatch):

@@ -76,11 +76,6 @@ def test_a_non_integer_k_is_rejected(k):
     assert KnnDispersion(k=np.int64(2)).k == 2
 
 
-def test_predict_before_fit_is_an_error():
-    with pytest.raises(RuntimeError):
-        KnnDispersion(k=1).predict([[0.0]])
-
-
 def test_distances_match_scipy_cdist_bit_for_bit():
     from scipy.spatial.distance import cdist
 

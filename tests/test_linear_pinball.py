@@ -120,10 +120,3 @@ def test_non_integer_epochs_and_non_finite_rates_are_rejected(setting, message):
     ):
         with pytest.raises(ValueError, match=message):
             build()
-
-
-def test_predict_before_fit_is_an_error():
-    with pytest.raises(RuntimeError):
-        LinearPinballModel(0.5).predict([[0.0]])
-    with pytest.raises(RuntimeError):
-        LinearQuantilePair().predict_pair([[0.0]])

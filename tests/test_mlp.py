@@ -179,11 +179,3 @@ def test_a_non_integer_fold_count_is_rejected(model):
 def test_pinball_head_requires_ordered_levels():
     with pytest.raises(ValueError, match="alpha_lo must be below alpha_hi"):
         _PinballPairHead(0.9, 0.1)
-
-
-def test_predict_before_fit_raises():
-    with pytest.raises(RuntimeError, match="fit"):
-        MlpMeanRegressor().predict(np.zeros((3, 2)))
-    with pytest.raises(RuntimeError, match="fit"):
-        MlpQuantilePair().predict_pair(np.zeros((3, 2)))
-

@@ -188,6 +188,14 @@ def test_inflated_quantiles_take_each_rows_inflated_quantile():
         inflated_quantiles(np.zeros((3, 4)), 1.0)
 
 
+def test_a_scalar_score_is_a_sample_of_one():
+    # alpha = 0.4 asks for more than one score can certify, alpha = 0.6 for the score
+    for alpha in (0.4, 0.6):
+        got = inflated_quantiles(3.0, alpha)
+        assert got.shape == () and got.tobytes() == inflated_quantiles([3.0], alpha).tobytes()
+        assert got == SortedSample([3.0]).inflated_quantile(alpha)
+
+
 def test_empty_sample_is_rejected():
     with pytest.raises(ValueError):
         SortedSample([])

@@ -1,6 +1,7 @@
 """Checks shared by every regression engine."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from confband.regressors import (
     ForestMeanRegressor,
     KnnDispersion,
     LinearMedianRegressor,
+    LinearPinballModel,
     LinearQuantilePair,
     MlpConfig,
     MlpMeanRegressor,
     MlpQuantilePair,
     QuantileForestRegressor,
     RidgeRegressor,
+    cross_validate_l2,
 )
 
 _FOREST = ForestConfig(n_trees=3, min_leaf_size=2)
@@ -39,13 +42,70 @@ _ENGINES = {
     "forest-mean": (lambda: ForestMeanRegressor(_FOREST), (), "predict"),
     # the harness's qrf mean: the fitted pair's forest read as a mean
     "forest-pair-mean": (lambda: QuantileForestRegressor(_FOREST), _PAIR_LEVELS, "predict"),
+    "forest-quantile": (lambda: QuantileForestRegressor(_FOREST), _PAIR_LEVELS, "predict_quantile"),
     "ridge": (lambda: RidgeRegressor(0.1), (), "predict"),
     "linear-pair": (lambda: LinearQuantilePair(epochs=5), _PAIR_LEVELS, "predict_pair"),
     "linear-median": (lambda: LinearMedianRegressor(epochs=5), (), "predict"),
+    "linear-model": (lambda: LinearPinballModel(0.9, epochs=5), (), "predict"),
     "mlp-mean": (lambda: MlpMeanRegressor(_MLP, cv_folds=1), (), "predict"),
     "mlp-pair": (lambda: MlpQuantilePair(_MLP, cv_folds=1), _PAIR_LEVELS, "predict_pair"),
     "knn": (lambda: KnnDispersion(k=3), (), "predict"),
 }
+
+
+def _oracle_pair():
+    return OracleQuantileRegressor(OracleQuantiles(noise_scale=1.0))
+
+
+# every readout, with the model it reads: (unfitted model, readout method)
+_READOUTS = {
+    **{engine: (make, readout) for engine, (make, _, readout) in _ENGINES.items()},
+    "oracle-pair": (_oracle_pair, "predict_pair"),
+}
+
+
+def _read(model, readout):
+    """``model``'s readout as a function of X alone; a quantile read is at the median."""
+    read = getattr(model, readout)
+    return partial(read, level=0.5) if readout == "predict_quantile" else read
+
+
+def _never_made():
+    raise AssertionError("a pair was made before the rows were checked")
+
+
+# the fits that return no model, each as a function of the training rows
+_FIT_FUNCTIONS = {
+    "standardize_fit": standardize_fit,
+    "cross_validate_l2": cross_validate_l2,
+    "tune_quantile_levels": lambda X, y: harness.tune_quantile_levels(
+        _never_made, X, y, 0.1, 2, np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 0)], ids=["no-row", "no-column"])
+@pytest.mark.parametrize("fit", [*_ENGINES, *_FIT_FUNCTIONS])
+def test_every_fit_rejects_rows_without_a_row_or_a_column(fit, shape):
+    X, y = np.zeros(shape), np.zeros(shape[0])
+    want = f"need at least one row and one feature column to fit, got X of shape {shape}"
+    if fit in _FIT_FUNCTIONS:
+        with pytest.raises(ValueError, match=re.escape(want)):
+            _FIT_FUNCTIONS[fit](X, y)
+        return
+    make, fit_args, readout = _ENGINES[fit]
+    model = make()
+    with pytest.raises(ValueError, match=re.escape(want)):
+        model.fit(X, y, *fit_args)
+    with pytest.raises(RuntimeError, match="fit"):  # the failed fit left no model behind
+        _read(model, readout)(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("engine", list(_READOUTS))
+def test_a_read_before_fit_raises(engine):
+    make, readout = _READOUTS[engine]
+    with pytest.raises(RuntimeError, match="fit"):
+        _read(make(), readout)(np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("engine", list(_ENGINES))
@@ -54,7 +114,7 @@ def test_predict_rejects_a_feature_count_other_than_the_fitted_one(engine):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 3))
     y = np.abs(X[:, 0] + rng.normal(size=30))  # non-negative, as k-NN dispersion needs
-    predict = getattr(make().fit(X, y, *fit_args), readout)
+    predict = _read(make().fit(X, y, *fit_args), readout)
     predict(rng.normal(size=(4, 3)))
     for width in (5, 2):
         with pytest.raises(ValueError, match=f"has {width} features, but the model was fitted on 3"):
@@ -73,10 +133,7 @@ def test_a_quantile_forest_reads_the_mean_of_a_mean_forest_fitted_alike():
 @pytest.mark.parametrize("engine", ["forest-pair", "linear-pair", "mlp-pair", "oracle-pair"])
 @pytest.mark.parametrize("levels", [(0.9, 0.1), (0.5, 0.5)])
 def test_every_pair_engine_rejects_levels_out_of_order(engine, levels):
-    if engine == "oracle-pair":
-        model = OracleQuantileRegressor(OracleQuantiles(noise_scale=1.0))
-    else:
-        model = _ENGINES[engine][0]()
+    model = _READOUTS[engine][0]()
     X = np.linspace(0.5, 4.5, 30)[:, None]
     want = f"alpha_lo must be below alpha_hi, got {levels}"
     with pytest.raises(ValueError, match=re.escape(want)):
@@ -95,8 +152,7 @@ def test_a_level_that_is_not_a_real_number_fails_before_any_work(bad):
     with pytest.raises(ValueError, match="level must be a real number"):
         check_level(bad)
     rows = _Unread()
-    pairs = [_ENGINES[e][0]() for e in ("forest-pair", "linear-pair", "mlp-pair")]
-    pairs.append(OracleQuantileRegressor(OracleQuantiles(noise_scale=1.0)))
+    pairs = [_READOUTS[e][0]() for e in ("forest-pair", "linear-pair", "mlp-pair", "oracle-pair")]
     for pair in pairs:
         for levels in ((bad, 0.9), (0.1, bad)):
             with pytest.raises(ValueError, match="level must be a real number"):

@@ -99,11 +99,6 @@ def test_fit_rejects_mismatched_shapes():
         RidgeRegressor(-1.0)
 
 
-def test_predict_before_fit_is_an_error():
-    with pytest.raises(RuntimeError):
-        RidgeRegressor(0.0).predict([[1.0]])
-
-
 def test_ridge_rejects_negative_l2_weight():
     assert RidgeRegressor().l2_weight == 0.0
     assert RidgeRegressor(2.5).l2_weight == 2.5
