@@ -11,7 +11,7 @@ Three subcommands:
 Every option can also be supplied through ``--config FILE``, a plain text
 file of ``key = value`` lines (``#`` starts a comment; keys match the long
 option names of the chosen subcommand with either dashes or underscores;
-booleans are true/false).
+booleans are true/false; a value must be one of the option's choices).
 Explicit command line flags win over file values.
 """
 
@@ -52,9 +52,9 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 
 def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
     """The values of a config file; a key must name an option of subcommand ``sub``."""
-    # option dest -> text converter, over the subcommand's options but --config
-    converters = {
-        a.dest: _to_bool if isinstance(a, argparse._StoreTrueAction) else a.type or str
+    # option dest -> (text converter, choices), over the subcommand's options but --config
+    options = {
+        a.dest: (_to_bool if isinstance(a, argparse._StoreTrueAction) else a.type or str, a.choices)
         for a in sub._actions
         if a.dest not in ("help", "config")
     }
@@ -69,10 +69,13 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in converters:
+            if key not in options:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            convert, choices = options[key]
             try:
-                values[key] = converters[key](value)
+                values[key] = convert(value)
+                if choices is not None and values[key] not in choices:
+                    raise ValueError(f"invalid choice {value!r} (choose from {', '.join(choices)})")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values

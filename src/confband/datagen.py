@@ -30,6 +30,7 @@ from .regressors.base import (
     as_vector,
     check_count,
     check_real,
+    read_rows,
     store_python_values,
     training_rows,
 )
@@ -302,8 +303,8 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
 def load_csv(path: str, target_column: str) -> Dataset:
     """Read a numeric UTF-8 CSV with a header row into a dataset; a byte-order mark is skipped.
 
-    Rows containing any cell that does not parse as a finite number are
-    dropped; a single warning reports how many. Raises FileNotFoundError
+    Blank lines are skipped. Rows containing any cell that does not parse as
+    a finite number are dropped; a single warning reports how many. Raises FileNotFoundError
     for a missing file, ValueError("target column not found...") for a bad
     target name, ValueError("duplicate column names...") when two header
     names are equal once stripped, and ValueError("no usable rows...") when
@@ -330,7 +331,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
 
         rows = []
         n_dropped = 0
-        for cells in reader:
+        for cells in filter(None, reader):  # a blank line reads as [] and is skipped
             if len(cells) != len(header):
                 n_dropped += 1
                 continue
@@ -434,12 +435,14 @@ class _OracleReadout:
     response units. Without it both stay in raw units.
     """
 
+    n_features_in_ = 1  # the mean and the dispersion read without a fit
+
     def __init__(self, oracle: OracleQuantiles, params: StandardizationParams | None = None):
         self.oracle = oracle
         self.params = params
 
     def _raw_x(self, X) -> np.ndarray:
-        X = as_matrix(X, 1)
+        X = read_rows(self, X)
         if self.params is not None:
             X = standardize_invert(self.params, X)
         return X[:, 0]
@@ -461,17 +464,17 @@ class OracleMeanRegressor(_OracleReadout, MeanRegressor):
 class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
     """Quantile pair that returns the exact conditional quantiles."""
 
-    _levels: tuple[float, float] | None = None
+    n_features_in_ = None  # fitted once its levels are set
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "OracleQuantileRegressor":
         self._levels = check_level_pair(alpha_lo, alpha_hi)
+        self.n_features_in_ = 1
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._levels is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
+        x = self._raw_x(X)  # first: reading X checks the fit that sets the levels
         levels = np.reshape(self._levels, (2, 1))  # one solve for both levels
-        lo, hi = self._units(self.oracle.quantile(self._raw_x(X), levels))
+        lo, hi = self._units(self.oracle.quantile(x, levels))
         return lo, hi
 
 

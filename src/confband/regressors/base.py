@@ -14,8 +14,9 @@ predictors are immutable: predictions are deterministic functions of the
 fitted state. Reads are row-wise: a row's prediction has the same bits
 whatever other rows are read with it and whatever the memory layout of X,
 so a conformal score is a fixed function of its own row and a block of
-rows may be read at once. ``as_matrix`` hands every read C-ordered rows, and
-``training_rows`` every fit.
+rows may be read at once. ``training_rows`` hands every fit its rows and ``read_rows``
+every read: an engine is fitted exactly when its ``n_features_in_`` is set, which its fit
+does last, so a failed fit leaves it as it was; ``ConstantDispersion`` reads unfitted.
 """
 
 import math
@@ -36,6 +37,7 @@ __all__ = [
     "check_count",
     "check_flag",
     "check_real",
+    "read_rows",
     "store_python_values",
     "training_rows",
 ]
@@ -81,6 +83,13 @@ def training_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, as_vector(y, X.shape[0])
 
 
+def read_rows(model, X) -> np.ndarray:
+    """``as_matrix(X, model.n_features_in_)`` for a read; an unfitted model is rejected."""
+    if model.n_features_in_ is None:
+        raise RuntimeError("fit() must be called before the model is read")
+    return as_matrix(X, model.n_features_in_)
+
+
 def check_count(name: str, value, minimum: int = 1) -> int:
     """Reject a count that is not an integer (a bool is not one) or is below ``minimum``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -121,6 +130,8 @@ def store_python_values(config) -> None:
 class MeanRegressor(ABC):
     """Point predictor of the conditional mean."""
 
+    n_features_in_: int | None = None
+
     @abstractmethod
     def fit(self, X, y) -> "MeanRegressor":
         """Fit on the given rows; returns self."""
@@ -134,6 +145,8 @@ class QuantileRegressor(ABC):
     """A pair of conditional quantile predictors fitted jointly. A pair whose fit ignores
     its levels offers ``predict_quantile(X, level)``, a read at any level or array of
     levels, and quantile-level tuning fits such a pair once per fold."""
+
+    n_features_in_: int | None = None
 
     @abstractmethod
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileRegressor":

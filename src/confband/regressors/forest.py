@@ -55,9 +55,9 @@ from ..quantiles import check_level, check_level_pair
 from .base import (
     MeanRegressor,
     QuantileRegressor,
-    as_matrix,
     check_count,
     check_flag,
+    read_rows,
     store_python_values,
     training_rows,
 )
@@ -454,14 +454,10 @@ class _Forest:
             )
             yield slice(start, start + step), E, inverse
 
-    def quantiles(self, X, levels) -> np.ndarray:
-        """Left weighted-CDF quantiles, (levels x rows); every level is checked before X is read."""
+    def quantiles(self, X: np.ndarray, levels) -> np.ndarray:
+        """Left weighted-CDF quantiles of checked rows at checked levels, (levels x rows)."""
         from scipy import sparse
 
-        levels = [check_level(level) for level in np.ravel(levels)]
-        if not levels:
-            raise ValueError("quantile levels must be non-empty")
-        X = as_matrix(X, self.n_features_in_)
         n_train = self._y_sorted.size
         D = sparse.csr_array(self.leaf_weights, shape=(self.leaf_mean.size, n_train))
         out = np.empty((len(levels), X.shape[0]))
@@ -478,9 +474,8 @@ class _Forest:
                 out[i, block] = self._y_sorted[idx[inverse]]
         return out
 
-    def means(self, X) -> np.ndarray:
-        """Leaf means summed in tree order, over the number of trees."""
-        X = as_matrix(X, self.n_features_in_)
+    def means(self, X: np.ndarray) -> np.ndarray:
+        """Leaf means of checked rows summed in tree order, over the number of trees."""
         acc = np.empty(X.shape[0])
         for block, E, inverse in self._routes(X, max(1, _ROUTE_PAIRS // self.config.n_trees)):
             acc[block] = (E @ self.leaf_mean)[inverse]
@@ -492,15 +487,14 @@ class ForestMeanRegressor(MeanRegressor):
 
     def __init__(self, config: ForestConfig = ForestConfig()):
         self.config = config
-        self._forest: _Forest | None = None
 
     def fit(self, X, y) -> "ForestMeanRegressor":
         self._forest = _Forest(X, y, self.config)
+        self.n_features_in_ = self._forest.n_features_in_
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self._forest is None:
-            raise RuntimeError("fit() must be called before predict()")
+        X = read_rows(self, X)
         return self._forest.means(X)
 
 
@@ -512,21 +506,21 @@ class QuantileForestRegressor(ForestMeanRegressor, QuantileRegressor):
     the bits of a ``ForestMeanRegressor`` fitted alike.
     """
 
-    _levels: tuple[float, float] | None = None
-
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "QuantileForestRegressor":
         levels = check_level_pair(alpha_lo, alpha_hi)
         self._forest = _Forest(X, y, self.config)  # not super().fit: one fit call per growth
         self._levels = levels
+        self.n_features_in_ = self._forest.n_features_in_
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._levels is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
+        X = read_rows(self, X)
         return tuple(self._forest.quantiles(X, self._levels))
 
     def predict_quantile(self, X, level) -> np.ndarray:
         """Weighted-CDF quantiles in one pass, shaped as ``level`` plus an axis of X's rows."""
-        if self._forest is None:
-            raise RuntimeError("fit() must be called before predict_quantile()")
-        return self._forest.quantiles(X, level).reshape(*np.shape(level), -1)
+        levels = [check_level(x) for x in np.ravel(level)]  # every one before X is read
+        if not levels:
+            raise ValueError("quantile levels must be non-empty")
+        X = read_rows(self, X)
+        return self._forest.quantiles(X, levels).reshape(*np.shape(level), -1)

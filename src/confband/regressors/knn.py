@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import MeanRegressor, as_matrix, check_count, training_rows
+from .base import MeanRegressor, check_count, read_rows, training_rows
 
 __all__ = ["KnnDispersion"]
 
@@ -33,8 +33,6 @@ class KnnDispersion(MeanRegressor):
 
     def __init__(self, k: int = 11):
         self.k = check_count("k", k)
-        self._X: np.ndarray | None = None
-        self._r: np.ndarray | None = None
 
     def fit(self, X, residuals) -> "KnnDispersion":
         X, r = training_rows(X, residuals)
@@ -48,9 +46,7 @@ class KnnDispersion(MeanRegressor):
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self._X is None:
-            raise RuntimeError("fit() must be called before predict()")
-        X = as_matrix(X, self.n_features_in_)
+        X = read_rows(self, X)
         dists = _euclidean(X, self._X)
         if self.k == self._X.shape[0]:
             neighbors = np.broadcast_to(

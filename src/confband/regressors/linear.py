@@ -12,7 +12,7 @@ import numpy as np
 
 from ..losses import PinballLoss
 from ..quantiles import check_level_pair
-from .base import MeanRegressor, QuantileRegressor, as_matrix, check_count, check_real, training_rows
+from .base import MeanRegressor, QuantileRegressor, check_count, check_real, read_rows, training_rows
 
 __all__ = ["LinearPinballModel", "LinearQuantilePair", "LinearMedianRegressor"]
 
@@ -20,13 +20,12 @@ __all__ = ["LinearPinballModel", "LinearQuantilePair", "LinearMedianRegressor"]
 class LinearPinballModel:
     """A single linear model trained on the pinball loss at one level."""
 
+    n_features_in_: int | None = None
+
     def __init__(self, alpha: float, epochs: int = 2000, learning_rate: float = 0.5):
         self.pinball = PinballLoss(alpha)
         self.epochs = check_count("epochs", epochs)
         self.learning_rate = check_real("learning_rate", learning_rate, positive=True)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float | None = None
-        self._y_scale: float = 1.0
 
     def fit(self, X, y) -> "LinearPinballModel":
         X, y = training_rows(X, y)
@@ -53,9 +52,7 @@ class LinearPinballModel:
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.coef_ is None:
-            raise RuntimeError("fit() must be called before predict()")
-        X = as_matrix(X, self.n_features_in_)
+        X = read_rows(self, X)
         return ((X * self.coef_).sum(axis=1) + self.intercept_) * self._y_scale
 
 
@@ -65,18 +62,16 @@ class LinearQuantilePair(QuantileRegressor):
     def __init__(self, epochs: int = 2000, learning_rate: float = 0.5):
         self.epochs = check_count("epochs", epochs)
         self.learning_rate = check_real("learning_rate", learning_rate, positive=True)
-        self._lo: LinearPinballModel | None = None
-        self._hi: LinearPinballModel | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "LinearQuantilePair":
         alpha_lo, alpha_hi = check_level_pair(alpha_lo, alpha_hi)
-        self._lo = LinearPinballModel(alpha_lo, self.epochs, self.learning_rate).fit(X, y)
-        self._hi = LinearPinballModel(alpha_hi, self.epochs, self.learning_rate).fit(X, y)
+        lo = LinearPinballModel(alpha_lo, self.epochs, self.learning_rate).fit(X, y)
+        hi = LinearPinballModel(alpha_hi, self.epochs, self.learning_rate).fit(X, y)
+        self._lo, self._hi, self.n_features_in_ = lo, hi, lo.n_features_in_
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._lo is None or self._hi is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
+        X = read_rows(self, X)
         return self._lo.predict(X), self._hi.predict(X)
 
 
@@ -87,7 +82,7 @@ class LinearMedianRegressor(MeanRegressor):
         self._model = LinearPinballModel(0.5, epochs, learning_rate)
 
     def fit(self, X, y) -> "LinearMedianRegressor":
-        self._model.fit(X, y)
+        self.n_features_in_ = self._model.fit(X, y).n_features_in_
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -26,9 +26,9 @@ from ..quantiles import as_real, check_level_pair
 from .base import (
     MeanRegressor,
     QuantileRegressor,
-    as_matrix,
     check_count,
     check_real,
+    read_rows,
     store_python_values,
     training_rows,
 )
@@ -286,16 +286,15 @@ class MlpMeanRegressor(MeanRegressor):
     def __init__(self, config: MlpConfig = MlpConfig(), cv_folds: int = 5):
         self.config = config
         self.cv_folds = check_count("cv_folds", cv_folds, minimum=0)
-        self._net: MlpNetwork | None = None
 
     def fit(self, X, y) -> "MlpMeanRegressor":
         self._net = _fit_network(X, y, _SquaredErrorHead(), self.config, self.cv_folds)
+        self.n_features_in_ = self._net.n_features_in_
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self._net is None:
-            raise RuntimeError("fit() must be called before predict()")
-        return self._net.predict(as_matrix(X, self._net.n_features_in_))[:, 0]
+        X = read_rows(self, X)
+        return self._net.predict(X)[:, 0]
 
 
 class MlpQuantilePair(QuantileRegressor):
@@ -308,16 +307,15 @@ class MlpQuantilePair(QuantileRegressor):
     def __init__(self, config: MlpConfig = MlpConfig(), cv_folds: int = 5):
         self.config = config
         self.cv_folds = check_count("cv_folds", cv_folds, minimum=0)
-        self._net: MlpNetwork | None = None
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "MlpQuantilePair":
         head = _PinballPairHead(alpha_lo, alpha_hi)  # checks the levels first
         self._net = _fit_network(X, y, head, self.config, self.cv_folds)
+        self.n_features_in_ = self._net.n_features_in_
         return self
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        if self._net is None:
-            raise RuntimeError("fit() must be called before predict_pair()")
-        out = self._net.predict(as_matrix(X, self._net.n_features_in_))
+        X = read_rows(self, X)
+        out = self._net.predict(X)
         return out[:, 0], out[:, 1]
 

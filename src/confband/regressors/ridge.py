@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import MeanRegressor, as_matrix, check_count, check_real, training_rows
+from .base import MeanRegressor, check_count, check_real, read_rows, training_rows
 
 __all__ = ["RidgeRegressor", "cross_validate_l2", "DEFAULT_L2_GRID"]
 
@@ -25,8 +25,6 @@ class RidgeRegressor(MeanRegressor):
 
     def __init__(self, l2_weight: float = 0.0):
         self.l2_weight = check_real("l2_weight", l2_weight)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float | None = None
 
     def fit(self, X, y) -> "RidgeRegressor":
         X, y = training_rows(X, y)
@@ -52,9 +50,7 @@ class RidgeRegressor(MeanRegressor):
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.coef_ is None:
-            raise RuntimeError("fit() must be called before predict()")
-        X = as_matrix(X, self.n_features_in_)
+        X = read_rows(self, X)
         return (X * self.coef_).sum(axis=1) + self.intercept_
 
 

@@ -211,6 +211,23 @@ def test_config_file_parse_errors(capsys, tmp_path):
     assert "expected 'key = value'" in err
 
 
+@pytest.mark.parametrize("command, line", [
+    (["coverage-audit", "--trials", "2"], "engine = ridge"),
+    (["coverage-audit", "--trials", "2"], "engine = mlpx"),
+    (["run", "--engine", "oracle", "--reps", "1"], "synthetic = bogus"),
+    (["demo-fig1", "--n", "200", "--n-trees", "2"], "kind = bogus"),
+])
+def test_a_config_value_outside_the_option_choices_names_its_line(capsys, tmp_path, command, line):
+    config = tmp_path / "choices.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, [*command, "--config", str(config)])
+    key, _, value = line.partition(" = ")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config}:1: bad value for {key}: invalid choice {value!r}")
+    choices = _subcommands(build_parser())[command[0]]._option_string_actions[f"--{key}"].choices
+    assert err.endswith(f"(choose from {', '.join(choices)})\n")
+
+
 def test_config_file_accepts_comments_and_either_separator_style(tmp_path):
     config = tmp_path / "style.conf"
     config.write_text(

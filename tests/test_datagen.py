@@ -1,5 +1,7 @@
 """Tests for the synthetic generator, CSV ingestion, and standardization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -324,6 +326,23 @@ def test_load_csv_drops_bad_rows_with_a_warning(tmp_path):
     with pytest.warns(UserWarning, match="dropped 3 rows"):
         data = load_csv(path, "target")
     assert np.array_equal(data.y, [2.0, 7.0])
+
+
+def test_load_csv_skips_blank_lines_without_a_warning(tmp_path):
+    want = load_csv(_write(tmp_path / "plain.csv", "a,target\n1,2\n3,4\n"), "target")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, text in [
+            ("middle.csv", "a,target\n1,2\n\n\n3,4\n"),
+            ("end.csv", "a,target\n1,2\n3,4\n\n"),
+            ("both.csv", "a,target\n\n1,2\r\n\r\n3,4\n\n\n"),
+        ]:
+            got = load_csv(_write(tmp_path / name, text), "target")
+            assert got.feature_names == want.feature_names, name
+            assert (got.X.tobytes(), got.y.tobytes()) == (want.X.tobytes(), want.y.tobytes()), name
+    with pytest.warns(UserWarning, match="dropped 1 rows"):
+        data = load_csv(_write(tmp_path / "short.csv", "a,target\n1,2\n\n3\n5,6\n"), "target")
+    assert np.array_equal(data.y, [2.0, 6.0])
 
 
 def test_load_csv_error_cases(tmp_path):

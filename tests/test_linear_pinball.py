@@ -65,6 +65,25 @@ def test_quantile_pair_orders_levels_on_noisy_data():
     assert np.mean((y >= lo) & (y <= hi)) == pytest.approx(0.9, abs=0.06)
 
 
+def test_a_pair_refit_that_fails_at_its_upper_level_keeps_the_first_pair(monkeypatch):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(60, 2))
+    y = X[:, 0] + rng.standard_normal(60)
+    pair = LinearQuantilePair(epochs=20).fit(X, y, 0.1, 0.9)
+    want = [half.tobytes() for half in pair.predict_pair(X)]
+    fit = LinearPinballModel.fit
+
+    def fit_failing_at_08(model, X, y):
+        if model.pinball.alpha == 0.8:
+            raise ValueError("diverged; reduce learning rate")
+        return fit(model, X, y)
+
+    monkeypatch.setattr(LinearPinballModel, "fit", fit_failing_at_08)
+    with pytest.raises(ValueError, match="diverged"):
+        pair.fit(X, y, 0.2, 0.8)
+    assert [half.tobytes() for half in pair.predict_pair(X)] == want
+
+
 def test_median_regressor_matches_median_model():
     rng = np.random.default_rng(72)
     X = rng.normal(size=(150, 2))

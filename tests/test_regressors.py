@@ -70,6 +70,10 @@ def _read(model, readout):
     return partial(read, level=0.5) if readout == "predict_quantile" else read
 
 
+# the one message of every read before a fit (regressors.base.read_rows)
+_UNFITTED = "^" + re.escape("fit() must be called before the model is read") + "$"
+
+
 def _never_made():
     raise AssertionError("a pair was made before the rows were checked")
 
@@ -97,15 +101,29 @@ def test_every_fit_rejects_rows_without_a_row_or_a_column(fit, shape):
     model = make()
     with pytest.raises(ValueError, match=re.escape(want)):
         model.fit(X, y, *fit_args)
-    with pytest.raises(RuntimeError, match="fit"):  # the failed fit left no model behind
+    with pytest.raises(RuntimeError, match=_UNFITTED):  # the failed fit left no model behind
         _read(model, readout)(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("engine", list(_READOUTS))
 def test_a_read_before_fit_raises(engine):
     make, readout = _READOUTS[engine]
-    with pytest.raises(RuntimeError, match="fit"):
+    with pytest.raises(RuntimeError, match=_UNFITTED):
         _read(make(), readout)(np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_a_failed_refit_leaves_the_first_fit_to_read(engine):
+    make, fit_args, readout = _ENGINES[engine]
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(30, 3))
+    y = np.abs(X[:, 0] + rng.normal(size=30))  # non-negative, as k-NN dispersion needs
+    model = make().fit(X, y, *fit_args)
+    read = _read(model, readout)
+    want = np.asarray(read(X)).tobytes()
+    with pytest.raises(ValueError, match="need at least one row"):
+        model.fit(np.zeros((0, 2)), np.zeros(0), *fit_args)
+    assert np.asarray(read(X)).tobytes() == want
 
 
 @pytest.mark.parametrize("engine", list(_ENGINES))
