@@ -41,7 +41,6 @@ from .harness import (
 from .losses import PinballLoss
 from .quantiles import SortedSample, check_level
 from .regressors import (
-    ConstantDispersion,
     ForestConfig,
     ForestMeanRegressor,
     KnnDispersion,
@@ -87,7 +86,6 @@ __all__ = [
     "fix_crossing",
     "MeanRegressor",
     "QuantileRegressor",
-    "ConstantDispersion",
     "RidgeRegressor",
     "KnnDispersion",
     "LinearPinballModel",

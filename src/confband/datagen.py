@@ -303,9 +303,10 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
 def load_csv(path: str, target_column: str) -> Dataset:
     """Read a numeric UTF-8 CSV with a header row into a dataset; a byte-order mark is skipped.
 
-    Blank lines are skipped. Rows containing any cell that does not parse as
-    a finite number are dropped; a single warning reports how many. Raises FileNotFoundError
-    for a missing file, ValueError("target column not found...") for a bad
+    Blank and whitespace-only lines are skipped. Rows containing any cell that does
+    not parse as a finite number (an empty one too) are dropped; a single warning
+    reports how many. Raises FileNotFoundError for a missing file,
+    ValueError("target column not found...") for a bad
     target name, ValueError("duplicate column names...") when two header
     names are equal once stripped, and ValueError("no usable rows...") when
     every row is dropped.
@@ -331,7 +332,9 @@ def load_csv(path: str, target_column: str) -> Dataset:
 
         rows = []
         n_dropped = 0
-        for cells in filter(None, reader):  # a blank line reads as [] and is skipped
+        for cells in reader:
+            if len(cells) <= 1 and not "".join(cells).strip():
+                continue  # a blank line reads as [], a whitespace-only one as one blank cell
             if len(cells) != len(header):
                 n_dropped += 1
                 continue

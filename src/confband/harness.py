@@ -26,7 +26,8 @@ fills the three model roles:
   only; pair methods reject it)
 - "mlp": small ReLU network (squared-error head or two-output pinball head)
 - "qrf": one regression forest read as leaf means and as weighted-CDF
-  quantiles, so split, local, cqr and cqr-asym all read the fitted pair
+  quantiles, so split, local, cqr and cqr-asym all read the fitted pair;
+  with local's dispersion forest, a repetition of all four grows two forests
 - "linear-q": linear pinball models (median as the point predictor)
 - "oracle": exact synthetic conditional summaries, for guarantee audits
 
@@ -184,6 +185,10 @@ class CrossingFixPair(QuantileRegressor):
 
     def __init__(self, inner: QuantileRegressor):
         self.inner = inner
+
+    @property
+    def n_features_in_(self) -> int | None:
+        return self.inner.n_features_in_
 
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "CrossingFixPair":
         self.inner.fit(X, y, alpha_lo, alpha_hi)
@@ -416,8 +421,8 @@ class _EngineBundle:
     def reader(self, X: np.ndarray):
         """``read(role)``: the fitted "mean", "dispersion" or "pair" model on X, read once.
 
-        Crossed points of a pair read are counted, then repaired with
-        ``fix_crossing``.
+        Crossed points of a pair read are counted (the ``n_crossings_fixed`` of
+        cqr and cqr-asym), then repaired with ``fix_crossing``.
         """
 
         @functools.cache
@@ -611,10 +616,11 @@ def tune_quantile_levels(
     are halved into fit and calibration parts, the pair is read on both
     parts at every grid level as one (2 x grid x rows) block, and ``_band``
     and ``_evaluate`` conformalize each level at the target ``alpha`` and
-    score its mean length on the validation fold, all levels at once. Ties
-    go to the grid point nearest ``alpha``. A pair with a read at any levels
-    (see ``QuantileRegressor``) is fitted once per fold, any other once per
-    fold and grid level.
+    score its mean length on the validation fold, all levels at once; the
+    least mean over the folds wins, ties to the grid point nearest ``alpha``.
+    A pair with a read at any levels (see ``QuantileRegressor``) is fitted
+    once per fold (a k-fold tuned qrf repetition grows k + 1 forests), any
+    other once per fold and grid level.
     """
     if len(grid) == 0:
         raise ValueError("tuning grid must be non-empty")
@@ -699,15 +705,16 @@ def coverage_audit(
 ) -> dict:
     """Monte Carlo check of the finite-sample coverage guarantee.
 
-    One quantile pair is fitted once, before any trial seed is drawn; each
-    trial redraws calibration and test rows from the same law, recalibrates
-    and scores coverage. Trials run in blocks of at most ``_AUDIT_ROWS``
-    rows: a block draws every trial's rows from that trial's seed
-    (``draw_rows``), and ``_band`` calibrates and bands every trial at once
-    from the bundle's reader on the block's flat rows. Reads are row-wise (see
-    ``regressors.base``), so each trial gets the band its own rows would
-    give it alone. For continuous data the pooled coverage should land in
-    [1 - alpha, 1 - alpha + 1/(n_calibration + 1)] up to binomial noise.
+    One quantile pair (``engine``, default settings) is fitted once, before
+    any trial seed is drawn; each trial redraws calibration and test rows
+    from the same law, recalibrates and scores coverage. Trials run in
+    blocks of at most ``_AUDIT_ROWS`` rows: a block draws every trial's rows
+    from that trial's seed (``draw_rows``), and ``_band`` calibrates and
+    bands every trial at once from the bundle's reader on the block's flat
+    rows. Reads are row-wise (see ``regressors.base``), so each trial gets
+    the bits its own rows would give it alone. For continuous data the pooled
+    coverage should land in [1 - alpha, 1 - alpha + 1/(n_calibration + 1)]
+    up to binomial noise.
     """
     n_trials, n_calibration, n_test, n_train = map(
         check_count, ("n_trials", "n_calibration", "n_test", "n_train"),

@@ -1,6 +1,6 @@
 """Self-contained regression engines used to build prediction bands."""
 
-from .base import ConstantDispersion, MeanRegressor, QuantileRegressor
+from .base import MeanRegressor, QuantileRegressor
 from .forest import ForestConfig, ForestMeanRegressor, QuantileForestRegressor
 from .knn import KnnDispersion
 from .linear import LinearMedianRegressor, LinearPinballModel, LinearQuantilePair
@@ -10,7 +10,6 @@ from .ridge import DEFAULT_L2_GRID, RidgeRegressor, cross_validate_l2
 __all__ = [
     "MeanRegressor",
     "QuantileRegressor",
-    "ConstantDispersion",
     "RidgeRegressor",
     "cross_validate_l2",
     "DEFAULT_L2_GRID",

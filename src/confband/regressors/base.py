@@ -12,11 +12,14 @@ its reads at zero where it uses them.
 All engines fit on the rows they are given and nothing else, and fitted
 predictors are immutable: predictions are deterministic functions of the
 fitted state. Reads are row-wise: a row's prediction has the same bits
-whatever other rows are read with it and whatever the memory layout of X,
-so a conformal score is a fixed function of its own row and a block of
-rows may be read at once. ``training_rows`` hands every fit its rows and ``read_rows``
-every read: an engine is fitted exactly when its ``n_features_in_`` is set, which its fit
-does last, so a failed fit leaves it as it was; ``ConstantDispersion`` reads unfitted.
+whatever other rows are read with it and whatever the memory layout of X
+(ridge and linear reads are row sums, the mlp reads whole zero-padded blocks
+of 64 rows, and a forest adds each weight's terms in tree order), so a
+conformal score is a fixed function of its own row and a block of rows may
+be read at once. ``training_rows`` hands every fit its rows, standardization,
+ridge CV and quantile-level tuning included, and ``read_rows`` every read: an
+engine is fitted exactly when its ``n_features_in_`` is set, which its fit
+does last, so a failed fit leaves it as it was.
 """
 
 import math
@@ -31,7 +34,6 @@ from ..quantiles import as_real
 __all__ = [
     "MeanRegressor",
     "QuantileRegressor",
-    "ConstantDispersion",
     "as_matrix",
     "as_vector",
     "check_count",
@@ -156,21 +158,3 @@ class QuantileRegressor(ABC):
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Predict (lower, upper) quantiles, one pair per row of X."""
 
-
-class ConstantDispersion(MeanRegressor):
-    """A dispersion field that is the same constant everywhere.
-
-    With the constant 1 this makes the locally adaptive calibrator collapse
-    exactly onto plain split conformal, which is useful both as a baseline
-    and as a consistency check.
-    """
-
-    def __init__(self, value: float = 1.0):
-        self.value = check_real("dispersion", value)
-
-    def fit(self, X, residuals) -> "ConstantDispersion":
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        return np.full(X.shape[0], self.value)

@@ -19,7 +19,8 @@ for bit the tree a node-by-node grower would produce. A fitted forest is one
 flat node table per batch (each node's feature, threshold and left child)
 plus one forest-wide leaf weight block D, the only record of leaf sizes,
 with one row per node: node v of a table is D row v plus the node count of
-the tables before it, empty at a split node. It is never written to.
+the tables before it, empty at a split node. A read never writes to it, so
+a fitted forest may be read from many threads at once.
 
 A query point x collects weight 1/n_trees from every tree, split over the
 rows in the leaf that x reaches in proportion to their multiplicity. These

@@ -19,7 +19,6 @@ from confband.harness import ExperimentConfig, coverage_audit, run_experiment
 from confband.losses import PinballLoss
 from confband.quantiles import SortedSample
 from confband.regressors import (
-    ConstantDispersion,
     ForestConfig,
     MlpConfig,
     MlpMeanRegressor,
@@ -27,6 +26,7 @@ from confband.regressors import (
     RidgeRegressor,
 )
 from confband.regressors.mlp import MlpNetwork, _PinballPairHead, _SquaredErrorHead
+from test_conformal import _UNIT_MEAN
 from test_forest import _oracle_quantiles
 from test_mlp import _numeric_gradient
 from test_quantiles import _oracle_left_quantile, _oracle_right_quantile
@@ -300,7 +300,7 @@ def test_collapse_identities():
     mu = RidgeRegressor(1.0).fit(X1, y1)
     split_band = split_conformal_calibrate(mu, X2, y2, 0.1)
     local_band = local_conformal_calibrate(
-        mu, ConstantDispersion(1.0), X2, y2, 0.1, gamma=0.0
+        mu, _UNIT_MEAN, X2, y2, 0.1, gamma=0.0
     )
     s_lo, s_hi = split_band.predict_interval(grid)
     l_lo, l_hi = local_band.predict_interval(grid)

@@ -15,7 +15,6 @@ from confband.conformal import (
 )
 from confband.quantiles import SortedSample
 from confband.regressors import (
-    ConstantDispersion,
     ForestConfig,
     KnnDispersion,
     QuantileForestRegressor,
@@ -59,6 +58,7 @@ def _constant_pair(lo, hi):
 
 
 _ZERO_MEAN = _FunctionMean(lambda X: np.zeros(X.shape[0]))
+_UNIT_MEAN = _FunctionMean(lambda X: np.ones(X.shape[0]))  # as a dispersion: local is split
 
 
 def test_split_correction_from_hand_residuals():
@@ -265,7 +265,7 @@ def test_unit_dispersion_collapses_local_onto_split():
     mu = RidgeRegressor(1.0).fit(X1, y1)
     split_band = split_conformal_calibrate(mu, X2, y2, alpha=0.1)
     local_band = local_conformal_calibrate(
-        mu, ConstantDispersion(1.0), X2, y2, alpha=0.1, gamma=0.0
+        mu, _UNIT_MEAN, X2, y2, alpha=0.1, gamma=0.0
     )
     grid = rng.normal(size=(20, 2))
     s_lo, s_hi = split_band.predict_interval(grid)
@@ -308,7 +308,7 @@ def test_zero_scale_is_rejected_at_calibration_and_prediction():
     y2 = np.ones(10)
     with pytest.raises(ValueError, match="zero scale; set gamma > 0"):
         local_conformal_calibrate(
-            _ZERO_MEAN, ConstantDispersion(0.0), X2, y2, 0.1, gamma=0.0
+            _ZERO_MEAN, _ZERO_MEAN, X2, y2, 0.1, gamma=0.0
         )
     # positive on the calibration rows but zero at the query point
     sigma = _FunctionMean(lambda X: np.abs(X[:, 0]))
@@ -339,7 +339,7 @@ def test_a_dispersion_read_below_zero_counts_as_zero():
 def test_negative_gamma_is_rejected():
     with pytest.raises(ValueError, match="gamma must be >= 0"):
         local_conformal_calibrate(
-            _ZERO_MEAN, ConstantDispersion(1.0), np.zeros((5, 1)), np.ones(5),
+            _ZERO_MEAN, _UNIT_MEAN, np.zeros((5, 1)), np.ones(5),
             0.1, gamma=-0.5,
         )
 
@@ -348,15 +348,9 @@ def test_negative_gamma_is_rejected():
 def test_non_finite_gamma_is_rejected(gamma):
     with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
         local_conformal_calibrate(
-            _ZERO_MEAN, ConstantDispersion(1.0), np.zeros((5, 1)), np.ones(5),
+            _ZERO_MEAN, _UNIT_MEAN, np.zeros((5, 1)), np.ones(5),
             0.1, gamma=gamma,
         )
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_constant_dispersion_rejects_negative_and_non_finite_values(value):
-    with pytest.raises(ValueError, match="dispersion must be >= 0 and finite"):
-        ConstantDispersion(value)
 
 
 def _bands_of_all_four_calibrators():

@@ -336,13 +336,20 @@ def test_load_csv_skips_blank_lines_without_a_warning(tmp_path):
             ("middle.csv", "a,target\n1,2\n\n\n3,4\n"),
             ("end.csv", "a,target\n1,2\n3,4\n\n"),
             ("both.csv", "a,target\n\n1,2\r\n\r\n3,4\n\n\n"),
+            ("spaces.csv", "a,target\n1,2\n  \n3,4\n \n"),
+            ("tabs.csv", "a,target\n\t\n1,2\n\t \t\r\n3,4\n"),
         ]:
             got = load_csv(_write(tmp_path / name, text), "target")
             assert got.feature_names == want.feature_names, name
             assert (got.X.tobytes(), got.y.tobytes()) == (want.X.tobytes(), want.y.tobytes()), name
-    with pytest.warns(UserWarning, match="dropped 1 rows"):
-        data = load_csv(_write(tmp_path / "short.csv", "a,target\n1,2\n\n3\n5,6\n"), "target")
-    assert np.array_equal(data.y, [2.0, 6.0])
+    # a short row, and a row of empty cells, still count as dropped
+    for name, text in [
+        ("short.csv", "a,target\n1,2\n\n3\n5,6\n"),
+        ("empty.csv", "a,target\n1,2\n,\n5,6\n"),
+    ]:
+        with pytest.warns(UserWarning, match="dropped 1 rows"):
+            data = load_csv(_write(tmp_path / name, text), "target")
+        assert np.array_equal(data.y, [2.0, 6.0])
 
 
 def test_load_csv_error_cases(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the fully connected networks and their training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,34 @@ def test_pinball_pair_gradients_match_finite_differences():
     for seed in (11, 17):
         rel = _gradient_relative_error(seed, _PinballPairHead(0.05, 0.95))
         assert rel < 1e-4
+
+
+@pytest.mark.parametrize("head", [_SquaredErrorHead(), _PinballPairHead(0.1, 0.9)], ids=["mse", "pinball"])
+def test_adam_step_matches_a_scalar_adam_bit_for_bit(head):
+    # Kingma & Ba 2015, Algorithm 1, one float at a time with the paper's default
+    # constants, fed the gradients of loss_and_grads; every update is elementwise,
+    # so each parameter must get the same bits
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(16, 2))
+    y = rng.normal(size=16)
+    config = MlpConfig(
+        hidden_width=3, n_hidden_layers=1, learning_rate=0.05, dropout_keep_prob=1.0, seed=0
+    )
+    net = MlpNetwork(2, head.n_outputs, config, np.random.default_rng(8))
+    theta = _flat_params(net).tolist()
+    m, v = [0.0] * len(theta), [0.0] * len(theta)
+    for t in range(1, 8):
+        _, weight_grads, bias_grads = net.loss_and_grads(X, y, head)
+        grads = np.concatenate([g.ravel() for g in weight_grads + bias_grads]).tolist()
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            m_hat = m[i] / (1.0 - beta1**t)
+            v_hat = v[i] / (1.0 - beta2**t)
+            theta[i] -= config.learning_rate * m_hat / (math.sqrt(v_hat) + eps)
+        net.adam_step(weight_grads, bias_grads)
+        assert _flat_params(net).tobytes() == np.array(theta).tobytes(), f"step {t}"
 
 
 def test_mean_network_fits_constant_targets():

@@ -1,6 +1,7 @@
 """Package-level checks: the public surface, the tracer hooks, the import
-footprint and the README quick start."""
+footprint, the files the package writes and the README."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import confband
+from confband import harness
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -91,15 +93,43 @@ def test_importing_the_cli_loads_no_scipy_module():
     assert done.stdout.strip() == "[]"
 
 
-def _quick_start_block() -> str:
+# calls that write a file, besides ``open`` in a writing mode
+_FILE_WRITERS = {"write_text", "write_bytes", "mkdir", "touch", "save", "savez", "savetxt", "tofile"}
+
+
+def _file_writes(path: Path) -> list[int]:
+    """The lines of ``path`` that call a file writer, or ``open`` with a mode that is
+    not a literal read mode."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        reads = all(isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt") for m in modes)
+        if name in _FILE_WRITERS or (name == "open" and not reads):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_writes_files():
+    writes = {
+        path.relative_to(ROOT).as_posix(): _file_writes(path)
+        for path in sorted((ROOT / "src" / "confband").rglob("*.py"))
+    }
+    assert writes.pop("src/confband/cli.py"), "the scan no longer finds the CLI's writes"
+    assert {path: lines for path, lines in writes.items() if lines} == {}
+
+
+def _quick_start_blocks() -> list[str]:
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Library quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
 
 
 def test_readme_quick_start_runs_and_its_claims_hold():
     scope = {}
-    exec(_quick_start_block(), scope)
+    exec(_quick_start_blocks()[0], scope)
     band, pair, X, y = scope["band"], scope["pair"], scope["X"], scope["y"]
     lo, hi = scope["lo"], scope["hi"]
     assert lo.shape == hi.shape == (10,)
@@ -118,3 +148,29 @@ def test_readme_quick_start_runs_and_its_claims_hold():
     before = dict(vars(pair))
     pair.predict_pair(X_new)
     assert vars(pair) == before and list(before) == ["inner"]
+
+
+def test_readme_experiment_example_runs(capsys):
+    exec(_quick_start_blocks()[1], {})
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header == harness.CSV_HEADER
+    assert [(row.split(",")[0], row.split(",")[-1]) for row in rows] == [
+        ("split", "3"), ("local", "3"), ("cqr", "3"),
+    ]
+
+
+def test_every_test_the_readme_names_exists():
+    text = README.read_text(encoding="utf-8")
+    named = re.findall(r"tests/(\w+\.py)::(\w+)", text)  # a [param] suffix is not matched
+    assert named
+    missing = [
+        f"tests/{file}::{name}"
+        for file, name in named
+        if not (ROOT / "tests" / file).is_file()
+        or not re.search(rf"^def {name}\(", (ROOT / "tests" / file).read_text(encoding="utf-8"), re.M)
+    ]
+    assert missing == []
+    # and every promise names at least one test
+    promises = text.split("## What confband promises", 1)[1].split("\n## ", 1)[0]
+    items = re.split(r"^- ", promises, flags=re.M)[1:]
+    assert items and [item for item in items if "tests/" not in item] == []

@@ -45,6 +45,9 @@ _ENGINES = {
     "forest-quantile": (lambda: QuantileForestRegressor(_FOREST), _PAIR_LEVELS, "predict_quantile"),
     "ridge": (lambda: RidgeRegressor(0.1), (), "predict"),
     "linear-pair": (lambda: LinearQuantilePair(epochs=5), _PAIR_LEVELS, "predict_pair"),
+    "crossing-fix-pair": (
+        lambda: harness.CrossingFixPair(LinearQuantilePair(epochs=5)), _PAIR_LEVELS, "predict_pair",
+    ),
     "linear-median": (lambda: LinearMedianRegressor(epochs=5), (), "predict"),
     "linear-model": (lambda: LinearPinballModel(0.9, epochs=5), (), "predict"),
     "mlp-mean": (lambda: MlpMeanRegressor(_MLP, cv_folds=1), (), "predict"),
@@ -132,7 +135,10 @@ def test_predict_rejects_a_feature_count_other_than_the_fitted_one(engine):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 3))
     y = np.abs(X[:, 0] + rng.normal(size=30))  # non-negative, as k-NN dispersion needs
-    predict = _read(make().fit(X, y, *fit_args), readout)
+    model = make()
+    assert model.n_features_in_ is None
+    predict = _read(model.fit(X, y, *fit_args), readout)
+    assert model.n_features_in_ == 3  # an engine is fitted exactly when it knows its width
     predict(rng.normal(size=(4, 3)))
     for width in (5, 2):
         with pytest.raises(ValueError, match=f"has {width} features, but the model was fitted on 3"):

@@ -81,6 +81,15 @@ def test_cross_validation_returns_grid_member_and_prefers_low_noise_fit():
     assert lam <= 1.0
 
 
+@pytest.mark.parametrize(
+    "grid, smallest", [(DEFAULT_L2_GRID, 1e-3), ((10.0, 0.1, 1.0), 0.1)], ids=["default", "unsorted"]
+)
+def test_cross_validation_ties_go_to_the_smaller_penalty(grid, smallest):
+    # a constant feature makes every penalty predict the fold mean: an exact tie
+    y = np.random.default_rng(5).normal(size=30)
+    assert cross_validate_l2(np.full((30, 1), 2.0), y, grid=grid) == smallest
+
+
 def test_cross_validation_needs_enough_rows():
     with pytest.raises(ValueError):
         cross_validate_l2(np.ones((3, 1)), np.ones(3), n_folds=5)

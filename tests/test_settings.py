@@ -23,7 +23,6 @@ from confband.harness import (
 from confband.losses import PinballLoss
 from confband.quantiles import check_level
 from confband.regressors import (
-    ConstantDispersion,
     ForestConfig,
     LinearMedianRegressor,
     LinearPinballModel,
@@ -53,7 +52,6 @@ _REAL_SETTINGS = {
     "LinearQuantilePair.learning_rate": lambda v: LinearQuantilePair(learning_rate=v),
     "LinearMedianRegressor.learning_rate": lambda v: LinearMedianRegressor(learning_rate=v),
     "RidgeRegressor.l2_weight": RidgeRegressor,
-    "ConstantDispersion.value": ConstantDispersion,
     "PinballLoss.alpha": PinballLoss,
     "local_conformal_calibrate.gamma": (
         lambda v: local_conformal_calibrate(None, None, None, None, 0.1, gamma=v)
