@@ -8,6 +8,11 @@ Three subcommands:
 - ``coverage-audit``: Monte Carlo check of the finite-sample coverage
   guarantee
 
+Each subcommand is a parser and a handler that returns the output text and
+its summary lines; ``main`` writes the text and reports any failure as one
+``error:`` line. Option defaults live in the library: an option left unset
+is left out of the call.
+
 Every option can also be supplied through ``--config FILE``, a plain text
 file of ``key = value`` lines (``#`` starts a comment; keys match the long
 option names of the chosen subcommand with either dashes or underscores;
@@ -18,6 +23,7 @@ Explicit command line flags win over file values.
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .datagen import SYNTHETIC_KINDS, SyntheticSpec, generate, load_csv
@@ -81,10 +87,12 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, out_help: str, out: str | None = None) -> None:
+def _add_common(parser: argparse.ArgumentParser, out_help: str, handler, out_rule, **out) -> None:
+    """The options every subcommand ends with, its handler and its ``--out`` rule."""
     parser.add_argument("--config", default=None, help="key = value options file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=out, help=out_help)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", help=out_help, **out)
+    parser.set_defaults(handler=handler, out_rule=out_rule)
 
 
 def _check_out(out: str | None, suffixes: tuple[str, ...], message: str) -> None:
@@ -102,144 +110,111 @@ def build_parser() -> argparse.ArgumentParser:
         prog="confband",
         description="Distribution-free prediction intervals: benchmark and audits.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an option left unset is left out of the namespace, so the library's default applies
+    unset = partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=unset)
 
     run = sub.add_parser("run", help="repeated-split benchmark on a dataset")
     run.add_argument("--data", help="CSV file with a header row")
     run.add_argument("--target", help="response column name in --data")
     run.add_argument("--synthetic", choices=SYNTHETIC_KINDS)
     run.add_argument("--n", type=int, default=1000, help="synthetic sample size")
-    run.add_argument("--method", default="cqr", choices=METHODS)
-    run.add_argument("--engine", default="qrf", choices=ENGINES)
-    run.add_argument("--alpha", type=float, default=0.1)
-    run.add_argument("--reps", type=int, default=20)
-    run.add_argument("--gamma", type=float, default=1.0)
+    run.add_argument("--method", choices=METHODS)
+    run.add_argument("--engine", choices=ENGINES)
+    run.add_argument("--alpha", type=float)
+    run.add_argument("--reps", type=int)
+    run.add_argument("--gamma", type=float)
     run.add_argument("--tune-quantiles", action="store_true")
-    run.add_argument("--n-trees", type=int, default=1000)
-    run.add_argument("--max-epochs", type=int, default=1000)
-    run.add_argument("--knn-k", type=int, default=11)
-    run.add_argument("--cv-folds", type=int, default=5)
+    run.add_argument("--n-trees", type=int)
+    run.add_argument("--max-epochs", type=int)
+    run.add_argument("--knn-k", type=int)
+    run.add_argument("--cv-folds", type=int)
     run.add_argument(
         "--original-units",
         action="store_true",
         help="report lengths in original response units",
     )
-    _add_common(run, "report path (.csv or .json); JSON to stdout when omitted")
+    _add_common(run, "report path (.csv or .json); JSON to stdout when omitted",
+                _cmd_run, ((".csv", ".json"), "output path must end with .csv or .json"))
 
     demo = sub.add_parser(
         "demo-fig1", help="three-method synthetic comparison with plottable bands"
     )
-    demo.add_argument("--n", type=int, default=2000)
-    demo.add_argument("--alpha", type=float, default=0.1)
-    demo.add_argument("--gamma", type=float, default=1.0)
-    demo.add_argument("--n-trees", type=int, default=1000)
-    demo.add_argument("--grid-size", type=int, default=501)
-    demo.add_argument("--kind", default="heteroscedastic_outliers", choices=SYNTHETIC_KINDS)
-    _add_common(demo, "band bounds path (.csv)", out="band_demo.csv")
+    demo.add_argument("--n", type=int)
+    demo.add_argument("--alpha", type=float)
+    demo.add_argument("--gamma", type=float)
+    demo.add_argument("--n-trees", type=int)
+    demo.add_argument("--grid-size", type=int)
+    demo.add_argument("--kind", choices=SYNTHETIC_KINDS)
+    _add_common(demo, "band bounds path (.csv)", _cmd_demo,
+                ((".csv",), "demo output must be a .csv path"), default="band_demo.csv")
 
     audit = sub.add_parser(
         "coverage-audit", help="Monte Carlo check of the coverage guarantee"
     )
     audit.add_argument("--trials", type=int, default=2000)
-    audit.add_argument("--alpha", type=float, default=0.1)
-    audit.add_argument("--n-cal", type=int, default=99)
-    audit.add_argument("--n-test", type=int, default=200)
-    audit.add_argument("--engine", default="linear-q", choices=PAIR_ENGINES)
-    audit.add_argument("--kind", default="heteroscedastic", choices=SYNTHETIC_KINDS)
-    _add_common(audit, "result path (.json); JSON to stdout when omitted")
+    audit.add_argument("--alpha", type=float)
+    audit.add_argument("--n-cal", type=int)
+    audit.add_argument("--n-test", type=int)
+    audit.add_argument("--engine", choices=PAIR_ENGINES)
+    audit.add_argument("--kind", choices=SYNTHETIC_KINDS)
+    _add_common(audit, "result path (.json); JSON to stdout when omitted",
+                _cmd_audit, ((".json",), "audit output must be a .json path"))
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if (args.data is None) == (args.synthetic is None):
+def _given(args: argparse.Namespace, *same: str, **renamed: str) -> dict:
+    """Library parameter -> value of each set option; ``renamed`` maps parameter -> option."""
+    names = dict(zip(same, same), **renamed)
+    return {param: getattr(args, option) for param, option in names.items() if option in args}
+
+
+def _cmd_run(args: argparse.Namespace) -> tuple[str, list[str]]:
+    if ("data" in args) == ("synthetic" in args):
         raise ValueError("provide exactly one of --data or --synthetic")
-    _check_out(args.out, (".csv", ".json"), "output path must end with .csv or .json")
     oracle = None
-    if args.data is not None:
-        if args.target is None:
+    if "data" in args:
+        if "target" not in args:
             raise ValueError("--data requires --target (response column name)")
         dataset = load_csv(args.data, args.target)
     else:
-        dataset, oracle = generate(
-            SyntheticSpec(kind=args.synthetic, n=args.n, seed=args.seed)
-        )
-    cfg = ExperimentConfig(
-        methods=(args.method,),
-        engine=args.engine,
-        alpha=args.alpha,
-        n_repetitions=args.reps,
-        tune_quantiles=args.tune_quantiles,
-        cv_folds=args.cv_folds,
-        gamma=args.gamma,
-        seed=args.seed,
-        forest=ForestConfig(n_trees=args.n_trees),
-        mlp=MlpConfig(max_epochs=args.max_epochs),
-        knn_k=args.knn_k,
-        report_original_units=args.original_units,
-    )
-    try:
-        report = run_experiment(cfg, dataset, oracle)
-    except RuntimeError as exc:  # every repetition failed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out is None:
-        sys.stdout.write(report.to_json())
-    else:
-        text = report.to_csv() if args.out.endswith(".csv") else report.to_json()
-        Path(args.out).write_text(text, encoding="utf-8")
-        for s in report.summaries:
-            print(
-                f"{s.method}: avg_length={s.avg_length:.4f} "
-                f"avg_coverage={s.avg_coverage:.4f} (n_reps={s.n_reps})"
-            )
-        print(f"wrote {args.out}")
+        dataset, oracle = generate(SyntheticSpec(kind=args.synthetic, **_given(args, "n", "seed")))
+    settings = _given(args, "engine", "alpha", "tune_quantiles", "cv_folds", "gamma", "seed",
+                      "knn_k", n_repetitions="reps", report_original_units="original_units")
+    if "method" in args:
+        settings["methods"] = (args.method,)
+    report = run_experiment(ExperimentConfig(
+        forest=ForestConfig(**_given(args, "n_trees")), mlp=MlpConfig(**_given(args, "max_epochs")),
+        **settings,
+    ), dataset, oracle)
     if report.failures:
         print(f"warning: {len(report.failures)} repetition(s) failed", file=sys.stderr)
-    return 0
+    text = report.to_csv() if getattr(args, "out", "").endswith(".csv") else report.to_json()
+    return text, [
+        f"{s.method}: avg_length={s.avg_length:.4f} "
+        f"avg_coverage={s.avg_coverage:.4f} (n_reps={s.n_reps})"
+        for s in report.summaries
+    ]
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    _check_out(args.out, (".csv",), "demo output must be a .csv path")
+def _cmd_demo(args: argparse.Namespace) -> tuple[str, list[str]]:
     summaries, bounds = band_comparison_demo(
-        n=args.n,
-        seed=args.seed,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        n_trees=args.n_trees,
-        grid_size=args.grid_size,
-        kind=args.kind,
+        **_given(args, "n", "seed", "alpha", "gamma", "n_trees", "grid_size", "kind")
     )
-    for s in summaries:
-        print(
-            f"{s.method}: avg_length={s.avg_length:.4f} "
-            f"avg_coverage={s.avg_coverage:.4f}"
-        )
     columns = list(bounds)
     lines = [",".join(columns)]
     lines += [",".join(repr(float(bounds[c][i])) for c in columns) for i in range(bounds["x"].size)]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
-    return 0
+    return "\n".join(lines) + "\n", [
+        f"{s.method}: avg_length={s.avg_length:.4f} avg_coverage={s.avg_coverage:.4f}"
+        for s in summaries
+    ]
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    _check_out(args.out, (".json",), "audit output must be a .json path")
-    result = coverage_audit(
-        n_trials=args.trials,
-        alpha=args.alpha,
-        n_calibration=args.n_cal,
-        n_test=args.n_test,
-        engine=args.engine,
-        kind=args.kind,
-        seed=args.seed,
-    )
-    text = json.dumps(result, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    return 0
+def _cmd_audit(args: argparse.Namespace) -> tuple[str, list[str]]:
+    result = coverage_audit(**_given(
+        args, "alpha", "n_test", "engine", "kind", "seed", n_trials="trials", n_calibration="n_cal",
+    ))
+    return json.dumps(result, indent=2) + "\n", []
 
 
 def main(argv=None) -> int:
@@ -251,14 +226,18 @@ def main(argv=None) -> int:
             sub = _subcommands(parser)[args.command]
             sub.set_defaults(**_load_config_file(args.config, sub))
             args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "demo-fig1":
-            return _cmd_demo(args)
-        return _cmd_audit(args)
-    except (ValueError, OSError) as exc:
+        out = getattr(args, "out", None)
+        _check_out(out, *args.out_rule)
+        text, summary = args.handler(args)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_text(text, encoding="utf-8")
+            print(*summary, f"wrote {out}", sep="\n")
+    except (ValueError, OSError, RuntimeError) as exc:  # RuntimeError: every repetition failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

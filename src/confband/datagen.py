@@ -435,14 +435,20 @@ class _OracleReadout:
 
     With ``params`` the oracle is composed with that standardization: X is
     in standardized feature units and predictions come back in standardized
-    response units. Without it both stay in raw units.
+    response units. Without it both stay in raw units. The law is fixed, so a
+    fit only checks its rows (``training_rows``) and their width.
     """
-
-    n_features_in_ = 1  # the mean and the dispersion read without a fit
 
     def __init__(self, oracle: OracleQuantiles, params: StandardizationParams | None = None):
         self.oracle = oracle
         self.params = params
+
+    @staticmethod
+    def _check_rows(X, y) -> None:
+        """Reject the training rows ``training_rows`` rejects, and any width but one."""
+        X, _ = training_rows(X, y)
+        if X.shape[1] != 1:
+            raise ValueError(f"the oracle reads one feature column, got X of width {X.shape[1]}")
 
     def _raw_x(self, X) -> np.ndarray:
         X = read_rows(self, X)
@@ -458,6 +464,8 @@ class OracleMeanRegressor(_OracleReadout, MeanRegressor):
     """Point predictor that returns the exact conditional mean."""
 
     def fit(self, X, y) -> "OracleMeanRegressor":
+        self._check_rows(X, y)
+        self.n_features_in_ = 1
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -467,10 +475,10 @@ class OracleMeanRegressor(_OracleReadout, MeanRegressor):
 class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
     """Quantile pair that returns the exact conditional quantiles."""
 
-    n_features_in_ = None  # fitted once its levels are set
-
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "OracleQuantileRegressor":
-        self._levels = check_level_pair(alpha_lo, alpha_hi)
+        levels = check_level_pair(alpha_lo, alpha_hi)
+        self._check_rows(X, y)
+        self._levels = levels
         self.n_features_in_ = 1
         return self
 
@@ -485,6 +493,8 @@ class OracleDispersionRegressor(_OracleReadout, MeanRegressor):
     """Dispersion estimate equal to the exact conditional mean absolute deviation."""
 
     def fit(self, X, residuals) -> "OracleDispersionRegressor":
+        self._check_rows(X, residuals)
+        self.n_features_in_ = 1
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -395,6 +395,14 @@ class _Forest:
                 f"need at least {2 * config.min_leaf_size} rows to grow leaves of "
                 f"size {config.min_leaf_size}, got {n}"
             )
+        # a split gain squares node sums, |sum| <= n * max|y|: each gain term stays below
+        # 2**1022 while n * max|y| <= 2**511, and past that gains overflow and no split counts
+        y_max = float(np.max(np.abs(y)))
+        if y_max > 2.0**511 / n:
+            raise ValueError(
+                f"responses too large to grow a forest on: need n * max|y| <= 2**511, "
+                f"got {n} * {y_max:.6g}"
+            )
         self.y_train = y
         self.n_features_in_ = X.shape[1]
         self.config = config

@@ -25,6 +25,10 @@ class KnnDispersion(MeanRegressor):
     """Estimate residual spread at x as the mean absolute residual of the
     k training rows nearest to x in Euclidean distance.
 
+    When the rows at the k-th distance outnumber the places left for them,
+    each of them gets weight (k - rows closer) / rows at that distance, so
+    the read does not depend on training-row order.
+
     Parameters
     ----------
     k : int
@@ -52,6 +56,18 @@ class KnnDispersion(MeanRegressor):
             neighbors = np.broadcast_to(
                 np.arange(self._X.shape[0]), (X.shape[0], self._X.shape[0])
             )
-        else:
-            neighbors = np.argpartition(dists, self.k - 1, axis=1)[:, : self.k]
-        return self._r[neighbors].mean(axis=1)
+            return self._r[neighbors].mean(axis=1)
+        neighbors = np.argpartition(dists, self.k - 1, axis=1)[:, : self.k]
+        read = self._r[neighbors].mean(axis=1)
+        # argpartition put the k-th distance last; share it where a tie straddles it
+        kth = np.take_along_axis(dists, neighbors[:, -1:], axis=1)
+        tied = np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) > self.k)
+        if tied.size:
+            dists, kth = dists[tied], kth[tied]
+            closer, at_kth = dists < kth, dists == kth
+            share = (self.k - np.count_nonzero(closer, axis=1)) / np.count_nonzero(at_kth, axis=1)
+            r = self._r
+            read[tied] = (
+                np.where(closer, r, 0.0).sum(axis=1) + share * np.where(at_kth, r, 0.0).sum(axis=1)
+            ) / self.k
+        return read

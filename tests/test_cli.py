@@ -6,7 +6,8 @@ import pytest
 
 from confband import cli, harness
 from confband.cli import _load_config_file, _subcommands, build_parser, main
-from confband.harness import CSV_HEADER
+from confband.datagen import SyntheticSpec
+from confband.harness import CSV_HEADER, ExperimentConfig
 
 
 def _run(capsys, argv):
@@ -130,6 +131,47 @@ def test_run_reports_bad_engine_settings_and_all_failed_runs_as_errors(capsys, m
     ])
     assert code == 2 and out == ""
     assert err.startswith("error: every repetition failed; first error: calibration failed")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("coverage_audit", ["coverage-audit", "--trials", "2"]),
+    ("band_comparison_demo", ["demo-fig1", "--n", "200", "--n-trees", "2"]),
+])
+def test_every_subcommand_reports_a_failure_as_one_error_line(capsys, monkeypatch, tmp_path, name, argv):
+    def failing(*args, **kwargs):
+        raise RuntimeError(f"{name} failed")
+
+    monkeypatch.setattr(cli, name, failing)
+    monkeypatch.chdir(tmp_path)  # where demo-fig1 writes band_demo.csv by default
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {name} failed\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_option_left_unset_takes_the_library_default(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def record(result):
+        def call(*args, **kwargs):
+            calls.append((args, kwargs))
+            if result is None:
+                raise RuntimeError("recorded")
+            return result
+        return call
+
+    monkeypatch.setattr(cli, "generate", record(("dataset", "oracle")))
+    for name in ("run_experiment", "band_comparison_demo", "coverage_audit"):
+        monkeypatch.setattr(cli, name, record(None))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["run", "--synthetic", "heteroscedastic"], ["demo-fig1"], ["coverage-audit"]):
+        assert _run(capsys, argv) == (2, "", "error: recorded\n")
+    # only run --n and coverage-audit --trials have a command line default
+    assert calls == [
+        ((SyntheticSpec(kind="heteroscedastic", n=1000),), {}),
+        ((ExperimentConfig(), "dataset", "oracle"), {}),
+        ((), {}),
+        ((), {"n_trials": 2000}),
+    ]
 
 
 def test_a_non_finite_gamma_is_named_in_the_error(capsys):

@@ -258,8 +258,9 @@ def test_dataset_validates_feature_name_count():
 def test_oracle_regressors_expose_the_exact_law():
     oracle = OracleQuantiles(noise_scale=1.0)
     X = np.linspace(0.5, 4.5, 9)[:, None]
+    # each readout is fitted first: an engine is read only once a fit has set its width
     assert np.array_equal(
-        OracleMeanRegressor(oracle).predict(X), oracle.mean(X[:, 0])
+        OracleMeanRegressor(oracle).fit(X, np.zeros(9)).predict(X), oracle.mean(X[:, 0])
     )
     pair = OracleQuantileRegressor(oracle).fit(X, np.zeros(9), 0.05, 0.95)
     lo, hi = pair.predict_pair(X)
@@ -268,7 +269,7 @@ def test_oracle_regressors_expose_the_exact_law():
     with pytest.raises(RuntimeError, match="fit"):
         OracleQuantileRegressor(oracle).predict_pair(X)
     assert np.array_equal(
-        OracleDispersionRegressor(oracle).predict(X),
+        OracleDispersionRegressor(oracle).fit(X, np.zeros(9)).predict(X),
         oracle.mean_abs_deviation(X[:, 0]),
     )
 
@@ -279,12 +280,15 @@ def test_oracle_readouts_reject_a_second_column(standardized):
     x = np.linspace(0.5, 4.5, 9)
     wide = np.column_stack([x, x + 1.0])
     params = standardize_fit(x[:, None], 2.0 * np.sin(x)) if standardized else None
-    readouts = (
-        OracleMeanRegressor(oracle, params).predict,
-        OracleQuantileRegressor(oracle, params).fit(x[:, None], x, 0.05, 0.95).predict_pair,
-        OracleDispersionRegressor(oracle, params).predict,
+    models = (
+        (OracleMeanRegressor(oracle, params), (), "predict"),
+        (OracleQuantileRegressor(oracle, params), (0.05, 0.95), "predict_pair"),
+        (OracleDispersionRegressor(oracle, params), (), "predict"),
     )
-    for read in readouts:
+    for model, levels, readout in models:
+        with pytest.raises(ValueError, match="the oracle reads one feature column, got X of width 2"):
+            model.fit(wide, x, *levels)
+        read = getattr(model.fit(wide[:, :1], x, *levels), readout)
         read(wide[:, :1])
         with pytest.raises(ValueError, match="X has 2 features, but the model was fitted on 1"):
             read(wide)

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -314,6 +315,24 @@ def test_constant_targets_give_degenerate_pair():
     lo, hi = model.predict_pair(rng.normal(size=(10, 2)))
     assert np.array_equal(lo, np.full(10, 2.5))
     assert np.array_equal(hi, np.full(10, 2.5))
+
+
+@pytest.mark.parametrize("engine", [ForestMeanRegressor, QuantileForestRegressor])
+def test_a_response_whose_split_gains_would_overflow_is_rejected(engine):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(size=(200, 1))
+    y = np.where(X[:, 0] > 0.5, 10.0, 0.0) + 0.1 * rng.normal(size=200)
+    levels = (0.05, 0.95) if engine is QuantileForestRegressor else ()
+    config = ForestConfig(n_trees=20, min_leaf_size=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 200 * max|y| is about 2e153 here, below 2**511 (6.7e153): the step is found
+        model = engine(config).fit(X, y * 1e150, *levels)
+        low, high = model.predict(np.array([[0.25], [0.75]])) / 1e150
+        assert abs(low) < 1.0 and abs(high - 10.0) < 1.0
+        # at 1e160 every gain would overflow to inf and every tree would be a stump
+        with pytest.raises(ValueError, match=r"need n \* max\|y\| <= 2\*\*511"):
+            engine(config).fit(X, y * 1e160, *levels)
 
 
 def test_single_leaf_reads_order_statistics():

@@ -1,5 +1,7 @@
 """Nearest-neighbor dispersion estimator tests."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def test_two_nearest_rows_are_averaged():
     model = KnnDispersion(k=2).fit(X, residuals)
     assert model.predict([[0.4]])[0] == pytest.approx(2.0)
     assert model.predict([[9.0]])[0] == pytest.approx(51.5)
+
+
+def test_rows_tied_at_the_kth_distance_share_its_weight_in_any_row_order():
+    # at the query 0 the row at 0 is nearest, and the rows at 1 and -1 tie for
+    # the one place left: each gets half of it, (0 + 10 / 2 + 20 / 2) / 2 = 7.5
+    X = np.array([0.0, 1.0, -1.0, 2.0, 5.0, 6.0])
+    residuals = np.array([0.0, 10.0, 20.0, 0.0, 3.0, 3.0])
+    reads = {
+        KnnDispersion(k=2).fit(X[order, None], residuals[order]).predict([[0.0]])[0]
+        for order in map(list, permutations(range(6)))
+    }
+    assert reads == {7.5}
 
 
 def test_constant_residual_field_is_reproduced_everywhere():

@@ -12,6 +12,7 @@ from confband.regressors.mlp import (
     MlpQuantilePair,
     _PinballPairHead,
     _SquaredErrorHead,
+    _select_epoch_count,
 )
 
 Z_90 = 1.6448536269514722
@@ -31,7 +32,14 @@ def _set_flat_params(net, flat: np.ndarray) -> None:
     assert pos == flat.size
 
 
-def _numeric_gradient(net, X, y, head, eps=1e-6):
+def _loss_and_grads(net, X, y, head, dropout_seed):
+    """``net.loss_and_grads``; with ``dropout_seed`` set, under the dropout masks that
+    seed draws, the same masks at every call."""
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    return net.loss_and_grads(X, y, head, dropout_rng=rng)
+
+
+def _numeric_gradient(net, X, y, head, dropout_seed=None, eps=1e-6):
     """Central finite differences of the total loss over all parameters."""
     flat = _flat_params(net)
     numeric = np.empty_like(flat)
@@ -41,23 +49,24 @@ def _numeric_gradient(net, X, y, head, eps=1e-6):
         down = flat.copy()
         down[i] -= eps
         _set_flat_params(net, up)
-        loss_up, _, _ = net.loss_and_grads(X, y, head)
+        loss_up, _, _ = _loss_and_grads(net, X, y, head, dropout_seed)
         _set_flat_params(net, down)
-        loss_down, _, _ = net.loss_and_grads(X, y, head)
+        loss_down, _, _ = _loss_and_grads(net, X, y, head, dropout_seed)
         numeric[i] = (loss_up - loss_down) / (2.0 * eps)
     _set_flat_params(net, flat)
     return numeric
 
 
-def _gradient_relative_error(seed, head):
+def _gradient_relative_error(seed, head, keep=1.0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(12, 3))
     y = rng.normal(size=12)
-    config = MlpConfig(hidden_width=8, dropout_keep_prob=1.0, seed=seed)
+    config = MlpConfig(hidden_width=8, dropout_keep_prob=keep, seed=seed)
     net = MlpNetwork(3, head.n_outputs, config, np.random.default_rng(seed + 1))
-    _, weight_grads, bias_grads = net.loss_and_grads(X, y, head)
+    dropout_seed = None if keep == 1.0 else seed + 2
+    _, weight_grads, bias_grads = _loss_and_grads(net, X, y, head, dropout_seed)
     analytic = np.concatenate([g.ravel() for g in weight_grads + bias_grads])
-    numeric = _numeric_gradient(net, X, y, head)
+    numeric = _numeric_gradient(net, X, y, head, dropout_seed)
     return np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
 
 
@@ -71,6 +80,30 @@ def test_pinball_pair_gradients_match_finite_differences():
     for seed in (11, 17):
         rel = _gradient_relative_error(seed, _PinballPairHead(0.05, 0.95))
         assert rel < 1e-4
+
+
+@pytest.mark.parametrize("head", [_SquaredErrorHead(), _PinballPairHead(0.05, 0.95)], ids=["mse", "pinball"])
+def test_gradients_under_fixed_dropout_masks_match_finite_differences(head):
+    # the masks are drawn again from the same seed at every loss evaluation, so
+    # the finite differences see the masks the analytic backward pass used
+    for seed in (11, 17):
+        assert _gradient_relative_error(seed, head, keep=0.6) < 1e-4
+
+
+def test_dropout_masks_are_inverted():
+    # inverted dropout (Srivastava et al. 2014): a kept unit is scaled by 1/keep,
+    # so a hidden unit's expected training activation is its evaluation activation
+    keep = 0.6
+    config = MlpConfig(hidden_width=8, dropout_keep_prob=keep, seed=0)
+    net = MlpNetwork(3, 1, config, np.random.default_rng(1))
+    X = np.random.default_rng(2).normal(size=(50, 3))
+    _, caches = net.forward(X, dropout_rng=np.random.default_rng(3))
+    masks = [mask for _, _, mask in caches[:-1]]
+    assert len(masks) == config.n_hidden_layers
+    for mask in masks:
+        assert set(np.unique(mask).tolist()) == {0.0, 1.0 / keep}
+    _, caches = net.forward(X)  # evaluation mode draws no mask
+    assert [mask for _, _, mask in caches] == [None] * len(caches)
 
 
 @pytest.mark.parametrize("head", [_SquaredErrorHead(), _PinballPairHead(0.1, 0.9)], ids=["mse", "pinball"])
@@ -147,6 +180,46 @@ def test_cross_validated_epoch_selection_runs():
     preds = model.predict(X)
     assert preds.shape == (48,)
     assert np.all(np.isfinite(preds))
+
+
+def _referee_epoch_count(X, y, head, config, n_folds):
+    """First argmin + 1 of the out-of-fold loss summed over folds, each fold's
+    network trained one epoch at a time, its folds and seeds drawn as the fit draws them."""
+    seeds = np.random.SeedSequence(config.seed).spawn(n_folds + 1)
+    order = np.random.default_rng(seeds[0]).permutation(len(y))
+    curve = [0.0] * config.max_epochs
+    for f in range(n_folds):
+        val = order[f::n_folds]
+        train = np.setdiff1d(np.arange(len(y)), val)
+        rng = np.random.default_rng(seeds[f + 1])
+        net = MlpNetwork(X.shape[1], head.n_outputs, config, rng)
+        for epoch in range(config.max_epochs):
+            net.train(X[train], y[train], head, 1, rng)
+            curve[epoch] += head.value(y[val], net.predict(X[val]))
+    return curve.index(min(curve)) + 1
+
+
+@pytest.mark.parametrize("head", [_SquaredErrorHead(), _PinballPairHead(0.1, 0.9)], ids=["mse", "pinball"])
+def test_epoch_selection_takes_the_first_minimum_of_the_cross_validated_curve(head):
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(40, 2))
+    y = X[:, 0] + 0.5 * rng.normal(size=40)
+    config = MlpConfig(
+        hidden_width=16, max_epochs=25, learning_rate=0.03, batch_size=8,
+        dropout_keep_prob=0.8, seed=2,
+    )
+    want = _referee_epoch_count(X, y, head, config, 3)
+    assert 1 < want < config.max_epochs  # so neither end of the range passes by chance
+    assert _select_epoch_count(X, y, head, config, 3) == want
+    # and the fit trains its final network on all rows for that many epochs
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    net = MlpNetwork(X.shape[1], head.n_outputs, config, rng)
+    net.train(X, y, head, want, rng)
+    if head.n_outputs == 1:
+        got = MlpMeanRegressor(config, cv_folds=3).fit(X, y).predict(X)
+    else:
+        got = np.column_stack(MlpQuantilePair(config, cv_folds=3).fit(X, y, 0.1, 0.9).predict_pair(X))
+    assert got.tobytes() == net.predict(X).reshape(got.shape).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,6 +9,8 @@ import pytest
 from confband import harness
 from confband.conformal import split_conformal_calibrate
 from confband.datagen import (
+    OracleDispersionRegressor,
+    OracleMeanRegressor,
     OracleQuantileRegressor,
     OracleQuantiles,
     SyntheticSpec,
@@ -35,6 +37,7 @@ from confband.regressors import (
 _FOREST = ForestConfig(n_trees=3, min_leaf_size=2)
 _MLP = MlpConfig(hidden_width=4, max_epochs=2)
 _PAIR_LEVELS = (0.1, 0.9)
+_ORACLE = OracleQuantiles(noise_scale=1.0)
 
 # (unfitted engine, extra fit arguments, readout method)
 _ENGINES = {
@@ -53,18 +56,20 @@ _ENGINES = {
     "mlp-mean": (lambda: MlpMeanRegressor(_MLP, cv_folds=1), (), "predict"),
     "mlp-pair": (lambda: MlpQuantilePair(_MLP, cv_folds=1), _PAIR_LEVELS, "predict_pair"),
     "knn": (lambda: KnnDispersion(k=3), (), "predict"),
+    # the exact law's readouts, in raw units
+    "oracle-mean": (lambda: OracleMeanRegressor(_ORACLE), (), "predict"),
+    "oracle-dispersion": (lambda: OracleDispersionRegressor(_ORACLE), (), "predict"),
+    "oracle-pair": (lambda: OracleQuantileRegressor(_ORACLE), _PAIR_LEVELS, "predict_pair"),
 }
+# the engines that fit one feature column only
+_ONE_COLUMN = ("oracle-mean", "oracle-dispersion", "oracle-pair")
 
 
-def _oracle_pair():
-    return OracleQuantileRegressor(OracleQuantiles(noise_scale=1.0))
-
-
-# every readout, with the model it reads: (unfitted model, readout method)
-_READOUTS = {
-    **{engine: (make, readout) for engine, (make, _, readout) in _ENGINES.items()},
-    "oracle-pair": (_oracle_pair, "predict_pair"),
-}
+def _fit_rows(engine, rng, n=30):
+    """Rows ``engine`` can fit: three normal feature columns, or for an oracle one column
+    inside the law's support; y is non-negative, as k-NN dispersion needs."""
+    X = rng.uniform(0.5, 4.5, size=(n, 1)) if engine in _ONE_COLUMN else rng.normal(size=(n, 3))
+    return X, np.abs(X[:, 0] + rng.normal(size=n))
 
 
 def _read(model, readout):
@@ -108,9 +113,9 @@ def test_every_fit_rejects_rows_without_a_row_or_a_column(fit, shape):
         _read(model, readout)(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("engine", list(_READOUTS))
+@pytest.mark.parametrize("engine", list(_ENGINES))
 def test_a_read_before_fit_raises(engine):
-    make, readout = _READOUTS[engine]
+    make, _, readout = _ENGINES[engine]
     with pytest.raises(RuntimeError, match=_UNFITTED):
         _read(make(), readout)(np.zeros((2, 1)))
 
@@ -118,9 +123,7 @@ def test_a_read_before_fit_raises(engine):
 @pytest.mark.parametrize("engine", list(_ENGINES))
 def test_a_failed_refit_leaves_the_first_fit_to_read(engine):
     make, fit_args, readout = _ENGINES[engine]
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(30, 3))
-    y = np.abs(X[:, 0] + rng.normal(size=30))  # non-negative, as k-NN dispersion needs
+    X, y = _fit_rows(engine, np.random.default_rng(1))
     model = make().fit(X, y, *fit_args)
     read = _read(model, readout)
     want = np.asarray(read(X)).tobytes()
@@ -133,15 +136,17 @@ def test_a_failed_refit_leaves_the_first_fit_to_read(engine):
 def test_predict_rejects_a_feature_count_other_than_the_fitted_one(engine):
     make, fit_args, readout = _ENGINES[engine]
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(30, 3))
-    y = np.abs(X[:, 0] + rng.normal(size=30))  # non-negative, as k-NN dispersion needs
+    X, y = _fit_rows(engine, rng)
+    fitted = X.shape[1]
     model = make()
     assert model.n_features_in_ is None
     predict = _read(model.fit(X, y, *fit_args), readout)
-    assert model.n_features_in_ == 3  # an engine is fitted exactly when it knows its width
-    predict(rng.normal(size=(4, 3)))
+    assert model.n_features_in_ == fitted  # an engine is fitted exactly when it knows its width
+    predict(X[:4])
     for width in (5, 2):
-        with pytest.raises(ValueError, match=f"has {width} features, but the model was fitted on 3"):
+        with pytest.raises(
+            ValueError, match=f"has {width} features, but the model was fitted on {fitted}"
+        ):
             predict(rng.normal(size=(4, width)))
 
 
@@ -157,7 +162,7 @@ def test_a_quantile_forest_reads_the_mean_of_a_mean_forest_fitted_alike():
 @pytest.mark.parametrize("engine", ["forest-pair", "linear-pair", "mlp-pair", "oracle-pair"])
 @pytest.mark.parametrize("levels", [(0.9, 0.1), (0.5, 0.5)])
 def test_every_pair_engine_rejects_levels_out_of_order(engine, levels):
-    model = _READOUTS[engine][0]()
+    model = _ENGINES[engine][0]()
     X = np.linspace(0.5, 4.5, 30)[:, None]
     want = f"alpha_lo must be below alpha_hi, got {levels}"
     with pytest.raises(ValueError, match=re.escape(want)):
@@ -176,7 +181,7 @@ def test_a_level_that_is_not_a_real_number_fails_before_any_work(bad):
     with pytest.raises(ValueError, match="level must be a real number"):
         check_level(bad)
     rows = _Unread()
-    pairs = [_READOUTS[e][0]() for e in ("forest-pair", "linear-pair", "mlp-pair", "oracle-pair")]
+    pairs = [_ENGINES[e][0]() for e in ("forest-pair", "linear-pair", "mlp-pair", "oracle-pair")]
     for pair in pairs:
         for levels in ((bad, 0.9), (0.1, bad)):
             with pytest.raises(ValueError, match="level must be a real number"):
