@@ -375,23 +375,35 @@ class StandardizationParams:
     n_features_in: int
 
 
+def _fsum(values, what: str) -> float:
+    """``math.fsum(values)``; a sum that overflows is a ``ValueError`` naming ``what``."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # raised when an exact partial sum leaves the float range
+        total = math.inf
+    if not math.isfinite(total):  # an entry that overflowed before the sum
+        raise ValueError(f"the sum of {what} overflows a float")
+    return total
+
+
 def standardize_fit(X, y) -> StandardizationParams:
     """Per-feature mean/std and mean-|y| divisor from (proper training) rows."""
     X, y = training_rows(X, y)
     n = X.shape[0]
-    means = np.array([math.fsum(X[:, j]) / n for j in range(X.shape[1])])
-    stds = np.array(
-        [
-            math.sqrt(math.fsum((X[:, j] - means[j]) ** 2) / n)
-            for j in range(X.shape[1])
-        ]
-    )
+    means = np.array([_fsum(X[:, j], f"feature column {j}") / n for j in range(X.shape[1])])
+    with np.errstate(over="ignore"):  # _fsum names a squared deviation that overflowed
+        stds = np.array(
+            [
+                math.sqrt(_fsum((X[:, j] - means[j]) ** 2, f"squared deviations of column {j}") / n)
+                for j in range(X.shape[1])
+            ]
+        )
     kept = np.flatnonzero(stds > 0.0)
     if kept.size < stds.size:
         warnings.warn(f"dropped {stds.size - kept.size} constant feature(s)")
     if kept.size == 0:
         raise ValueError("all features are constant; nothing to standardize")
-    response_scale = math.fsum(np.abs(y)) / n
+    response_scale = _fsum(np.abs(y), "|y|") / n
     if response_scale == 0.0:
         raise ValueError("response mean absolute value is zero; cannot rescale")
     return StandardizationParams(
@@ -436,7 +448,8 @@ class _OracleReadout:
     With ``params`` the oracle is composed with that standardization: X is
     in standardized feature units and predictions come back in standardized
     response units. Without it both stay in raw units. The law is fixed, so a
-    fit only checks its rows (``training_rows``) and their width.
+    fit only checks its rows (``training_rows``) and their width; ``fit`` is
+    the mean and dispersion readouts' fit.
     """
 
     def __init__(self, oracle: OracleQuantiles, params: StandardizationParams | None = None):
@@ -450,6 +463,11 @@ class _OracleReadout:
         if X.shape[1] != 1:
             raise ValueError(f"the oracle reads one feature column, got X of width {X.shape[1]}")
 
+    def fit(self, X, y):
+        self._check_rows(X, y)
+        self.n_features_in_ = 1
+        return self
+
     def _raw_x(self, X) -> np.ndarray:
         X = read_rows(self, X)
         if self.params is not None:
@@ -462,11 +480,6 @@ class _OracleReadout:
 
 class OracleMeanRegressor(_OracleReadout, MeanRegressor):
     """Point predictor that returns the exact conditional mean."""
-
-    def fit(self, X, y) -> "OracleMeanRegressor":
-        self._check_rows(X, y)
-        self.n_features_in_ = 1
-        return self
 
     def predict(self, X) -> np.ndarray:
         return self._units(self.oracle.mean(self._raw_x(X)))
@@ -491,11 +504,6 @@ class OracleQuantileRegressor(_OracleReadout, QuantileRegressor):
 
 class OracleDispersionRegressor(_OracleReadout, MeanRegressor):
     """Dispersion estimate equal to the exact conditional mean absolute deviation."""
-
-    def fit(self, X, residuals) -> "OracleDispersionRegressor":
-        self._check_rows(X, residuals)
-        self.n_features_in_ = 1
-        return self
 
     def predict(self, X) -> np.ndarray:
         return self._units(self.oracle.mean_abs_deviation(self._raw_x(X)))

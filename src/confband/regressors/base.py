@@ -39,6 +39,7 @@ __all__ = [
     "check_count",
     "check_flag",
     "check_real",
+    "check_response_size",
     "read_rows",
     "store_python_values",
     "training_rows",
@@ -90,6 +91,18 @@ def read_rows(model, X) -> np.ndarray:
     if model.n_features_in_ is None:
         raise RuntimeError("fit() must be called before the model is read")
     return as_matrix(X, model.n_features_in_)
+
+
+def check_response_size(y: np.ndarray, log2_bound: int, what: str) -> None:
+    """Reject responses with n * max|y| above ``2**log2_bound``, the bound up to which
+    the fit that ``what`` names keeps its sums finite: 2**1023 where it only sums
+    responses, lower where it squares them."""
+    y_max = float(np.max(np.abs(y)))
+    if y_max > 2.0**log2_bound / y.size:
+        raise ValueError(
+            f"responses too large to {what}: need n * max|y| <= 2**{log2_bound}, "
+            f"got {y.size} * {y_max:.6g}"
+        )
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:

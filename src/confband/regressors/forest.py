@@ -58,6 +58,7 @@ from .base import (
     QuantileRegressor,
     check_count,
     check_flag,
+    check_response_size,
     read_rows,
     store_python_values,
     training_rows,
@@ -397,13 +398,7 @@ class _Forest:
             )
         # a split gain squares node sums, |sum| <= n * max|y|: each gain term stays below
         # 2**1022 while n * max|y| <= 2**511, and past that gains overflow and no split counts
-        y_max = float(np.max(np.abs(y)))
-        if y_max > 2.0**511 / n:
-            raise ValueError(
-                f"responses too large to grow a forest on: need n * max|y| <= 2**511, "
-                f"got {n} * {y_max:.6g}"
-            )
-        self.y_train = y
+        check_response_size(y, 511, "grow a forest on")
         self.n_features_in_ = X.shape[1]
         self.config = config
         # number the training rows by response rank, so leaf rows are D's

@@ -12,7 +12,15 @@ import numpy as np
 
 from ..losses import PinballLoss
 from ..quantiles import check_level_pair
-from .base import MeanRegressor, QuantileRegressor, check_count, check_real, read_rows, training_rows
+from .base import (
+    MeanRegressor,
+    QuantileRegressor,
+    check_count,
+    check_real,
+    check_response_size,
+    read_rows,
+    training_rows,
+)
 
 __all__ = ["LinearPinballModel", "LinearQuantilePair", "LinearMedianRegressor"]
 
@@ -29,6 +37,7 @@ class LinearPinballModel:
 
     def fit(self, X, y) -> "LinearPinballModel":
         X, y = training_rows(X, y)
+        check_response_size(y, 1023, "fit a linear pinball model on")  # the scale sums them
         n = X.shape[0]
         scale = float(np.mean(np.abs(y)))
         if scale == 0.0:

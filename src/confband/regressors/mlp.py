@@ -3,9 +3,10 @@
 One architecture serves two jobs: a single-output head trained on squared
 error (point prediction, dispersion estimation) and a two-output head
 trained on the sum of two pinball losses (joint lower/upper quantile
-estimation). Forward, backward, and the optimizer are written out against
-plain numpy arrays so the analytic gradients can be checked directly
-against finite differences.
+estimation). Both roles share one fitted-network class, ``_MlpModel``,
+and differ only in their loss head and their read. Forward, backward, and
+the optimizer are written out against plain numpy arrays so the analytic
+gradients can be checked directly against finite differences.
 
 Parameters
 ----------
@@ -28,6 +29,7 @@ from .base import (
     QuantileRegressor,
     check_count,
     check_real,
+    check_response_size,
     read_rows,
     store_python_values,
     training_rows,
@@ -100,6 +102,9 @@ class _SquaredErrorHead:
     """Mean squared error over a single output column."""
 
     n_outputs = 1
+    # the loss squares residuals, and Adam squares gradients that are residuals times
+    # activations: at n * max|y| <= 2**255 both stay finite for activations up to ~2**255
+    log2_response_bound = 255
 
     def value(self, y: np.ndarray, out: np.ndarray) -> float:
         return float(np.mean((out[:, 0] - y) ** 2))
@@ -112,6 +117,7 @@ class _PinballPairHead:
     """Mean pinball loss at the lower level plus mean at the upper level."""
 
     n_outputs = 2
+    log2_response_bound = 1023  # the loss sums residuals
 
     def __init__(self, alpha_lo: float, alpha_hi: float):
         alpha_lo, alpha_hi = check_level_pair(alpha_lo, alpha_hi)
@@ -152,26 +158,25 @@ class MlpNetwork:
     def forward(self, X: np.ndarray, dropout_rng=None):
         """Run the network; returns the output batch and backprop caches.
 
-        With ``dropout_rng`` set, hidden activations are masked by inverted
-        dropout; otherwise the pass is deterministic (evaluation mode).
+        With ``dropout_rng`` set and ``dropout_keep_prob`` below 1, hidden
+        activations are masked by inverted dropout; otherwise the pass draws
+        nothing and is deterministic (evaluation mode).
         """
         keep = self.config.dropout_keep_prob
         a = X
         caches = []
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
             z = a @ W + b
-            if i == len(self.weights) - 1:
-                caches.append((a, z, None))
-                return z, caches
             h = np.maximum(z, 0.0)
+            mask = None
             if dropout_rng is not None and keep < 1.0:
                 mask = (dropout_rng.random(h.shape) < keep) / keep
                 h = h * mask
-            else:
-                mask = None
             caches.append((a, z, mask))
             a = h
-        raise AssertionError("unreachable")
+        z = a @ self.weights[-1] + self.biases[-1]
+        caches.append((a, z, None))
+        return z, caches
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray, head, dropout_rng=None):
         """Total loss (data term plus weight decay) and its parameter gradients.
@@ -218,14 +223,11 @@ class MlpNetwork:
         """Minibatch training for ``n_epochs`` passes over the data."""
         n = X.shape[0]
         batch = min(self.config.batch_size, n)
-        use_dropout = self.config.dropout_keep_prob < 1.0
         for _ in range(n_epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                loss, w_grads, b_grads = self.loss_and_grads(
-                    X[idx], y[idx], head, dropout_rng=rng if use_dropout else None
-                )
+                loss, w_grads, b_grads = self.loss_and_grads(X[idx], y[idx], head, dropout_rng=rng)
                 if not np.isfinite(loss):
                     raise ValueError("diverged; reduce learning rate")
                 self.adam_step(w_grads, b_grads)
@@ -241,21 +243,14 @@ class MlpNetwork:
         return out[:n]
 
 
-def _validation_folds(n: int, n_folds: int, rng) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[f::n_folds] for f in range(n_folds)]
-
-
 def _select_epoch_count(X, y, head, config: MlpConfig, n_folds: int) -> int:
     """Epoch count minimizing mean out-of-fold loss, evaluated after each epoch."""
-    n = X.shape[0]
     seeds = np.random.SeedSequence(config.seed).spawn(n_folds + 1)
-    fold_rng = np.random.default_rng(seeds[0])
+    order = np.random.default_rng(seeds[0]).permutation(X.shape[0])
     curve = np.zeros(config.max_epochs)
-    for f, val_idx in enumerate(_validation_folds(n, n_folds, fold_rng)):
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[val_idx] = False
-        X_tr, y_tr = X[train_mask], y[train_mask]
+    for f in range(n_folds):
+        val_idx = order[f::n_folds]
+        X_tr, y_tr = np.delete(X, val_idx, axis=0), np.delete(y, val_idx)
         X_val, y_val = X[val_idx], y[val_idx]
         rng = np.random.default_rng(seeds[f + 1])
         net = MlpNetwork(X.shape[1], head.n_outputs, config, rng)
@@ -267,6 +262,7 @@ def _select_epoch_count(X, y, head, config: MlpConfig, n_folds: int) -> int:
 
 def _fit_network(X, y, head, config: MlpConfig, cv_folds: int) -> MlpNetwork:
     X, y = training_rows(X, y)
+    check_response_size(y, head.log2_response_bound, "train this network on")
     n_epochs = config.max_epochs
     if cv_folds >= 2 and X.shape[0] >= 2 * cv_folds:
         n_epochs = _select_epoch_count(X, y, head, config, cv_folds)
@@ -276,8 +272,9 @@ def _fit_network(X, y, head, config: MlpConfig, cv_folds: int) -> MlpNetwork:
     return net
 
 
-class MlpMeanRegressor(MeanRegressor):
-    """Point predictor: single-output network trained on squared error.
+class _MlpModel:
+    """A fitted network of either head: the constructor, the fit and the checked read
+    that both roles share.
 
     ``cv_folds >= 2`` selects the epoch count by cross-validation before
     the final fit; otherwise the network trains for ``config.max_epochs``.
@@ -287,35 +284,36 @@ class MlpMeanRegressor(MeanRegressor):
         self.config = config
         self.cv_folds = check_count("cv_folds", cv_folds, minimum=0)
 
-    def fit(self, X, y) -> "MlpMeanRegressor":
-        self._net = _fit_network(X, y, _SquaredErrorHead(), self.config, self.cv_folds)
+    def _fit(self, X, y, head):
+        self._net = _fit_network(X, y, head, self.config, self.cv_folds)
         self.n_features_in_ = self._net.n_features_in_
         return self
 
+    def _read(self, X) -> np.ndarray:
+        X = read_rows(self, X)  # first: an unfitted model has no network to read
+        return self._net.predict(X)
+
+
+class MlpMeanRegressor(_MlpModel, MeanRegressor):
+    """Point predictor: single-output network trained on squared error."""
+
+    def fit(self, X, y) -> "MlpMeanRegressor":
+        return self._fit(X, y, _SquaredErrorHead())
+
     def predict(self, X) -> np.ndarray:
-        X = read_rows(self, X)
-        return self._net.predict(X)[:, 0]
+        return self._read(X)[:, 0]
 
 
-class MlpQuantilePair(QuantileRegressor):
+class MlpQuantilePair(_MlpModel, QuantileRegressor):
     """Joint lower/upper quantile curves from one two-output network.
 
     The two outputs share every hidden layer; the loss is the sum of the
     pinball losses at the two requested levels.
     """
 
-    def __init__(self, config: MlpConfig = MlpConfig(), cv_folds: int = 5):
-        self.config = config
-        self.cv_folds = check_count("cv_folds", cv_folds, minimum=0)
-
     def fit(self, X, y, alpha_lo: float, alpha_hi: float) -> "MlpQuantilePair":
-        head = _PinballPairHead(alpha_lo, alpha_hi)  # checks the levels first
-        self._net = _fit_network(X, y, head, self.config, self.cv_folds)
-        self.n_features_in_ = self._net.n_features_in_
-        return self
+        return self._fit(X, y, _PinballPairHead(alpha_lo, alpha_hi))  # the head checks the levels
 
     def predict_pair(self, X) -> tuple[np.ndarray, np.ndarray]:
-        X = read_rows(self, X)
-        out = self._net.predict(X)
+        out = self._read(X)
         return out[:, 0], out[:, 1]
-

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from .base import MeanRegressor, check_count, check_real, read_rows, training_rows
+from .base import (
+    MeanRegressor,
+    check_count,
+    check_real,
+    check_response_size,
+    read_rows,
+    training_rows,
+)
 
 __all__ = ["RidgeRegressor", "cross_validate_l2", "DEFAULT_L2_GRID"]
 
@@ -28,6 +35,7 @@ class RidgeRegressor(MeanRegressor):
 
     def fit(self, X, y) -> "RidgeRegressor":
         X, y = training_rows(X, y)
+        check_response_size(y, 1023, "fit a ridge regression on")  # y.mean() sums them
         x_mean = X.mean(axis=0)
         y_mean = y.mean()
         Xc = X - x_mean

@@ -224,7 +224,7 @@ def _forest_readouts_agree(n_forests: int, rng) -> bool:
         model = QuantileForestRegressor(config).fit(X, y, lo_level, hi_level)
         X_query = rng.normal(size=(3, p))
         lo, hi = model.predict_pair(X_query)
-        want = _oracle_quantiles(model, X, X_query, (lo_level, hi_level))
+        want = _oracle_quantiles(model, X, y, X_query, (lo_level, hi_level))
         for i in range(3):
             if lo[i] != want[i][0] or hi[i] != want[i][1]:
                 return False

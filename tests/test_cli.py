@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from confband import cli, harness
@@ -75,6 +76,21 @@ def test_run_on_a_csv_with_a_byte_order_mark(capsys, tmp_path):
         reports.append(out)
     # the mark is not part of the first column's name, so the reports agree
     assert reports[0] == reports[1]
+
+
+def test_run_reports_responses_whose_sum_overflows_as_one_error_line(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 2))
+    y = (np.abs(rng.normal(size=60)) + 0.1) * 1e307
+    rows = ["a,b,y"] + [f"{a!r},{b!r},{v!r}" for (a, b), v in zip(X.tolist(), y.tolist())]
+    data_path = tmp_path / "big.csv"
+    data_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, [
+        "run", "--data", str(data_path), "--target", "y",
+        "--method", "split", "--engine", "ridge", "--reps", "2",
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: every repetition failed; first error: the sum of |y| overflows a float\n"
 
 
 def test_run_rejects_a_csv_with_duplicate_column_names(capsys, tmp_path):

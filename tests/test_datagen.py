@@ -1,5 +1,6 @@
 """Tests for the synthetic generator, CSV ingestion, and standardization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -437,6 +438,23 @@ def test_standardize_degenerate_inputs_are_rejected():
         standardize_fit(X, np.zeros(10))
     with pytest.raises(ValueError, match="at least one row"):
         standardize_fit(np.zeros((0, 1)), np.zeros(0))
+
+
+def test_a_sum_that_overflows_a_float_is_a_value_error_naming_it():
+    # an OverflowError is neither a ValueError nor a RuntimeError, so it would escape
+    # the harness's per-repetition catch and the CLI's one-line error report
+    X = np.random.default_rng(0).normal(size=(40, 2))
+    with pytest.raises(ValueError, match=r"the sum of \|y\| overflows a float"):
+        standardize_fit(X, np.full(40, 1e307))
+    column = np.c_[X[:, 0], np.full(40, 1e307)]
+    with pytest.raises(ValueError, match="the sum of feature column 1 overflows a float"):
+        standardize_fit(column, np.ones(40))
+    # each value and their sum fit in a float, but the squared deviations do not
+    spread = np.c_[X[:, 0], np.repeat([1e200, -1e200], 20)]
+    with pytest.raises(ValueError, match="squared deviations of column 1 overflows a float"):
+        standardize_fit(spread, np.ones(40))
+    # a sum that fits keeps its fsum: mean |y| of 40 values of 1e306 is 1e306
+    assert standardize_fit(X, np.full(40, 1e306)).response_scale == math.fsum([1e306] * 40) / 40
 
 
 def test_standardization_rejects_a_width_other_than_the_fitted_one():

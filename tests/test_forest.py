@@ -149,9 +149,10 @@ class _LeafRecord(NamedTuple):
     n_trees: int
 
 
-def _leaf_record(forest) -> _LeafRecord:
-    rank = np.empty(forest.y_train.size, dtype=np.int64)
-    rank[np.argsort(forest.y_train, kind="stable")] = np.arange(forest.y_train.size)
+def _leaf_record(forest, y) -> _LeafRecord:
+    """The record of ``forest``, grown on responses ``y``."""
+    rank = np.empty(y.size, dtype=np.int64)
+    rank[np.argsort(y, kind="stable")] = np.arange(y.size)
     return _LeafRecord(forest.leaf_weights, forest.leaf_mean, rank, forest.config.n_trees)
 
 
@@ -230,17 +231,16 @@ def _leaf_multisets(model, X):
     return out
 
 
-def _oracle_quantiles(model, X, queries, levels):
+def _oracle_quantiles(model, X, y, queries, levels):
     """Exact weighted-CDF quantiles of each query row via rational arithmetic.
 
-    ``X`` is the training features. Each tree contributes weight 1/n_trees
+    ``X`` and ``y`` are the training rows. Each tree contributes weight 1/n_trees
     to the leaf a query lands in, split over the leaf's rows with bootstrap
     multiplicity. The quantile at a level is the smallest stored response
     whose cumulative weight reaches level times the total weight, less the
     readout's documented slack of ``_CDF_RTOL`` times ``max(total, 1)``.
     """
     trees = _leaf_multisets(model, X)
-    y_train = model._forest.y_train
     out = []
     for x in queries:
         weight: dict[int, Fraction] = {}
@@ -249,7 +249,7 @@ def _oracle_quantiles(model, X, queries, levels):
             share = Fraction(1, len(rows) * len(trees))
             for r in rows:
                 weight[r] = weight.get(r, Fraction(0)) + share
-        pairs = sorted((float(y_train[r]), w) for r, w in weight.items())
+        pairs = sorted((float(y[r]), w) for r, w in weight.items())
         total = sum(w for _, w in pairs)
         out.append([])
         for level in levels:
@@ -269,7 +269,7 @@ def _oracle_quantiles(model, X, queries, levels):
 # time, in growth order, into dense weight rows (columns in response-rank
 # order, as D's), reading the leaf weight block as plain arrays.
 def _referee_weights(forest, X):
-    n_train = forest.y_train.size
+    n_train = forest._y_sorted.size
     data, columns, indptr = forest.leaf_weights
     w = np.zeros((X.shape[0], n_train))
     w_flat = w.reshape(-1)
@@ -365,7 +365,7 @@ def test_quantile_readout_matches_weighted_cdf_oracle():
         model = QuantileForestRegressor(config).fit(X, y, lo_level, hi_level)
         X_query = rng.normal(size=(3, p))
         lo, hi = model.predict_pair(X_query)
-        want = _oracle_quantiles(model, X, X_query, (lo_level, hi_level))
+        want = _oracle_quantiles(model, X, y, X_query, (lo_level, hi_level))
         for i in range(3):
             assert [lo[i], hi[i]] == want[i]
 
@@ -466,7 +466,7 @@ def test_batched_growth_equals_the_per_node_grower(n, p, min_leaf, bootstrap, x_
     assert len(forest.tables) == n_batches
     trees = [(t, first, root) for t, first in _tables(forest) for root in range(t.n_trees)]
     assert len(trees) == n_trees
-    record = _leaf_record(forest)
+    record = _leaf_record(forest, y)
     seqs = np.random.SeedSequence(config.seed).spawn(n_trees)
     for i, ((tree, first, root), seq) in enumerate(zip(trees, seqs)):
         rows0 = np.random.default_rng(seq).integers(0, n, size=n) if bootstrap else np.arange(n)
@@ -483,7 +483,7 @@ def test_the_grower_referee_pins_each_leaf_multiset():
     table = forest.tables[0]
     rows0 = np.random.default_rng(np.random.SeedSequence(2).spawn(3)[0]).integers(0, 300, size=300)
     ref = _grow_tree(X, y, rows0, 8)  # tree 0, rooted at node 0 of the first table
-    record = _leaf_record(forest)
+    record = _leaf_record(forest, y)
     assert _trees_differ(record, table, 0, ref) is None
     data, columns, indptr = record.weights
     # a leaf of tree 0 (the first table's node ids are its D rows) holding
@@ -521,7 +521,7 @@ def _check_multi_batch_readouts(bootstrap, levels):
     got_mean = mean.predict(X_query)
     forest = mean._forest
     trees = [(t, first, root) for t, first in _tables(forest) for root in range(t.n_trees)]
-    exact = _oracle_quantiles(pair, X, X_query, levels)
+    exact = _oracle_quantiles(pair, X, y, X_query, levels)
     for i, x in enumerate(X_query):
         assert [lo[i], hi[i], mid[i]] == exact[i]
         # the mean readout adds the leaf means in tree order, then divides
@@ -719,7 +719,7 @@ def test_the_sparse_product_reads_what_the_per_tree_loop_reads(
     X = np.random.default_rng(14).normal(size=(n_queries, 2))
     _assert_reads_the_references(forest, X, (0.1, 0.9, 0.37))
     # the weight rows themselves, E·D block by block
-    D = sparse.csr_array(forest.leaf_weights, shape=(forest.leaf_mean.size, forest.y_train.size))
+    D = sparse.csr_array(forest.leaf_weights, shape=(forest.leaf_mean.size, forest._y_sorted.size))
     want = _referee_weights(forest, X)
     step = max(1, forest_module._ROUTE_PAIRS // forest.config.n_trees)
     blocks = 0

@@ -222,6 +222,28 @@ def test_epoch_selection_takes_the_first_minimum_of_the_cross_validated_curve(he
     assert got.tobytes() == net.predict(X).reshape(got.shape).tobytes()
 
 
+def test_too_few_rows_for_the_folds_train_max_epochs_without_cross_validation():
+    # 3 folds need 6 rows; with 5 the fit skips epoch selection, as cv_folds=0 does
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(5, 2))
+    y = X[:, 0] + rng.normal(size=5)
+    config = MlpConfig(
+        hidden_width=8, max_epochs=12, learning_rate=0.05, batch_size=2,
+        dropout_keep_prob=0.8, seed=3,
+    )
+    for make, args, head, read in [
+        (MlpMeanRegressor, (), _SquaredErrorHead(), lambda m: m.predict(X)),
+        (
+            MlpQuantilePair, (0.1, 0.9), _PinballPairHead(0.1, 0.9),
+            lambda m: np.column_stack(m.predict_pair(X)),
+        ),
+    ]:
+        # cross-validating these rows anyway would stop early, so the bits would differ
+        assert _select_epoch_count(X, y, head, config, 3) < config.max_epochs
+        want = read(make(config, cv_folds=0).fit(X, y, *args)).tobytes()
+        assert read(make(config, cv_folds=3).fit(X, y, *args)).tobytes() == want
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exploding_learning_rate_raises_divergence_error():
     rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ footprint, the files the package writes and the README."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -174,3 +175,17 @@ def test_every_test_the_readme_names_exists():
     promises = text.split("## What confband promises", 1)[1].split("\n## ", 1)[0]
     items = re.split(r"^- ", promises, flags=re.M)[1:]
     assert items and [item for item in items if "tests/" not in item] == []
+
+
+def test_every_mutant_matches_once_and_names_tests_that_exist():
+    # scripts/mutants.py runs the mutants against their tests; this keeps its table
+    # in step with src/ and tests/ between runs
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert len(mutants._matches(ROOT, m.old)) == 1, m.name
+        for test in m.killers:
+            file, name = re.fullmatch(r"(tests/\w+\.py)::(\w+)(\[[^]]+\])?", test).group(1, 2)
+            assert re.search(rf"^def {name}\(", (ROOT / file).read_text(encoding="utf-8"), re.M), test

@@ -1,6 +1,7 @@
 """Checks shared by every regression engine."""
 
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -130,6 +131,41 @@ def test_a_failed_refit_leaves_the_first_fit_to_read(engine):
     with pytest.raises(ValueError, match="need at least one row"):
         model.fit(np.zeros((0, 2)), np.zeros(0), *fit_args)
     assert np.asarray(read(X)).tobytes() == want
+
+
+# log2 of the bound on n * max|y| of each engine that fits to responses: 1023 where
+# the fit only sums them, lower where it squares them
+_RESPONSE_BOUNDS = {
+    "forest-pair": 511,
+    "forest-mean": 511,
+    "mlp-mean": 255,
+    "mlp-pair": 1023,
+    "ridge": 1023,
+    "linear-pair": 1023,
+    "linear-median": 1023,
+    "linear-model": 1023,
+}
+
+
+@pytest.mark.parametrize("engine", list(_RESPONSE_BOUNDS))
+def test_a_fit_rejects_responses_past_its_bound_and_fits_those_at_it(engine):
+    make, fit_args, readout = _ENGINES[engine]
+    log2_bound = _RESPONSE_BOUNDS[engine]
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 3))
+    y = np.abs(rng.normal(size=40)) + 0.1
+    # past the bound these fits overflowed: a NaN read, a stump forest, or an overflow
+    # warning before a divergence error that blamed the learning rate
+    too_large = 1e307 if log2_bound == 1023 else 1e155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"need n \* max\|y\| <= 2\*\*{log2_bound}, got 40 \* "):
+            make().fit(X, y * too_large, *fit_args)
+        for n in (40, 4):  # the fewest rows the test forest grows on
+            at_bound = y[:n] / y[:n].max() * (2.0**log2_bound / n)
+            assert at_bound.max() == 2.0**log2_bound / n
+            model = make().fit(X[:n], at_bound, *fit_args)
+            assert np.all(np.isfinite(_read(model, readout)(X)))
 
 
 @pytest.mark.parametrize("engine", list(_ENGINES))
