@@ -1,6 +1,6 @@
 """Mutation check: each known-bad edit of ``src/`` must fail the tests named to catch it.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
 Every mutant in ``MUTANTS`` is one exact text substitution that must match
 exactly once in the ``.py`` files under ``src/``, and it names the tests
@@ -9,7 +9,7 @@ that must kill it. The script copies ``src/``, ``tests/`` and
 on the unmutated copy (they must all pass), and then, one mutant after
 another, applies the substitution and runs that mutant's tests only
 (``pytest -x``, one BLAS thread, no bytecode written, so no stale
-``.pyc`` can hide an edit). With names given, only those mutants run.
+``.pyc`` can hide an edit).
 
 It prints one line per mutant and exits 1 when a mutant survives its tests,
 its text no longer matches once, a named test is missing, or the unmutated
@@ -56,6 +56,12 @@ MUTANTS = (
         "mask = (dropout_rng.random(h.shape) < keep) / keep",
         "mask = (dropout_rng.random(h.shape) < keep) * 1.0",
         ("tests/test_mlp.py::test_dropout_masks_are_inverted",),
+    ),
+    Mutant(
+        "mean-response-bound-at-the-forest-bound",
+        "log2_response_bound = 255",
+        "log2_response_bound = 511",
+        ("tests/test_mlp.py::test_the_mean_rejects_responses_that_overflow_its_optimizer_at_the_forest_bound",),
     ),
     Mutant(
         "epoch-selection-returns-max-epochs",
@@ -166,6 +172,12 @@ MUTANTS = (
         ("tests/test_ridge.py::test_multifeature_fit_matches_normal_equations",),
     ),
     Mutant(
+        "ridge-overflowed-fit-kept",
+        "if not (np.all(np.isfinite(coef)) and np.isfinite(intercept)):",
+        "if False:",
+        ("tests/test_ridge.py::test_a_fit_whose_normal_equations_overflow_is_a_value_error",),
+    ),
+    Mutant(
         "ridge-cv-ties-to-the-largest-penalty",
         "return grid[int(np.argmin(mse))]",
         "return grid[len(grid) - 1 - int(np.argmin(mse[::-1]))]",
@@ -210,12 +222,7 @@ def _pytest(copy: Path, tests) -> tuple[int, str]:
     return done.returncode, done.stdout + done.stderr
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     start = time.perf_counter()
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -224,12 +231,12 @@ def main(names) -> int:
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        killers = sorted({test for m in chosen for test in m.killers})
+        killers = sorted({test for m in MUTANTS for test in m.killers})
         code, output = _pytest(copy, killers)
         if code != 0:
             print(f"the unmutated copy fails a named test (pytest exit {code}):\n{output}")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             found = _matches(copy, m.old)
             if len(found) != 1:
                 print(f"NO MATCH  {m.name}: its text matches {len(found)} times in src/, not once")
@@ -249,9 +256,9 @@ def main(names) -> int:
             else:
                 print(f"ERROR     {m.name}: pytest exit {code}\n{output}")
                 bad += 1
-    print(f"{len(chosen)} mutants, {bad} not killed, {time.perf_counter() - start:.0f} s")
+    print(f"{len(MUTANTS)} mutants, {bad} not killed, {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -103,7 +103,9 @@ class _SquaredErrorHead:
 
     n_outputs = 1
     # the loss squares residuals, and Adam squares gradients that are residuals times
-    # activations: at n * max|y| <= 2**255 both stay finite for activations up to ~2**255
+    # activations, so the bound keeps half the exponent range for the activations, whose
+    # scale follows the features': at 2**511 a fit on 1 to 4 rows of unit-scale features
+    # overflows in Adam's g * g
     log2_response_bound = 255
 
     def value(self, y: np.ndarray, out: np.ndarray) -> float:

@@ -50,10 +50,19 @@ class RidgeRegressor(MeanRegressor):
             raise ValueError(
                 "singular normal equations; use l2_weight > 0"
             ) from None
-        rhs = Xc.T @ yc
-        coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        # the bound on y leaves X's scale free, so X.T @ y can still overflow:
+        # such a fit is refused here rather than read as NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = Xc.T @ yc
+            coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            intercept = float(y_mean - x_mean @ coef)
+        if not (np.all(np.isfinite(coef)) and np.isfinite(intercept)):
+            raise ValueError(
+                "features and responses too large to fit a ridge regression on: "
+                "the normal equations overflow a float"
+            )
         self.coef_ = coef
-        self.intercept_ = float(y_mean - x_mean @ coef)
+        self.intercept_ = intercept
         self.n_features_in_ = X.shape[1]
         return self
 

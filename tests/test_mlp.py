@@ -1,6 +1,7 @@
 """Tests for the fully connected networks and their training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ def test_exploding_learning_rate_raises_divergence_error():
     )
     with pytest.raises(ValueError, match="diverged; reduce learning rate"):
         MlpMeanRegressor(config, cv_folds=1).fit(X, y)
+
+
+def test_the_mean_rejects_responses_that_overflow_its_optimizer_at_the_forest_bound():
+    # at n * max|y| = 2**511, which the forest accepts, a squared-error fit on 1 to 4
+    # rows of unit-scale features overflows in Adam's squared gradients; the mean's
+    # 2**255 rejects those responses before training
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 3))
+    y = np.abs(rng.normal(size=40)) + 0.1
+    for n in range(1, 5):
+        at_forest_bound = y[:n] / y[:n].max() * (2.0**511 / n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="responses too large to train this network on"):
+                MlpMeanRegressor(MlpConfig(max_epochs=3), cv_folds=0).fit(X[:n], at_forest_bound)
 
 
 def test_invalid_config_fields_are_rejected():

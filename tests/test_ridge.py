@@ -1,5 +1,7 @@
 """Closed-form ridge regression tests against hand-solvable cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,14 @@ def test_ridge_rejects_negative_l2_weight():
 def test_ridge_rejects_a_non_finite_l2_weight(l2_weight):
     with pytest.raises(ValueError, match="l2_weight must be >= 0 and finite"):
         RidgeRegressor(l2_weight)
+
+
+def test_a_fit_whose_normal_equations_overflow_is_a_value_error():
+    # n * max|y| = 2**1023 passes the response bound, but the feature spread of 8
+    # takes X.T @ y to 2**1024: the fit is refused rather than read as NaN
+    X, y = [[0.0], [8.0]], [0.0, 2.0**1022]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the normal equations overflow a float"):
+            RidgeRegressor(1.0).fit(X, y)
+        assert np.all(np.isfinite(RidgeRegressor(1.0).fit([[0.0], [1.0]], y).predict(X)))
