@@ -16,7 +16,7 @@ its text no longer matches once, a named test is missing, or the unmutated
 copy fails a named test. The script edits no file of the checkout. A
 survivor is mended by a new test, or by a note in CHANGES.md that says why
 the mutant is equivalent; a refactor that moves a mutant's text updates the
-text here. The whole table runs in under a minute on a 2-vCPU VM.
+text here. The whole table runs in 85-100 s on a 2-vCPU VM.
 """
 
 import os
@@ -40,6 +40,10 @@ class Mutant(NamedTuple):
 
 _ADAM = "tests/test_mlp.py::test_adam_step_matches_a_scalar_adam_bit_for_bit"
 _TIES = "tests/test_harness.py::test_quantile_level_tuning_grid_and_ties"
+_AUDIT_BAND = "tests/test_harness.py::test_an_audit_trial_band_is_the_public_calibrator_band[linear-q]"
+_GROWTH = "tests/test_forest.py::test_batched_growth_equals_the_per_node_grower"
+_SHAPES = "tests/test_regressors.py::test_every_fit_and_read_takes_a_finite_2d_x_and_a_1d_y[ridge]"
+_BAND_CALL = "correction = conformal_correction(*cal, y_cal, *levels)"
 
 MUTANTS = (
     # the MLP trainer
@@ -77,17 +81,65 @@ MUTANTS = (
         ("tests/test_forest.py::test_quantile_readout_matches_weighted_cdf_oracle",),
     ),
     Mutant(
+        "leaf-threshold-finite",
+        "threshold = np.where(is_split, threshold, np.inf)",
+        "threshold = np.where(is_split, threshold, 1e300)",
+        ("tests/test_forest.py::test_a_deep_table_routes_every_pair_in_depth_steps[bootstrap]",),
+    ),
+    Mutant(
+        "growth-moves-no-order",
+        "moves = [feature != j for j in range(len(orders))]",
+        "moves = [feature < -1 for j in range(len(orders))]",
+        (f"{_GROWTH}[300-3-4-False-constant-1]",),
+    ),
+    Mutant(
+        "growth-leaves-x-and-y-copies-behind",
+        "order[to], x_j[to], y_j[to] = samples, x_j[pos], y_j[pos]",
+        "order[to] = samples",
+        (f"{_GROWTH}[300-3-4-False-constant-1]",),
+    ),
+    Mutant(
+        "growth-skips-an-order-any-node-splits-on",
+        "if not move.any():",
+        "if not move.all():",
+        (f"{_GROWTH}[300-3-4-False-constant-1]",),
+    ),
+    Mutant(
         "no-cdf-slack",
         "_CDF_RTOL = 1e-9",
         "_CDF_RTOL = 0.0",
         ("tests/test_forest.py::test_single_leaf_reads_order_statistics",),
     ),
-    # reads
+    # the fit and read boundary
     Mutant(
         "rows-not-c-ordered",
         'X = np.asarray(X, dtype=float, order="C")',
         "X = np.asarray(X, dtype=float)",
         ("tests/test_regressors.py::test_a_read_gives_each_row_the_same_bits_in_any_slice_and_layout[ridge-8]",),
+    ),
+    Mutant(
+        "one-dimensional-x-read-as-a-column",
+        "    if X.ndim != 2:",
+        "    if X.ndim == 1:\n        X = X.reshape(-1, 1)\n    if X.ndim != 2:",
+        (_SHAPES, "tests/test_datagen.py::test_a_dataset_takes_a_2d_x_and_a_1d_y_of_as_many_rows"),
+    ),
+    Mutant(
+        "non-finite-x-accepted",
+        "if not np.all(np.isfinite(X)):",
+        "if False:",
+        (_SHAPES,),
+    ),
+    Mutant(
+        "response-flattened",
+        "    if y.ndim != 1:",
+        "    y = y.reshape(-1)\n    if y.ndim != 1:",
+        (_SHAPES, "tests/test_datagen.py::test_a_dataset_takes_a_2d_x_and_a_1d_y_of_as_many_rows"),
+    ),
+    Mutant(
+        "package-imports-a-submodule",
+        '__version__ = "0.1.0"',
+        'from . import harness  # noqa: F401\n__version__ = "0.1.0"',
+        ("tests/test_package.py::test_importing_the_package_loads_no_numpy_and_no_submodule",),
     ),
     # evaluation
     Mutant(
@@ -103,6 +155,39 @@ MUTANTS = (
         ("tests/test_harness.py::test_a_point_on_an_endpoint_is_covered_and_misses_no_tail",),
     ),
     # calibration
+    Mutant(
+        "audit-correction-pooled-over-a-block-of-trials",
+        _BAND_CALL,
+        "pooled = [np.reshape(v, -1) if np.ndim(v) else v for v in cal]\n"
+        "    correction = conformal_correction(*pooled, y_cal.reshape(-1), *levels)\n"
+        "    correction = np.full(y_cal.shape[:-1], correction) if y_cal.ndim > 1 else correction",
+        (_AUDIT_BAND,),
+    ),
+    Mutant(
+        "audit-trials-calibrated-on-the-first-trial",
+        _BAND_CALL,
+        "correction = conformal_correction(*[v[:1] if np.ndim(v) > 1 else v for v in cal],"
+        " y_cal[:1] if y_cal.ndim > 1 else y_cal, *levels)",
+        (_AUDIT_BAND,),
+    ),
+    Mutant(
+        "audit-of-one-trial-allowed",
+        'n_trials = check_count("n_trials", n_trials, minimum=2)',
+        'n_trials = check_count("n_trials", n_trials)',
+        ("tests/test_cli.py::test_coverage_audit_of_one_trial_is_one_error_line",),
+    ),
+    Mutant(
+        "band-holds-an-unpicklable-reader",
+        "plugin = partial(_fitted_plugin, method, models, gamma)",
+        "plugin = lambda X: _fitted_plugin(method, models, gamma, X)  # noqa: E731",
+        ("tests/test_conformal.py::test_a_band_of_fitted_engines_pickles_and_reads_the_same_bits",),
+    ),
+    Mutant(
+        "order-statistic-unchecked",
+        "if not 1 <= k <= self.n:",
+        "if False:",
+        ("tests/test_quantiles.py::test_an_order_statistic_outside_one_to_n_is_rejected",),
+    ),
     Mutant(
         "no-finite-sample-inflation",
         "scaled = _snap((1.0 - alpha) * (n + 1))",
@@ -166,6 +251,24 @@ MUTANTS = (
         ("tests/test_knn.py::test_matches_brute_force_neighbor_average",),
     ),
     Mutant(
+        "knn-residual-bound-dropped",
+        'check_response_size(r, 1023, "average as k-NN residuals")',
+        "None",
+        ("tests/test_regressors.py::test_a_fit_rejects_responses_past_its_bound_and_fits_those_at_it[knn]",),
+    ),
+    Mutant(
+        "knn-overflowed-distances-read",
+        "if not np.all(np.isfinite(dists)):",
+        "if False:",
+        ("tests/test_knn.py::test_distances_that_overflow_a_float_are_a_value_error",),
+    ),
+    Mutant(
+        "ridge-singular-fit-raises-linalg-error",
+        "except np.linalg.LinAlgError:",
+        "except ZeroDivisionError:",
+        ("tests/test_ridge.py::test_collinear_features_without_a_penalty_are_singular",),
+    ),
+    Mutant(
         "ridge-penalty-squared",
         "gram = Xc.T @ Xc + lam * np.eye(X.shape[1])",
         "gram = Xc.T @ Xc + lam * lam * np.eye(X.shape[1])",
@@ -190,10 +293,35 @@ MUTANTS = (
         ("tests/test_linear_pinball.py::test_constant_model_converges_to_median_of_integers",),
     ),
     Mutant(
+        "pinball-zero-response-scale-kept",
+        "if scale == 0.0:",
+        "if False:",
+        ("tests/test_linear_pinball.py::test_an_all_zero_response_fits_at_unit_scale_and_reads_zero",),
+    ),
+    Mutant(
         "standardize-ddof-one",
         'f"squared deviations of column {j}") / n)',
         'f"squared deviations of column {j}") / (n - 1))',
         ("tests/test_datagen.py::test_standardize_fit_apply_round_trip",),
+    ),
+    # the command line
+    Mutant(
+        "config-boolean-any-word",
+        'if lowered not in ("true", "false"):',
+        "if False:",
+        ("tests/test_cli.py::test_any_other_config_boolean_names_its_line[yes]",),
+    ),
+    Mutant(
+        "config-boolean-never-true",
+        'return lowered == "true"',
+        "return False",
+        ("tests/test_cli.py::test_a_config_boolean_is_true_or_false_in_any_case[TRUE-True]",),
+    ),
+    Mutant(
+        "some-failed-repetitions-not-warned",
+        "if report.failures:",
+        "if False:",
+        ("tests/test_cli.py::test_a_run_where_some_repetitions_fail_warns_and_reports_the_rest",),
     ),
 )
 

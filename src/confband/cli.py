@@ -16,8 +16,9 @@ is left out of the call.
 Every option can also be supplied through ``--config FILE``, a plain text
 file of ``key = value`` lines (``#`` starts a comment; keys match the long
 option names of the chosen subcommand with either dashes or underscores;
-booleans are true/false; a value must be one of the option's choices).
-Explicit command line flags win over file values.
+a boolean is ``true`` or ``false`` in any case, and nothing else; a value
+must be one of the option's choices). A bad line is reported as
+``path:line``. Explicit command line flags win over file values.
 """
 
 import argparse
@@ -26,27 +27,24 @@ import sys
 from functools import partial
 from pathlib import Path
 
+from .conformal import METHODS
 from .datagen import SYNTHETIC_KINDS, SyntheticSpec, generate, load_csv
 from .harness import (
     ENGINES,
-    METHODS,
     PAIR_ENGINES,
     ExperimentConfig,
-    ForestConfig,
-    MlpConfig,
     band_comparison_demo,
     coverage_audit,
     run_experiment,
 )
+from .regressors import ForestConfig, MlpConfig
 
 
 def _to_bool(text: str) -> bool:
     lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    if lowered not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return lowered == "true"
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:

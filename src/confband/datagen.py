@@ -61,17 +61,12 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = as_matrix(self.X)
         y = as_vector(self.y, X.shape[0])
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ValueError(
-                f"{len(self.feature_names)} feature names for {X.shape[1]} columns"
-            )
 
     @property
     def n_rows(self) -> int:
@@ -297,7 +292,7 @@ def draw_rows(spec: SyntheticSpec, seeds) -> tuple[np.ndarray, np.ndarray, Oracl
 def generate(spec: SyntheticSpec) -> tuple[Dataset, OracleQuantiles]:
     """Draw a dataset from the synthetic law along with its exact quantiles."""
     x, y, oracle = draw_rows(spec, [spec.seed])
-    return Dataset(X=x.reshape(-1, 1), y=y[0], feature_names=("x",)), oracle
+    return Dataset(X=x.reshape(-1, 1), y=y[0]), oracle
 
 
 def load_csv(path: str, target_column: str) -> Dataset:
@@ -326,8 +321,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
                 f"target column not found: {target_column!r} (columns: {header})"
             )
         target_idx = header.index(target_column)
-        feature_names = tuple(n for i, n in enumerate(header) if i != target_idx)
-        if not feature_names:
+        if len(header) == 1:
             raise ValueError("no feature columns besides the target")
 
         rows = []
@@ -355,7 +349,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
     data = np.asarray(rows, dtype=float)
     mask = np.ones(len(header), dtype=bool)
     mask[target_idx] = False
-    return Dataset(X=data[:, mask], y=data[:, target_idx], feature_names=feature_names)
+    return Dataset(X=data[:, mask], y=data[:, target_idx])
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ from .regressors.base import (
 )
 
 __all__ = [
-    "METHODS",
     "ENGINES",
     "PAIR_ENGINES",
     "QUANTILE_TUNING_GRID",
@@ -716,11 +715,12 @@ def coverage_audit(
     rows. Reads are row-wise (see ``regressors.base``), so each trial gets
     the bits its own rows would give it alone. For continuous data the pooled
     coverage should land in [1 - alpha, 1 - alpha + 1/(n_calibration + 1)]
-    up to binomial noise.
+    up to binomial noise. The standard error comes from the trials' spread,
+    so an audit needs at least two trials.
     """
-    n_trials, n_calibration, n_test, n_train = map(
-        check_count, ("n_trials", "n_calibration", "n_test", "n_train"),
-        (n_trials, n_calibration, n_test, n_train),
+    n_trials = check_count("n_trials", n_trials, minimum=2)
+    n_calibration, n_test, n_train = map(
+        check_count, ("n_calibration", "n_test", "n_train"), (n_calibration, n_test, n_train),
     )
     # engine settings are the config defaults, in raw units; the config
     # rejects an engine without a quantile pair
@@ -743,7 +743,7 @@ def coverage_audit(
         per_trial[start : start + len(seeds)] = _evaluate(lo, hi, y[:, n_calibration:], 1.0)[0]
 
     pooled = float(np.mean(per_trial))
-    se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
+    se = float(np.std(per_trial, ddof=1) / np.sqrt(n_trials))
     lower = 1.0 - cfg.alpha
     upper = 1.0 - cfg.alpha + 1.0 / (n_calibration + 1)
     return {

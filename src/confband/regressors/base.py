@@ -19,7 +19,9 @@ conformal score is a fixed function of its own row and a block of rows may
 be read at once. ``training_rows`` hands every fit its rows, standardization,
 ridge CV and quantile-level tuning included, and ``read_rows`` every read: an
 engine is fitted exactly when its ``n_features_in_`` is set, which its fit
-does last, so a failed fit leaves it as it was.
+does last, so a failed fit leaves it as it was. X is always an n x p matrix
+and y a vector of n values: ``as_matrix`` and ``as_vector`` reshape nothing,
+and reject any other ndim with a ``ValueError``.
 """
 
 import math
@@ -49,11 +51,11 @@ __all__ = [
 def as_matrix(X, n_features: int | None = None) -> np.ndarray:
     """Coerce features to a C-ordered 2-D float array of shape (n_samples, n_features).
 
-    ``n_features``, when given, is the width a fitted model expects.
+    X must be 2-D already: a 1-D X could be one row or one column, so it is
+    rejected like a 3-D one. ``n_features``, when given, is the width a fitted
+    model expects.
     """
     X = np.asarray(X, dtype=float, order="C")
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
     if not np.all(np.isfinite(X)):
@@ -66,8 +68,11 @@ def as_matrix(X, n_features: int | None = None) -> np.ndarray:
 
 
 def as_vector(y, n_rows: int | None = None) -> np.ndarray:
-    """Coerce a response to a 1-D float array, optionally checking its length."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    """Coerce a response to a 1-D float array, optionally checking its length; a
+    response of any other ndim is rejected, not flattened."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"expected a 1-D response vector, got ndim={y.ndim}")
     if not np.all(np.isfinite(y)):
         raise ValueError("response vector contains non-finite entries")
     if n_rows is not None and y.size != n_rows:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .base import MeanRegressor, check_count, read_rows, training_rows
+from .base import MeanRegressor, check_count, check_response_size, read_rows, training_rows
 
 __all__ = ["KnnDispersion"]
 
@@ -27,7 +27,9 @@ class KnnDispersion(MeanRegressor):
 
     When the rows at the k-th distance outnumber the places left for them,
     each of them gets weight (k - rows closer) / rows at that distance, so
-    the read does not depend on training-row order.
+    the read does not depend on training-row order. Residuals with
+    n * max|r| above 2**1023, and reads whose distances overflow a float,
+    are a ``ValueError``.
 
     Parameters
     ----------
@@ -42,6 +44,8 @@ class KnnDispersion(MeanRegressor):
         X, r = training_rows(X, residuals)
         if np.any(r < 0):
             raise ValueError("residuals must be non-negative (absolute residuals)")
+        # a read sums k <= n residuals
+        check_response_size(r, 1023, "average as k-NN residuals")
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds the {X.shape[0]} training rows")
         self._X = X.copy()
@@ -51,7 +55,10 @@ class KnnDispersion(MeanRegressor):
 
     def predict(self, X) -> np.ndarray:
         X = read_rows(self, X)
-        dists = _euclidean(X, self._X)
+        with np.errstate(over="ignore"):  # overflowed distances tie at inf: refused below
+            dists = _euclidean(X, self._X)
+        if not np.all(np.isfinite(dists)):
+            raise ValueError("distances between rows overflow a float; rescale the features")
         if self.k == self._X.shape[0]:
             neighbors = np.broadcast_to(
                 np.arange(self._X.shape[0]), (X.shape[0], self._X.shape[0])

@@ -286,6 +286,25 @@ def test_a_config_value_outside_the_option_choices_names_its_line(capsys, tmp_pa
     assert err.endswith(f"(choose from {', '.join(choices)})\n")
 
 
+@pytest.mark.parametrize("text, value", [("true", True), ("TRUE", True), (" False ", False)])
+def test_a_config_boolean_is_true_or_false_in_any_case(tmp_path, text, value):
+    config = tmp_path / "flags.conf"
+    config.write_text(f"tune-quantiles = {text}\n", encoding="utf-8")
+    values = _load_config_file(str(config), _subcommands(build_parser())["run"])
+    assert values == {"tune_quantiles": value}
+
+
+@pytest.mark.parametrize("text", ["1", "yes", "on", "0", "no", "off", "t", ""])
+def test_any_other_config_boolean_names_its_line(capsys, tmp_path, text):
+    config = tmp_path / "flags.conf"
+    config.write_text(f"# flags\noriginal-units = {text}\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["run", "--config", str(config)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {config}:2: bad value for original_units: expected true or false, got {text!r}\n"
+    )
+
+
 def test_config_file_accepts_comments_and_either_separator_style(tmp_path):
     config = tmp_path / "style.conf"
     config.write_text(
@@ -357,6 +376,30 @@ def test_coverage_audit_prints_and_writes_json(capsys, tmp_path):
     assert code == 0
     assert f"wrote {out_path}" in out
     assert json.loads(out_path.read_text())["n_trials"] == 5
+
+
+def test_coverage_audit_of_one_trial_is_one_error_line(capsys):
+    code, out, err = _run(capsys, ["coverage-audit", "--trials", "1", "--engine", "oracle"])
+    assert (code, out, err) == (2, "", "error: n_trials must be >= 2, got 1\n")
+
+
+def test_a_run_where_some_repetitions_fail_warns_and_reports_the_rest(capsys, monkeypatch):
+    run_repetition = harness._run_repetition
+
+    def first_fails(cfg, dataset, oracle, rep, seq):
+        if rep == 0:
+            raise ValueError("repetition 0 fails")
+        return run_repetition(cfg, dataset, oracle, rep, seq)
+
+    monkeypatch.setattr(harness, "_run_repetition", first_fails)
+    code, out, err = _run(capsys, [
+        "run", "--synthetic", "heteroscedastic", "--engine", "oracle",
+        "--method", "split", "--n", "120", "--reps", "2",
+    ])
+    assert (code, err) == (0, "warning: 1 repetition(s) failed\n")
+    report = json.loads(out)
+    assert report["failures"] == [{"repetition": 0, "error": "repetition 0 fails"}]
+    assert [r["repetition"] for r in report["repetitions"]] == [1]
 
 
 def test_parser_rejects_unknown_choices(capsys):

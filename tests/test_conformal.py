@@ -1,5 +1,7 @@
 """Tests for the four split-style conformal calibrators."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,27 @@ def test_predict_interval_is_apply_on_the_plugin_values():
     assert sum(crossed.correction) < -2.0
     lo, hi = crossed.predict_interval(np.zeros((3, 1)))
     assert np.array_equal(lo, hi)
+
+
+def test_a_band_of_fitted_engines_pickles_and_reads_the_same_bits():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 5.0, size=(120, 2))
+    y = X[:, 0] + rng.normal(size=120)
+    fit, cal, new = slice(0, 60), slice(60, 100), slice(100, 120)
+    mu = RidgeRegressor(0.1).fit(X[fit], y[fit])
+    sigma = KnnDispersion(5).fit(X[fit], np.abs(y[fit] - mu.predict(X[fit])))
+    pair = QuantileForestRegressor(ForestConfig(n_trees=5, min_leaf_size=5))
+    pair.fit(X[fit], y[fit], 0.05, 0.95)
+    for band in (
+        split_conformal_calibrate(mu, X[cal], y[cal], 0.1),
+        local_conformal_calibrate(mu, sigma, X[cal], y[cal], 0.1),
+        cqr_calibrate(pair, X[cal], y[cal], 0.1),
+        cqr_asym_calibrate(pair, X[cal], y[cal], 0.05, 0.05),
+    ):
+        again = pickle.loads(pickle.dumps(band))
+        assert again.correction == band.correction
+        got, want = again.predict_interval(X[new]), band.predict_interval(X[new])
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_crossing_quantile_pair_is_rejected():

@@ -15,6 +15,7 @@ from scipy import stats
 
 from confband import harness
 from confband.conformal import (
+    METHODS,
     apply_correction,
     cqr_asym_calibrate,
     cqr_calibrate,
@@ -31,7 +32,6 @@ from confband.datagen import (
 )
 from confband.harness import (
     CSV_HEADER,
-    METHODS,
     QUANTILE_TUNING_GRID,
     CrossingFixPair,
     ExperimentConfig,
@@ -733,7 +733,7 @@ def test_non_integer_config_counts_are_rejected(field, value):
 
 @pytest.mark.parametrize("field", ["n_trials", "n_calibration", "n_test", "n_train"])
 def test_non_integer_audit_counts_are_rejected(field):
-    counts = dict(n_trials=1, n_calibration=9, n_test=10, n_train=50)
+    counts = dict(n_trials=2, n_calibration=9, n_test=10, n_train=50)
     with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
         coverage_audit(**{**counts, field: 2.5}, engine="oracle")
 
@@ -994,14 +994,16 @@ def test_each_audit_trial_misses_each_tail_as_the_beta_binomial_law_says(
 
 
 def test_coverage_audit_arguments_and_light_run():
-    with pytest.raises(ValueError, match="n_trials"):
-        coverage_audit(n_trials=0)
+    # one trial has no spread: its se read 0, so the 4-se check allowed no noise
+    for n_trials in (0, 1):
+        with pytest.raises(ValueError, match=f"^n_trials must be >= 2, got {n_trials}$"):
+            coverage_audit(n_trials=n_trials, engine="oracle")
     with pytest.raises(ValueError, match="n_calibration must be >= 1, got 0"):
-        coverage_audit(n_trials=1, n_calibration=0)
+        coverage_audit(n_trials=2, n_calibration=0)
     with pytest.raises(ValueError, match="n_test must be >= 1, got 0"):
-        coverage_audit(n_trials=1, n_test=0)
+        coverage_audit(n_trials=2, n_test=0)
     with pytest.raises(ValueError, match="cannot produce quantile pairs"):
-        coverage_audit(n_trials=1, engine="ridge")
+        coverage_audit(n_trials=2, engine="ridge")
     audit = coverage_audit(n_trials=5, engine="oracle", seed=2)
     assert audit["n_trials"] == 5
     assert audit["lower_bound"] == pytest.approx(0.9)

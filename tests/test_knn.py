@@ -1,5 +1,6 @@
 """Nearest-neighbor dispersion estimator tests."""
 
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -88,6 +89,20 @@ def test_a_non_integer_k_is_rejected(k):
     with pytest.raises(ValueError, match="k must be an integer"):
         KnnDispersion(k=k)
     assert KnnDispersion(k=np.int64(2)).k == 2
+
+
+def test_distances_that_overflow_a_float_are_a_value_error():
+    # past about 1e154 squared differences overflow, far rows tie at inf and the
+    # k nearest are lost: at 1e200 the two queries below read [18, 51]
+    X = np.array([[1.0], [2.0], [3.0], [9.0]])
+    residuals = np.array([1.0, 2.0, 3.0, 100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = KnnDispersion(k=2).fit(X * 10.0, residuals)
+        assert near.predict(X[[0, 3]] * 10.0).tolist() == [1.5, 51.5]
+        far = KnnDispersion(k=2).fit(X * 1e200, residuals)
+        with pytest.raises(ValueError, match="distances between rows overflow a float"):
+            far.predict(X[[0, 3]] * 1e200)
 
 
 def test_distances_match_scipy_cdist_bit_for_bit():

@@ -5,6 +5,8 @@ features the pinball minimizer is the empirical sample quantile, which
 the exact order-statistic code computes independently.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ def test_same_data_gives_identical_fits():
     b = LinearPinballModel(0.3).fit(X, y)
     grid = rng.normal(size=(15, 1))
     assert np.array_equal(a.predict(grid), b.predict(grid))
+
+
+def test_an_all_zero_response_fits_at_unit_scale_and_reads_zero():
+    # the response scale is mean |y|; an all-zero y is divided by 1, not by 0
+    X = np.random.default_rng(0).normal(size=(10, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = LinearPinballModel(0.9, epochs=50).fit(X, np.zeros(10))
+    assert np.array_equal(model.predict(X), np.zeros(10))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -81,6 +81,20 @@ def test_the_tracer_hooks_install_and_uninstall_cleanly():
     assert result["left"] == []
 
 
+def test_importing_the_package_loads_no_numpy_and_no_submodule():
+    # each public name is imported from its own module, so the package itself is empty
+    code = (
+        "import sys, confband; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'confband')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.stdout.strip() == "['confband']"
+
+
 def test_importing_the_cli_loads_no_scipy_module():
     # an oracle quantile imports scipy.special and a forest read scipy.sparse;
     # the CLI's start-up and the linear audit pay for neither

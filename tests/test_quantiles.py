@@ -196,6 +196,14 @@ def test_a_scalar_score_is_a_sample_of_one():
         assert got == SortedSample([3.0]).inflated_quantile(alpha)
 
 
+def test_an_order_statistic_outside_one_to_n_is_rejected():
+    sample = SortedSample([3.0, 1.0, 2.0])
+    assert [sample.order_statistic(k) for k in (1, 2, 3)] == [1.0, 2.0, 3.0]
+    for k in (0, 4, -1):
+        with pytest.raises(ValueError, match=rf"must be in \[1, 3\], got {k}$"):
+            sample.order_statistic(k)
+
+
 def test_empty_sample_is_rejected():
     with pytest.raises(ValueError):
         SortedSample([])

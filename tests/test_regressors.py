@@ -133,8 +133,8 @@ def test_a_failed_refit_leaves_the_first_fit_to_read(engine):
     assert np.asarray(read(X)).tobytes() == want
 
 
-# log2 of the bound on n * max|y| of each engine that fits to responses: 1023 where
-# the fit only sums them, lower where it squares them
+# log2 of the bound on n * max|y| of each engine that fits to responses (k-NN: to
+# residuals): 1023 where the fit or read only sums them, lower where it squares them
 _RESPONSE_BOUNDS = {
     "forest-pair": 511,
     "forest-mean": 511,
@@ -144,6 +144,7 @@ _RESPONSE_BOUNDS = {
     "linear-pair": 1023,
     "linear-median": 1023,
     "linear-model": 1023,
+    "knn": 1023,
 }
 
 
@@ -166,6 +167,34 @@ def test_a_fit_rejects_responses_past_its_bound_and_fits_those_at_it(engine):
             assert at_bound.max() == 2.0**log2_bound / n
             model = make().fit(X[:n], at_bound, *fit_args)
             assert np.all(np.isfinite(_read(model, readout)(X)))
+
+
+def _bad_features(X):
+    """(X in a form no fit or read takes, the ``ValueError`` it raises)."""
+    nan = X.copy()
+    nan[1, 0] = np.nan
+    inf = X.copy()
+    inf[0, -1] = -np.inf
+    ndim = "^expected a 2-D feature matrix, got ndim="
+    finite = "^feature matrix contains non-finite entries$"
+    # a 1-D X could be one row of features or one column of rows
+    return [(X[:, 0], ndim + "1$"), (X[None], ndim + "3$"), (nan, finite), (inf, finite)]
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_every_fit_and_read_takes_a_finite_2d_x_and_a_1d_y(engine):
+    make, fit_args, readout = _ENGINES[engine]
+    X, y = _fit_rows(engine, np.random.default_rng(2))
+    for bad, message in _bad_features(X):
+        with pytest.raises(ValueError, match=message):
+            make().fit(bad, y, *fit_args)
+    for bad in (y[None], y[:, None]):  # a (1, n) y used to fit as n values
+        with pytest.raises(ValueError, match="^expected a 1-D response vector, got ndim=2$"):
+            make().fit(X, bad, *fit_args)
+    read = _read(make().fit(X, y, *fit_args), readout)
+    for bad, message in _bad_features(X):
+        with pytest.raises(ValueError, match=message):
+            read(bad)
 
 
 @pytest.mark.parametrize("engine", list(_ENGINES))

@@ -123,6 +123,14 @@ def test_ridge_rejects_a_non_finite_l2_weight(l2_weight):
         RidgeRegressor(l2_weight)
 
 
+def test_collinear_features_without_a_penalty_are_singular():
+    # the second column is twice the first, so at l2_weight 0 the Gram matrix is singular
+    X = np.c_[np.arange(5.0), 2.0 * np.arange(5.0)]
+    with pytest.raises(ValueError, match="^singular normal equations; use l2_weight > 0$"):
+        RidgeRegressor(0.0).fit(X, np.arange(5.0))
+    assert np.all(np.isfinite(RidgeRegressor(1e-9).fit(X, np.arange(5.0)).coef_))
+
+
 def test_a_fit_whose_normal_equations_overflow_is_a_value_error():
     # n * max|y| = 2**1023 passes the response bound, but the feature spread of 8
     # takes X.T @ y to 2**1024: the fit is refused rather than read as NaN

@@ -57,7 +57,7 @@ _REAL_SETTINGS = {
         lambda v: local_conformal_calibrate(None, None, None, None, 0.1, gamma=v)
     ),
     "tune_quantile_levels.alpha": lambda v: tune_quantile_levels(None, None, None, v, 2, None),
-    "coverage_audit.alpha": lambda v: coverage_audit(1, alpha=v),
+    "coverage_audit.alpha": lambda v: coverage_audit(2, alpha=v),
     "band_comparison_demo.gamma": lambda v: band_comparison_demo(gamma=v),
 }
 
@@ -137,7 +137,7 @@ def test_numpy_scalar_settings_write_the_report_of_their_python_values():
     lambda seed: ForestConfig(seed=seed),
     lambda seed: MlpConfig(seed=seed),
     lambda seed: SyntheticSpec(seed=seed),
-    lambda seed: coverage_audit(1, seed=seed),
+    lambda seed: coverage_audit(2, seed=seed),
     lambda seed: band_comparison_demo(seed=seed),
 ], ids=["ExperimentConfig", "ForestConfig", "MlpConfig", "SyntheticSpec", "coverage_audit",
         "band_comparison_demo"])
