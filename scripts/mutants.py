@@ -16,7 +16,7 @@ its text no longer matches once, a named test is missing, or the unmutated
 copy fails a named test. The script edits no file of the checkout. A
 survivor is mended by a new test, or by a note in CHANGES.md that says why
 the mutant is equivalent; a refactor that moves a mutant's text updates the
-text here. The whole table runs in 85-100 s on a 2-vCPU VM.
+text here. The whole table of 53 mutants runs in 90-105 s on a 2-vCPU VM.
 """
 
 import os
@@ -43,6 +43,8 @@ _TIES = "tests/test_harness.py::test_quantile_level_tuning_grid_and_ties"
 _AUDIT_BAND = "tests/test_harness.py::test_an_audit_trial_band_is_the_public_calibrator_band[linear-q]"
 _GROWTH = "tests/test_forest.py::test_batched_growth_equals_the_per_node_grower"
 _SHAPES = "tests/test_regressors.py::test_every_fit_and_read_takes_a_finite_2d_x_and_a_1d_y[ridge]"
+_SET_ASIDE = "tests/test_forest.py::test_routing_that_sets_finished_pairs_aside_equals_the_per_tree_walk"
+_LEAVE_ONE_OUT = "tests/test_conformal.py::test_leaving_each_of_n_plus_one_points_out_covers_exactly_k_of_them"
 _BAND_CALL = "correction = conformal_correction(*cal, y_cal, *levels)"
 
 MUTANTS = (
@@ -76,15 +78,39 @@ MUTANTS = (
     # the quantile forest
     Mutant(
         "routing-one-step-short",
-        "for _ in range(self.depth):",
-        "for _ in range(self.depth - 1):",
+        "for step in range(1, self.depth + 1):",
+        "for step in range(1, self.depth):",
         ("tests/test_forest.py::test_quantile_readout_matches_weighted_cdf_oracle",),
+    ),
+    Mutant(
+        "routing-drops-the-last-live-pairs",
+        "        leaf[pair] = node\n",
+        "",
+        (f"{_SET_ASIDE}[2k+1]",),
+    ),
+    Mutant(
+        "routing-sets-aside-pairs-on-feature-0-splits",
+        "split = self.feature[node] >= 0",
+        "split = self.feature[node] > 0",
+        (f"{_SET_ASIDE}[2k+1]",),
     ),
     Mutant(
         "leaf-threshold-finite",
         "threshold = np.where(is_split, threshold, np.inf)",
         "threshold = np.where(is_split, threshold, 1e300)",
         ("tests/test_forest.py::test_a_deep_table_routes_every_pair_in_depth_steps[bootstrap]",),
+    ),
+    Mutant(
+        "split-search-tie-window-one-late",
+        "tie_w[first + lo, : hi - lo]",
+        "tie_w[first + lo + 1, : hi - lo]",
+        (f"{_GROWTH}[300-2-1-True-integer-1]",),
+    ),
+    Mutant(
+        "split-search-past-a-node-end",
+        "            invalid |= past_end\n",
+        "",
+        (f"{_GROWTH}[400-1-5-True-normal-1]",),
     ),
     Mutant(
         "growth-moves-no-order",
@@ -205,6 +231,25 @@ MUTANTS = (
         "if scaled > n:",
         "if scaled >= n:",
         ("tests/test_conformal.py::test_split_correction_from_hand_residuals",),
+    ),
+    # the same three rank rules, each caught by the leave-one-out count alone
+    Mutant(
+        "held-out-rank-rounded",
+        "return max(int(math.ceil(scaled)), 1)",
+        "return max(int(round(scaled)), 1)",
+        (_LEAVE_ONE_OUT,),
+    ),
+    Mutant(
+        "held-out-infinite-from-rank-n",
+        "if scaled > n:",
+        "if scaled >= n:",
+        (_LEAVE_ONE_OUT,),
+    ),
+    Mutant(
+        "held-out-rank-not-inflated",
+        "scaled = _snap((1.0 - alpha) * (n + 1))",
+        "scaled = _snap((1.0 - alpha) * n)",
+        (_LEAVE_ONE_OUT,),
     ),
     Mutant(
         "crossed-intervals-kept",

@@ -13,9 +13,11 @@ pass; the script prints, per case and checkout, the median and quartiles
 of the rounds' medians, the forest's node count (equal when both checkouts
 grow the same trees) and the deepest table's stored depth. The cases:
 
-- ``qrf_growth``: the forest of the qrf_growth workload's settings
-  (heteroscedastic_outliers, n = 1000, seed 7, 1000 trees, min leaf 5),
-  grown on the first 500 rows and routing all 1000;
+- ``qrf_growth``: the qrf_growth workload's shape (heteroscedastic_outliers,
+  n = 1000, seed 7, 1000 trees, min leaf 5): a forest grown on the 400
+  standardized proper-training rows of the seed's repetition split, routing
+  its 600 calibration and test rows in blocks of 131, as a read of 1000
+  trees routes them (2**17 pairs a block);
 - ``deep``: 100 trees with min leaf 1 on 2000 rows of the same kind,
   routing the 2000 training rows, the worst case for a walk whose step
   count is the deepest leaf's depth.
@@ -36,22 +38,37 @@ def cases():
     """Yield ``(name, record)`` for every case, timed in this process."""
     import numpy as np
 
-    from confband.datagen import SyntheticSpec, generate
+    from confband.datagen import SyntheticSpec, generate, standardize_apply, standardize_fit
+    from confband.harness import ExperimentConfig, repetition_split
     from confband.regressors import ForestConfig, ForestMeanRegressor
 
+    def workload_rows():
+        dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=1000, seed=7))
+        # the stream from which run_experiment's first repetition draws its split
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        test, fit, cal = repetition_split(dataset.n_rows, ExperimentConfig(seed=7), rng)
+        params = standardize_fit(dataset.X[fit], dataset.y[fit])
+        read = np.concatenate((cal, test))
+        return (*standardize_apply(params, dataset.X[fit], dataset.y[fit]),
+                standardize_apply(params, dataset.X[read], dataset.y[read])[0], 131)
+
+    def deep_rows():
+        dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=2000, seed=7))
+        return dataset.X, dataset.y, dataset.X, 2000
+
     settings = {
-        "qrf_growth": (1000, 500, ForestConfig(n_trees=1000, min_leaf_size=5)),
-        "deep": (2000, 2000, ForestConfig(n_trees=100, min_leaf_size=1)),
+        "qrf_growth": (workload_rows, ForestConfig(n_trees=1000, min_leaf_size=5)),
+        "deep": (deep_rows, ForestConfig(n_trees=100, min_leaf_size=1)),
     }
-    for name, (n, n_fit, config) in settings.items():
-        dataset, _ = generate(SyntheticSpec(kind="heteroscedastic_outliers", n=n, seed=7))
-        X, y = np.asarray(dataset.X, dtype=float), np.asarray(dataset.y, dtype=float)
-        tables = ForestMeanRegressor(config).fit(X[:n_fit], y[:n_fit])._forest.tables
+    for name, (rows, config) in settings.items():
+        X_fit, y_fit, X, block = rows()
+        tables = ForestMeanRegressor(config).fit(X_fit, y_fit)._forest.tables
         times = []
         for _ in range(PASSES):
             start = time.perf_counter()
             for table in tables:
-                table.apply(X)
+                for b in range(0, X.shape[0], block):
+                    table.apply(X[b : b + block])
             times.append(1e3 * (time.perf_counter() - start))
         depths = [getattr(t, "depth", None) for t in tables]  # None: the table stores none
         yield name, {

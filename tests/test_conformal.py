@@ -1,6 +1,8 @@
 """Tests for the four split-style conformal calibrators."""
 
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -516,3 +518,49 @@ def test_fresh_draw_coverage_matches_nominal_rate():
     se = np.sqrt(0.9 * 0.1 / n_trials)
     assert 0.9 - 4 * se <= rate <= 0.9 + 0.01 + 4 * se
 
+
+
+def test_leaving_each_of_n_plus_one_points_out_covers_exactly_k_of_them():
+    # Exchangeability, counted: fix any plug-in values and n + 1 points with
+    # distinct scores, and calibrate on n of them to test the one left out.
+    # The held-out point is covered exactly when its score ranks at most
+    # k = ceil((1 - alpha)(n + 1)) of all n + 1, so exactly k of the n + 1
+    # cases are covered (all of them when k = n + 1, the infinite correction);
+    # each cqr-asym tail misses in n + 1 - k_tail cases. The pair's half-width stays below 0.2 and the
+    # responses scatter with sd 1, so no corrected band crosses and a miss
+    # is its own tail's.
+    rng = np.random.default_rng(16)
+
+    def rank(n, level):
+        """k of the level taken as the exact decimal it is written as."""
+        return math.ceil((1 - Fraction(str(level))) * (n + 1))
+
+    for n in range(1, 120):
+        center = rng.normal(size=n + 1)
+        half = rng.uniform(0.0, 0.2, size=n + 1)
+        reads = {
+            "mean": center,
+            "dispersion": rng.uniform(0.5, 2.0, size=n + 1),
+            "pair": (center - half, center + half),
+        }
+        y = center + rng.normal(size=n + 1)
+        # row i calibrates on every point but i and bands point i alone
+        points = np.arange(n + 1)
+        rest = np.array([np.delete(points, i) for i in points]).reshape(n + 1, n)
+        held = points[:, None]
+
+        def reader(rows):
+            return lambda role: tuple(v[rows] for v in reads[role]) if role == "pair" else reads[role][rows]
+
+        for alpha in (0.05, 0.1, 0.2, 0.3, 0.5):
+            for method in METHODS:
+                levels = (alpha / 2, alpha / 2) if method == "cqr-asym" else (alpha, None)
+                correction = conformal_correction(*plugin_values(method, reader(rest), 0.5), y[rest], *levels)
+                lo, hi = apply_correction(correction, *plugin_values(method, reader(held), 0.5))
+                below, above = np.sum(y[held] < lo), np.sum(y[held] > hi)
+                case = (n, alpha, method)
+                if method == "cqr-asym":
+                    tails = [n + 1 - rank(n, level) for level in levels]
+                    assert [below, above] == tails, case
+                else:
+                    assert n + 1 - below - above == rank(n, alpha), case

@@ -681,6 +681,72 @@ def test_a_deep_table_routes_every_pair_in_depth_steps(bootstrap):
         assert want[root, i] == _route_to_leaf(table, int(table.left[node]), Q[i])
 
 
+def _chain_table(depths, rng):
+    """A node table of one random tree per entry of ``depths``, tree t exactly that deep.
+
+    Nodes are numbered as growth numbers them: level by level, the roots
+    first, split node k's children at ``n_trees + 2k`` and ``+ 1``. Tree t
+    has one path of ``depths[t]`` splits, the path's split at level l on
+    feature l; off the path a node splits at random, on feature 0 or 1.
+    Returns the table and, per tree, a query whose walk takes that path.
+    """
+    n_trees, n_features = len(depths), max(depths)
+    paths = rng.normal(size=(n_trees, n_features))
+    # (tree, levels left below the node, the node's level if it is on the path, else -1)
+    nodes = [(t, d, 0) for t, d in enumerate(depths)]
+    feature, threshold = [], []
+    while nodes:
+        children = []
+        for t, room, level in nodes:
+            if not room or (level < 0 and rng.random() < 0.4):
+                feature.append(-1)
+                threshold.append(np.inf)
+                continue
+            on_path = level >= 0
+            feature.append(level if on_path else int(rng.integers(2)))
+            threshold.append(rng.normal())
+            # the path goes left on a tie, or right above the threshold
+            right = on_path and bool(rng.random() < 0.5)
+            if on_path:
+                paths[t, level] = threshold[-1] + right
+            next_level = [level + 1 if on_path and side == right else -1 for side in (False, True)]
+            children += [(t, room - 1, lv) for lv in next_level]
+        nodes = children
+    feature = np.array(feature)
+    is_split = feature >= 0
+    left = np.where(is_split, n_trees + 2 * (np.cumsum(is_split) - 1), np.arange(feature.size))
+    return forest_module._NodeTable(n_trees, feature, np.array(threshold), left, max(depths)), paths
+
+
+@pytest.mark.parametrize(
+    "intervals, extra", [(2, 0), (2, 1), (3, 0), (3, 5)], ids=["2k", "2k+1", "3k", "3k+5"]
+)
+def test_routing_that_sets_finished_pairs_aside_equals_the_per_tree_walk(intervals, extra):
+    every = forest_module._COMPACT_EVERY
+    depth = intervals * every + extra
+    rng = np.random.default_rng(depth)
+    # trees whose paths end before the first set-aside, on it, past it and at the last step
+    depths = [0, 1, every - 1, every, every + 1, 2 * every, depth - 1, depth, depth, depth]
+    table, paths = _chain_table(depths, rng)
+    nodes = [_node_depths(table, root) for root in range(table.n_trees)]
+    assert sorted(node for tree in nodes for node in tree) == list(range(table.feature.size))
+    assert [max(tree.values()) for tree in nodes] == depths
+    # the path queries, queries on the thresholds of random split nodes, and random rows
+    split = np.flatnonzero(table.feature >= 0)
+    on_split = rng.normal(size=(20, depth))
+    for row, node in zip(on_split, rng.choice(split, size=20)):
+        row[table.feature[node]] = table.threshold[node]
+    Q = np.concatenate([paths, on_split, rng.normal(size=(30, depth))])
+    want = np.array([[_route_to_leaf(table, t, x) for x in Q] for t in range(table.n_trees)])
+    steps = np.array([[nodes[t][leaf] for leaf in row] for t, row in enumerate(want)])
+    assert steps.min() < every and np.all(steps.diagonal()[: len(depths)] == depths)
+    # one row: the path query of a tree as deep as the table, whose pair ends at the last step
+    for rows in (slice(None), slice(0, 0), slice(7, 8)):
+        leaves = table.apply(Q[rows])
+        assert leaves.shape == (table.n_trees, Q[rows].shape[0])
+        assert np.array_equal(leaves, want[:, rows])
+
+
 @pytest.mark.parametrize("bound, value", [("_ROUTE_PAIRS", 7), ("_READ_CELLS", 3000)])
 def test_chunked_readouts_equal_the_unchunked_readout(three_batch_forest, monkeypatch, bound, value):
     forest = three_batch_forest
