@@ -25,7 +25,8 @@ The calibrators differ only in the plug-in reader and the quantiles taken:
 - local: lo = hi = mu(x), s = max(sigma(x), 0) + gamma, the same single
   quantile: the width follows a fitted dispersion estimate
 - cqr: a fitted quantile pair, s = 1, the same single quantile: shifts both
-  ends outward (or inward, the score may be negative) by one constant
+  ends outward (or inward, the score may be negative) by one constant,
+  once any crossed ends are swapped (``fix_crossing``)
 - cqr-asym: the same pair, one quantile of ``below`` and one of ``above``:
   independent corrections for the two tails
 
@@ -61,6 +62,7 @@ __all__ = [
     "plugin_values",
     "conformal_correction",
     "apply_correction",
+    "fix_crossing",
     "split_conformal_calibrate",
     "local_conformal_calibrate",
     "cqr_calibrate",
@@ -109,16 +111,23 @@ def plugin_values(method: str, read, gamma: float | None):
     return center, center, scale
 
 
+def fix_crossing(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise repair of crossed quantile estimates: (min, max) per point.
+
+    The monotone rearrangement of a two-level pair (Chernozhukov et al. 2010);
+    a fixed function of the plug-in, so the coverage guarantee still holds.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape:
+        raise ValueError(f"lower ends of shape {lo.shape} do not match upper ends {hi.shape}")
+    return np.minimum(lo, hi), np.maximum(lo, hi)
+
+
 def _read_fitted(models: dict, X, role: str):
-    """The fitted ``role`` model's output on X; a crossed raw pair is rejected."""
+    """The fitted ``role`` model's output on X; a pair read is repaired by ``fix_crossing``."""
     if role != "pair":
         return models[role].predict(X)
-    q_lo, q_hi = models[role].predict_pair(X)
-    q_lo = np.asarray(q_lo, dtype=float)
-    q_hi = np.asarray(q_hi, dtype=float)
-    if np.any(q_lo > q_hi):
-        raise ValueError("quantile estimates cross; wrap the regressor in a crossing fix")
-    return q_lo, q_hi
+    return fix_crossing(*models[role].predict_pair(X))
 
 
 def _fitted_plugin(method: str, models: dict, gamma, X):
@@ -226,6 +235,7 @@ def local_conformal_calibrate(
 def cqr_calibrate(q: QuantileRegressor, X_cal, y_cal, alpha: float) -> ConformalBand:
     """Symmetric conformalization of a fitted quantile pair.
 
+    Each read of the pair is first repaired with ``fix_crossing``.
     Scores max{q_lo(x_i) - y_i, y_i - q_hi(x_i)} measure how far each
     calibration point falls outside (positive) or inside (negative) the
     plug-in interval. One inflated quantile of the scores shifts both

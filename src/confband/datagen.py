@@ -423,17 +423,13 @@ def standardize_apply(params: StandardizationParams, X, y=None):
     return Xs, y / params.response_scale
 
 
-def standardize_invert(params: StandardizationParams, X_std, y_std=None):
-    """Undo ``standardize_apply`` (for the kept feature columns).
+def standardize_invert(params: StandardizationParams, X_std) -> np.ndarray:
+    """Map standardized features back to raw units (the kept feature columns).
 
     X_std must have one column per kept feature.
     """
     X_std = as_matrix(X_std, params.kept_features.size)
-    X = X_std * params.feature_std + params.feature_mean
-    if y_std is None:
-        return X
-    y_std = as_vector(y_std, X_std.shape[0])
-    return X, y_std * params.response_scale
+    return X_std * params.feature_std + params.feature_mean
 
 
 class _OracleReadout:

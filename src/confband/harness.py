@@ -18,6 +18,7 @@ shapes them as (trials x n) and (grid levels x n) arrays. A repetition
 adds the rows of all its methods or, when any method fails, none.
 Summaries average over repetitions. Lengths are in standardized response
 units by default. The harness builds report text; the CLI writes the files.
+Crossed pair reads are repaired with ``fix_crossing``, as in the calibrators.
 
 Engines are referred to by name; the table ``_ENGINES`` says how each one
 fills the three model roles:
@@ -51,6 +52,7 @@ from .conformal import (
     PAIR_METHODS,
     apply_correction,
     conformal_correction,
+    fix_crossing,
     plugin_values,
 )
 from .datagen import (
@@ -98,7 +100,6 @@ __all__ = [
     "MethodSummary",
     "ExperimentReport",
     "CSV_HEADER",
-    "fix_crossing",
     "CrossingFixPair",
     "repetition_split",
     "run_experiment",
@@ -171,16 +172,12 @@ ENGINES = tuple(_ENGINES)
 PAIR_ENGINES = tuple(name for name, engine in _ENGINES.items() if engine.pair is not None)
 
 
-def fix_crossing(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise repair of crossed quantile estimates: (min, max) per point."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape:
-        raise ValueError(f"lower ends of shape {lo.shape} do not match upper ends {hi.shape}")
-    return np.minimum(lo, hi), np.maximum(lo, hi)
-
-
 class CrossingFixPair(QuantileRegressor):
-    """Wraps a quantile regressor, repairing crossings; holds no state of its own."""
+    """Wraps a quantile regressor, repairing crossings; holds no state of its own.
+
+    The calibrators now repair crossed pairs themselves; the class goes once
+    the benchmark's tracer no longer hooks its ``predict_pair``.
+    """
 
     def __init__(self, inner: QuantileRegressor):
         self.inner = inner

@@ -59,11 +59,6 @@ class KnnDispersion(MeanRegressor):
             dists = _euclidean(X, self._X)
         if not np.all(np.isfinite(dists)):
             raise ValueError("distances between rows overflow a float; rescale the features")
-        if self.k == self._X.shape[0]:
-            neighbors = np.broadcast_to(
-                np.arange(self._X.shape[0]), (X.shape[0], self._X.shape[0])
-            )
-            return self._r[neighbors].mean(axis=1)
         neighbors = np.argpartition(dists, self.k - 1, axis=1)[:, : self.k]
         read = self._r[neighbors].mean(axis=1)
         # argpartition put the k-th distance last; share it where a tie straddles it

@@ -17,6 +17,7 @@ from confband.conformal import (
     plugin_values,
     split_conformal_calibrate,
 )
+from confband.harness import CrossingFixPair
 from confband.quantiles import SortedSample
 from confband.regressors import (
     ForestConfig,
@@ -422,15 +423,22 @@ def test_a_band_of_fitted_engines_pickles_and_reads_the_same_bits():
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
-def test_crossing_quantile_pair_is_rejected():
-    crossed = _constant_pair(1.0, -1.0)
-    with pytest.raises(ValueError, match="quantile estimates cross"):
-        cqr_calibrate(crossed, np.zeros((5, 1)), np.zeros(5), 0.1)
-    # crossing only away from the calibration rows is caught at predict time
+@pytest.mark.parametrize("crossing", ["on-calibration-rows", "on-new-rows-only"])
+def test_a_crossed_quantile_pair_is_repaired_as_the_wrapped_pair_is(crossing):
+    # the pair (x, -x) crosses where x > 0: on part of the calibration rows,
+    # or only on the rows a band reads later
+    rng = np.random.default_rng(23)
+    top = 2.0 if crossing == "on-calibration-rows" else 0.0
+    X_cal, X_new = rng.uniform(-2.0, top, size=(40, 1)), rng.uniform(-2.0, 2.0, size=(30, 1))
+    y_cal = rng.normal(size=40)
+    assert np.any(X_cal > 0) == (top > 0) and np.any(X_new > 0)
     pair = _FunctionPair(lambda X: X[:, 0], lambda X: -X[:, 0])
-    band = cqr_calibrate(pair, np.full((5, 1), -1.0), np.zeros(5), 0.1)
-    with pytest.raises(ValueError, match="quantile estimates cross"):
-        band.predict_interval(np.array([[2.0]]))
+    for calibrate, levels in ((cqr_calibrate, (0.1,)), (cqr_asym_calibrate, (0.05, 0.08))):
+        band = calibrate(pair, X_cal, y_cal, *levels)
+        wrapped = calibrate(CrossingFixPair(pair), X_cal, y_cal, *levels)
+        assert repr(band.correction) == repr(wrapped.correction)
+        got, want = band.predict_interval(X_new), wrapped.predict_interval(X_new)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_translation_equivariance_of_all_four_methods():
@@ -520,6 +528,11 @@ def test_fresh_draw_coverage_matches_nominal_rate():
 
 
 
+def _rank(n, level):
+    """k = ceil((1 - level)(n + 1)), the level taken as the exact decimal it is written as."""
+    return math.ceil((1 - Fraction(str(level))) * (n + 1))
+
+
 def test_leaving_each_of_n_plus_one_points_out_covers_exactly_k_of_them():
     # Exchangeability, counted: fix any plug-in values and n + 1 points with
     # distinct scores, and calibrate on n of them to test the one left out.
@@ -530,11 +543,6 @@ def test_leaving_each_of_n_plus_one_points_out_covers_exactly_k_of_them():
     # responses scatter with sd 1, so no corrected band crosses and a miss
     # is its own tail's.
     rng = np.random.default_rng(16)
-
-    def rank(n, level):
-        """k of the level taken as the exact decimal it is written as."""
-        return math.ceil((1 - Fraction(str(level))) * (n + 1))
-
     for n in range(1, 120):
         center = rng.normal(size=n + 1)
         half = rng.uniform(0.0, 0.2, size=n + 1)
@@ -560,7 +568,40 @@ def test_leaving_each_of_n_plus_one_points_out_covers_exactly_k_of_them():
                 below, above = np.sum(y[held] < lo), np.sum(y[held] > hi)
                 case = (n, alpha, method)
                 if method == "cqr-asym":
-                    tails = [n + 1 - rank(n, level) for level in levels]
+                    tails = [n + 1 - _rank(n, level) for level in levels]
                     assert [below, above] == tails, case
                 else:
-                    assert n + 1 - below - above == rank(n, alpha), case
+                    assert n + 1 - below - above == _rank(n, alpha), case
+
+
+def test_leaving_each_of_n_plus_one_points_out_of_a_crossed_pair_covers_exactly_k_of_them():
+    # The identity above through cqr_calibrate and cqr_asym_calibrate, one
+    # calibration per held-out point, on a pair whose ends cross at about
+    # half of the n + 1 points. The calibrators repair the pair point by
+    # point, a fixed function of the plug-in, so the count stays exact. The
+    # half-width stays below 0.2, so as above no corrected band crosses.
+    rng = np.random.default_rng(29)
+    crossed = 0
+    for n in range(1, 50):
+        center = rng.normal(size=n + 1)
+        half = rng.uniform(-0.2, 0.2, size=n + 1)  # the ends cross where negative
+        crossed += np.count_nonzero(half < 0)
+        y = center + rng.normal(size=n + 1)
+        X = np.arange(n + 1.0)[:, None]  # a point's one feature is its index
+        pair = _FunctionPair(
+            lambda X, lo=center - half: lo[X[:, 0].astype(int)],
+            lambda X, hi=center + half: hi[X[:, 0].astype(int)],
+        )
+        for alpha in (0.05, 0.1, 0.2, 0.3, 0.5):
+            covered, tails = 0, np.zeros(2, dtype=int)
+            for i in range(n + 1):
+                rest, y_rest, held = np.delete(X, i, axis=0), np.delete(y, i), X[i : i + 1]
+                lo, hi = cqr_calibrate(pair, rest, y_rest, alpha).predict_interval(held)
+                covered += int(lo[0] <= y[i] <= hi[0])
+                band = cqr_asym_calibrate(pair, rest, y_rest, alpha / 2, alpha / 2)
+                lo, hi = band.predict_interval(held)
+                tails += (y[i] < lo[0], y[i] > hi[0])
+            case = (n, alpha)
+            assert covered == _rank(n, alpha), case
+            assert tails.tolist() == [n + 1 - _rank(n, alpha / 2)] * 2, case
+    assert crossed > 0

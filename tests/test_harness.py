@@ -8,6 +8,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from confband.conformal import (
     apply_correction,
     cqr_asym_calibrate,
     cqr_calibrate,
+    fix_crossing,
     local_conformal_calibrate,
     plugin_values,
     split_conformal_calibrate,
@@ -33,14 +35,12 @@ from confband.datagen import (
 from confband.harness import (
     CSV_HEADER,
     QUANTILE_TUNING_GRID,
-    CrossingFixPair,
     ExperimentConfig,
     ExperimentReport,
     MethodSummary,
     RepetitionResult,
     band_comparison_demo,
     coverage_audit,
-    fix_crossing,
     repetition_split,
     run_experiment,
     summarize,
@@ -326,7 +326,7 @@ def _public_band(method, bundle, X2, y2, cfg):
         return local_conformal_calibrate(
             bundle.model("mean"), bundle.model("dispersion"), X2, y2, cfg.alpha, cfg.gamma
         )
-    pair = CrossingFixPair(bundle.model("pair"))
+    pair = bundle.model("pair")
     if method == "cqr":
         return cqr_calibrate(pair, X2, y2, cfg.alpha)
     return cqr_asym_calibrate(pair, X2, y2, half, half)
@@ -365,7 +365,7 @@ def test_a_calibrated_band_is_safe_to_share_across_threads():
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, size=(200, 1))
     y = X[:, 0] + rng.normal(size=200)
-    pair = CrossingFixPair(_CrossedPair()).fit(X, y, 0.05, 0.95)
+    pair = _CrossedPair().fit(X, y, 0.05, 0.95)
     band = cqr_calibrate(pair, X, y, alpha=0.1)
     state = dict(vars(pair))
     X_new = rng.uniform(-2, 2, size=(300, 1))
@@ -545,7 +545,7 @@ def _tune_by_the_public_calibrator(make_pair, X1, y1, alpha, cv_folds, rng, grid
     """The per-grid-point tuning loop the band step replaced, kept as the referee.
 
     It rebuilds each fold's rows for every grid point and scores through
-    ``CrossingFixPair``, ``cqr_calibrate`` and ``predict_interval``.
+    ``cqr_calibrate`` and ``predict_interval``.
     """
     X1 = np.asarray(X1, dtype=float)
     y1 = np.asarray(y1, dtype=float)
@@ -563,7 +563,7 @@ def _tune_by_the_public_calibrator(make_pair, X1, y1, alpha, cv_folds, rng, grid
             shuffled = np.flatnonzero(rest_mask)[halves[f]]
             cut = shuffled.size // 2
             fit_idx, cal_idx = shuffled[:cut], shuffled[cut:]
-            pair = CrossingFixPair(make_pair())
+            pair = make_pair()
             pair.fit(X1[fit_idx], y1[fit_idx], *levels)
             band = cqr_calibrate(pair, X1[cal_idx], y1[cal_idx], alpha)
             total += harness._evaluate(*band.predict_interval(X1[val_idx]), y1[val_idx], 1.0)[1]
@@ -787,18 +787,74 @@ def test_a_failed_repetition_adds_no_rows(monkeypatch):
     assert [s.n_reps for s in report.summaries] == [2, 2]
 
 
+@pytest.mark.parametrize("responses", ["continuous", "tied-integers"])
+def test_leaving_each_of_n_plus_one_points_out_of_an_audit_block_covers_k_of_them(responses):
+    # The leave-one-out identity of tests/test_conformal.py through the audit's
+    # block path: trial i of an (n + 1) x n y_cal block calibrates on every
+    # point but i and bands point i, and ``_band`` reads the whole block flat.
+    # With distinct scores exactly k = ceil((1 - alpha)(n + 1)) held-out points
+    # are covered, and each cqr-asym tail (at alpha / 2) misses n + 1 - k_tail
+    # times. With tied integer scores at least k are covered, and each tail
+    # misses at most that often.
+    rng = np.random.default_rng(21)
+    exact = responses == "continuous"
+    above_k = 0
+
+    def rank(n, level):
+        return math.ceil((1 - Fraction(str(level))) * (n + 1))
+
+    for n in range(1, 80):
+        if exact:
+            center, half = rng.normal(size=n + 1), rng.uniform(0.0, 0.2, size=n + 1)
+            y = center + rng.normal(size=n + 1)
+            dispersion = rng.uniform(0.5, 2.0, size=n + 1)
+        else:
+            center = rng.integers(-2, 3, size=n + 1) * 1.0
+            half = rng.integers(0, 2, size=n + 1) * 1.0
+            y = center + rng.integers(-2, 3, size=n + 1)
+            dispersion = rng.integers(0, 3, size=n + 1) * 1.0
+        points = np.arange(n + 1)
+        rest = np.array([np.delete(points, i) for i in points]).reshape(n + 1, n)
+        # trial i reads [every point but i; point i]
+        rows = np.concatenate((rest, points[:, None]), axis=1).reshape(-1)
+        reads = {
+            "mean": center[rows],
+            "dispersion": dispersion[rows],
+            "pair": ((center - half)[rows], (center + half)[rows]),
+        }
+        for alpha in (0.05, 0.1, 0.2, 0.3, 0.5):
+            for method in METHODS:
+                _, lo, hi = harness._band(method, reads.__getitem__, y[rest], alpha, 0.5)
+                stats = harness._evaluate(lo, hi, y[:, None], 1.0)
+                # one held-out point a trial: each rate is 0 or 1
+                covered, below, above = (int(np.sum(stats[i])) for i in (0, 2, 3))
+                case = (n, alpha, method)
+                k = rank(n, alpha)
+                misses = [n + 1 - rank(n, alpha / 2)] * 2
+                if exact and method == "cqr-asym":
+                    assert [below, above] == misses, case
+                elif exact:
+                    assert covered == k, case
+                elif method == "cqr-asym":
+                    assert below <= misses[0] and above <= misses[1], case
+                else:
+                    assert covered >= k, case
+                    above_k += covered > k
+    if not exact:
+        assert above_k > 0  # the ties do move the count past k
+
+
 def _audit_by_the_public_calibrator(pair, rng, n_trials, n_cal, n_test, kind, alpha):
     """The per-trial audit loop the batched audit replaced, kept as the referee.
 
     Each trial draws its rows with ``generate`` from the next seed of the
-    audit RNG and is scored through ``CrossingFixPair``, ``cqr_calibrate``
-    and ``predict_interval``. Yields each trial's (rows, lo, hi).
+    audit RNG and is scored through ``cqr_calibrate`` and
+    ``predict_interval``. Yields each trial's (rows, lo, hi).
     """
-    fixed = CrossingFixPair(pair)
     base = SyntheticSpec(kind=kind, n=n_cal + n_test)
     for _ in range(n_trials):
         ds, _ = generate(replace(base, seed=int(rng.integers(2**63))))
-        band = cqr_calibrate(fixed, ds.X[:n_cal], ds.y[:n_cal], alpha)
+        band = cqr_calibrate(pair, ds.X[:n_cal], ds.y[:n_cal], alpha)
         yield ds, *band.predict_interval(ds.X[n_cal:])
 
 
