@@ -44,18 +44,13 @@ class PinballLoss:
         return float(out) if out.ndim == 0 else out
 
     def subgradient(self, y, y_hat):
-        """Subgradient of the loss with respect to y_hat.
+        """Subgradient of the loss with respect to y_hat; broadcasts like numpy.
 
         Returns -alpha where y > y_hat and (1 - alpha) where y < y_hat.
-        At the kink y == y_hat the subgradient 0 is chosen, so an exact
-        fit is a stationary point.
+        At the kink y == y_hat +0.0 is chosen, so an exact fit is a
+        stationary point. Inputs are read as floats; a NaN gives NaN.
         """
-        y = np.asarray(y, dtype=float)
-        y_hat = np.asarray(y_hat, dtype=float)
-        out = np.where(
-            y > y_hat, -self.alpha, np.where(y < y_hat, 1.0 - self.alpha, 0.0)
-        )
-        return float(out) if out.ndim == 0 else out
+        return np.heaviside(np.subtract(y_hat, y, dtype=float), self.alpha) - self.alpha
 
     def mean_loss(self, y, y_hat) -> float:
         return float(np.mean(self.loss(y, y_hat)))

@@ -1,12 +1,17 @@
 """Linear quantile regression by full-batch subgradient descent.
 
 Each quantile level gets its own linear model w, b minimizing the mean
-pinball loss. The step size decays as lr / sqrt(1 + t), the standard
-schedule under which subgradient descent on a convex piecewise-linear
-objective converges. The response is rescaled internally by its mean
-absolute value so the step size is decoupled from the data scale; fitted
-predictions are returned in original units.
+pinball loss on y / scale, where scale is the mean absolute response, so
+the step size is decoupled from the data scale; predictions come back in
+original units. Epoch t = 0, 1, ... steps by lr / sqrt(1 + t), the schedule
+under which subgradient descent on a convex piecewise-linear objective
+converges, and the fit raises once w or b is not finite:
+
+    g = subgradient(y / scale, X w + b)
+    w -= step * (X^T g) / n;  b -= step * (sum(g) / n)
 """
+
+import math
 
 import numpy as np
 
@@ -47,12 +52,11 @@ class LinearPinballModel:
         w = np.zeros(X.shape[1])
         b = 0.0
         for t in range(self.epochs):
-            pred = X @ w + b
-            g = self.pinball.subgradient(ys, pred)
-            step = self.learning_rate / np.sqrt(1.0 + t)
+            step = self.learning_rate / math.sqrt(1.0 + t)
+            g = self.pinball.subgradient(ys, X @ w + b)
             w -= step * (X.T @ g) / n
-            b -= step * float(np.mean(g))
-            if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+            b -= step * (float(g.sum()) / n)
+            if not (np.isfinite(w).all() and math.isfinite(b)):
                 raise ValueError("diverged; reduce learning rate")
         self.coef_ = w
         self.intercept_ = b

@@ -787,6 +787,11 @@ def test_a_failed_repetition_adds_no_rows(monkeypatch):
     assert [s.n_reps for s in report.summaries] == [2, 2]
 
 
+def _held_out_rank(n, level):
+    """k = ceil((1 - level)(n + 1)), the level taken as the exact decimal it is written as."""
+    return math.ceil((1 - Fraction(str(level))) * (n + 1))
+
+
 @pytest.mark.parametrize("responses", ["continuous", "tied-integers"])
 def test_leaving_each_of_n_plus_one_points_out_of_an_audit_block_covers_k_of_them(responses):
     # The leave-one-out identity of tests/test_conformal.py through the audit's
@@ -799,10 +804,6 @@ def test_leaving_each_of_n_plus_one_points_out_of_an_audit_block_covers_k_of_the
     rng = np.random.default_rng(21)
     exact = responses == "continuous"
     above_k = 0
-
-    def rank(n, level):
-        return math.ceil((1 - Fraction(str(level))) * (n + 1))
-
     for n in range(1, 80):
         if exact:
             center, half = rng.normal(size=n + 1), rng.uniform(0.0, 0.2, size=n + 1)
@@ -829,8 +830,8 @@ def test_leaving_each_of_n_plus_one_points_out_of_an_audit_block_covers_k_of_the
                 # one held-out point a trial: each rate is 0 or 1
                 covered, below, above = (int(np.sum(stats[i])) for i in (0, 2, 3))
                 case = (n, alpha, method)
-                k = rank(n, alpha)
-                misses = [n + 1 - rank(n, alpha / 2)] * 2
+                k = _held_out_rank(n, alpha)
+                misses = [n + 1 - _held_out_rank(n, alpha / 2)] * 2
                 if exact and method == "cqr-asym":
                     assert [below, above] == misses, case
                 elif exact:
@@ -842,6 +843,50 @@ def test_leaving_each_of_n_plus_one_points_out_of_an_audit_block_covers_k_of_the
                     above_k += covered > k
     if not exact:
         assert above_k > 0  # the ties do move the count past k
+
+
+@pytest.mark.parametrize("engine", harness.ENGINES)
+def test_leaving_each_of_n_plus_one_points_out_of_an_engines_fitted_reads_covers_exactly_k_of_them(engine):
+    # The identity above through fitted models, each a fixed plug-in: the
+    # engine fits every role it has on training rows of its own, then reads
+    # n + 1 fresh points in the audit's block layout. The responses are
+    # continuous, so the scores are distinct and every count is exact.
+    cfg = ExperimentConfig(
+        engine=engine,
+        methods=("split",),
+        cv_folds=2,
+        forest=ForestConfig(n_trees=20, min_leaf_size=5),
+        mlp=MlpConfig(hidden_width=8, n_hidden_layers=1, max_epochs=20),
+    )
+    spec = SyntheticSpec(kind="heteroscedastic", n=150, seed=38)
+    train, oracle = generate(spec)
+    bundle = harness._EngineBundle(cfg, train.X, train.y, np.random.default_rng(38), oracle, None)
+    methods = METHODS if engine in harness.PAIR_ENGINES else ("split", "local")
+    exact_tails = 0
+    for n in (1, 2, 4, 9, 19, 39):
+        points, _ = generate(replace(spec, n=n + 1, seed=n))
+        every = np.arange(n + 1)
+        rest = np.array([np.delete(every, i) for i in every]).reshape(n + 1, n)
+        # trial i reads [every point but i; point i]
+        read = bundle.reader(points.X[np.concatenate((rest, every[:, None]), axis=1).reshape(-1)])
+        for alpha in (0.05, 0.1, 0.2, 0.3, 0.5):
+            for method in methods:
+                _, lo, hi = harness._band(method, read, points.y[rest], alpha, cfg.gamma)
+                stats = harness._evaluate(lo, hi, points.y[:, None], 1.0)
+                covered, below, above = (int(np.sum(stats[i])) for i in (0, 2, 3))
+                case = (n, alpha, method)
+                if method != "cqr-asym":
+                    assert covered == _held_out_rank(n, alpha), case
+                    continue
+                misses = n + 1 - _held_out_rank(n, alpha / 2)
+                if np.all(lo < hi):
+                    assert [below, above] == [misses, misses], case
+                    exact_tails += 1
+                else:
+                    # ends that cross collapse to their midpoint, which may move
+                    # a miss to the other tail; no point is covered there
+                    assert covered >= n + 1 - 2 * misses, case
+    assert exact_tails > 0 or engine not in harness.PAIR_ENGINES
 
 
 def _audit_by_the_public_calibrator(pair, rng, n_trials, n_cal, n_test, kind, alpha):

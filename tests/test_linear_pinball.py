@@ -93,7 +93,49 @@ def test_median_regressor_matches_median_model():
     direct = LinearPinballModel(0.5).fit(X, y)
     wrapped = LinearMedianRegressor().fit(X, y)
     grid = rng.normal(size=(9, 2))
-    assert np.allclose(wrapped.predict(grid), direct.predict(grid))
+    assert np.array_equal(wrapped.predict(grid), direct.predict(grid))
+
+
+def _fit_by_the_where_epoch(X, y, alpha, epochs):
+    """The fit as first written: a nested ``np.where`` subgradient, an ``np.sqrt``
+    step and ``np.mean`` for the intercept. Returns (coef, intercept, kink hits)."""
+    n = X.shape[0]
+    scale = float(np.mean(np.abs(y)))
+    if scale == 0.0:
+        scale = 1.0
+    ys = y / scale
+    w, b, kinks = np.zeros(X.shape[1]), 0.0, 0
+    for t in range(epochs):
+        pred = X @ w + b
+        kinks += int(np.count_nonzero(ys == pred))
+        g = np.where(ys > pred, -alpha, np.where(ys < pred, 1.0 - alpha, 0.0))
+        step = 0.5 / np.sqrt(1.0 + t)
+        w -= step * (X.T @ g) / n
+        b -= step * float(np.mean(g))
+    return w, b, kinks
+
+
+def test_the_epoch_matches_the_where_epoch_bit_for_bit():
+    # integer rows land on the kink; normal rows almost never do; an all-zero
+    # response fits at unit scale
+    rng = np.random.default_rng(38)
+    kinks = 0
+    for case in range(48):
+        n, p = int(rng.integers(5, 121)), int(rng.integers(1, 4))
+        alpha = (0.05, 0.3, 0.5, 0.95)[case % 4]
+        if case % 3 == 0:
+            X = rng.integers(-2, 3, size=(n, p)) * 1.0
+            y = rng.integers(-3, 4, size=n) * 1.0
+        else:
+            X, y = rng.normal(size=(n, p)), rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        if case == 47:
+            y = np.zeros(n)
+        want_w, want_b, hits = _fit_by_the_where_epoch(X, y, alpha, 150)
+        kinks += hits
+        model = LinearPinballModel(alpha, epochs=150).fit(X, y)
+        assert model.coef_.tobytes() == want_w.tobytes(), case
+        assert np.float64(model.intercept_).tobytes() == np.float64(want_b).tobytes(), case
+    assert kinks > 0
 
 
 def test_same_data_gives_identical_fits():
@@ -120,8 +162,10 @@ def test_exploding_learning_rate_raises_divergence_error():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(50, 1)) * 1e200
     y = rng.normal(size=50)
-    with pytest.raises(ValueError, match="diverged; reduce learning rate"):
-        LinearPinballModel(0.5, learning_rate=1e200).fit(X, y)
+    # one epoch overflows w while b stays finite; later epochs turn b into NaN too
+    for epochs in (1, 2000):
+        with pytest.raises(ValueError, match="diverged; reduce learning rate"):
+            LinearPinballModel(0.5, epochs=epochs, learning_rate=1e200).fit(X, y)
 
 
 def test_invalid_settings_are_rejected():

@@ -1,5 +1,7 @@
 """Pinball loss tests with hand-computed values."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ def test_pinball_subgradient_hand_values():
     assert PinballLoss(0.9).subgradient(1.0, 0.0) == pytest.approx(-0.9)
     assert PinballLoss(0.9).subgradient(0.0, 1.0) == pytest.approx(0.1)
     assert PinballLoss(0.42).subgradient(5.0, 5.0) == 0.0
+
+
+def test_pinball_subgradient_reads_floats_takes_plus_zero_at_the_kink_and_passes_nan():
+    loss = PinballLoss(0.25)
+    # elementwise on arrays, and the kink is +0.0, also where -0.0 meets 0.0
+    g = loss.subgradient(np.array([1.0, 2.0, -0.0, 3.0, 0.0]), np.array([1.0, 3.0, 0.0, 2.0, -0.0]))
+    assert g.tolist() == [0.0, 0.75, 0.0, -0.25, 0.0]
+    assert not np.signbit(g[[0, 2, 4]]).any()
+    # lists and integers are read as floats
+    g = loss.subgradient([1, 2, 3], [2, 2, 2])
+    assert g.dtype == np.float64 and g.tolist() == [0.75, 0.0, -0.25]
+    assert isinstance(loss.subgradient(3, 1), float) and loss.subgradient(3, 1) == -0.25
+    # a NaN on either side gives NaN, not a subgradient
+    assert math.isnan(loss.subgradient(float("nan"), 1.0))
+    assert np.isnan(loss.subgradient(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))).tolist() == [True, False]
 
 
 def test_pinball_reflection_symmetry():

@@ -83,6 +83,22 @@ def test_pinball_pair_gradients_match_finite_differences():
         assert rel < 1e-4
 
 
+def test_pinball_pair_gradient_matches_the_where_form_bit_for_bit():
+    # each column is the nested np.where subgradient of its level over the
+    # batch size; integer responses and outputs put about a fifth of the rows on a kink
+    rng = np.random.default_rng(38)
+    for alpha_lo, alpha_hi in ((0.05, 0.95), (0.3, 0.7), (0.1, 0.5)):
+        for n in (1, 7, 64):
+            y = rng.integers(-2, 3, size=n) * 1.0
+            out = rng.integers(-2, 3, size=(n, 2)) * 1.0
+            want = np.empty_like(out)
+            for j, alpha in enumerate((alpha_lo, alpha_hi)):
+                q = out[:, j]
+                want[:, j] = np.where(y > q, -alpha, np.where(y < q, 1.0 - alpha, 0.0)) / n
+            got = _PinballPairHead(alpha_lo, alpha_hi).grad(y, out)
+            assert got.tobytes() == want.tobytes(), (alpha_lo, alpha_hi, n)
+
+
 @pytest.mark.parametrize("head", [_SquaredErrorHead(), _PinballPairHead(0.05, 0.95)], ids=["mse", "pinball"])
 def test_gradients_under_fixed_dropout_masks_match_finite_differences(head):
     # the masks are drawn again from the same seed at every loss evaluation, so
